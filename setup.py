@@ -1,8 +1,8 @@
 """Build script: compiles the optional Cython kernel lane.
 
-The package is fully functional without the extension (a pure-Python lane
-with the same API is selected at import time), so a failed compile only
-costs speed, never correctness.
+The package is fully functional without the extension (the ring-protocol
+routes in `wedgecrys.matrices` then do all the work), so a failed compile
+only costs speed, never correctness.
 """
 import sys
 

@@ -1,26 +1,14 @@
-"""Kernel lane selection.
+"""Optional compiled kernel lane.
 
-Two implementations of the hot packed-matrix kernels exist: a compiled
-Cython lane (built at install time) and a pure-Python lane.  The compiled
-lane is used whenever it imported successfully, the modulus fits its
-64-bit arithmetic, and WEDGECRYS_PURE is not set.
+The compiled Cython lane (built at install time) serves the packed-matrix
+kernels for moduli q <= MAX_Q, whose products fit its 64-bit arithmetic.
+`impl_for` returns None when the lane is not built or q is too large; the
+caller then takes the ring-protocol route in `matrices`.
 """
-import importlib
-import os
-
-from . import pylane
-
-
-def _load_compiled():
-    if os.environ.get("WEDGECRYS_PURE"):
-        return None
-    try:
-        return importlib.import_module("wedgecrys._kernel._cylane")
-    except ImportError:
-        return None
-
-
-_compiled = _load_compiled()
+try:
+    from . import _cylane as _compiled
+except ImportError:
+    _compiled = None
 
 
 def active_lane() -> str:
@@ -29,7 +17,7 @@ def active_lane() -> str:
 
 
 def impl_for(q: int):
-    """Kernel module to use for modulus q."""
+    """The compiled kernel module for modulus q, or None."""
     if _compiled is not None and q <= _compiled.MAX_Q:
         return _compiled
-    return pylane
+    return None

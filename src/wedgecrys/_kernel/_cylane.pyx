@@ -1,9 +1,10 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
 """Compiled kernel lane.
 
-Same API and semantics as pylane, restricted to moduli q <= MAX_Q so that
-every product of two reduced coefficients fits in a 64-bit signed integer
-(q < 2^31 gives products < 2^62, and one accumulation step stays < 2^63).
+Computes what the ring-protocol routes in `matrices` compute, on packed
+matrices, restricted to moduli q <= MAX_Q so that every product of two
+reduced coefficients fits in a 64-bit signed integer (q < 2^31 gives
+products < 2^62, and one accumulation step stays < 2^63).
 Entries are `a` coefficients per matrix cell, row-major and flattened.
 """
 from cpython cimport array

@@ -2,8 +2,8 @@
 
 stdout carries exactly one canonical JSON document (sorted keys, no
 floats, rationals as "s/t" strings); diagnostics go to stderr.  Exit
-codes: 0 success, 2 malformed payload, 3 dimension error, 4 precision
-exhausted, 5 campaign failure.
+codes: 0 success, 2 malformed payload or bad argument, 3 dimension error,
+4 precision exhausted, 5 campaign failure.
 """
 from __future__ import annotations
 
@@ -59,7 +59,16 @@ def _emit(obj, out: str | None) -> None:
 
 
 def _default_p() -> int:
-    return int(os.environ.get("WEDGECRYS_DEFAULT_P", "3"))
+    raw = os.environ.get("WEDGECRYS_DEFAULT_P", "3")
+    try:
+        return int(raw)
+    except ValueError:
+        raise WedgecrysError(f"WEDGECRYS_DEFAULT_P must be an integer, got {raw!r}") from None
+
+
+def _at_least_one(flag: str, value) -> None:
+    if value is not None and value < 1:
+        raise WedgecrysError(f"{flag} must be >= 1, got {value}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -128,6 +137,8 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.verb == "wedge":
+            _at_least_one("--a", args.a)
+            _at_least_one("--m", args.m)
             p = args.p if args.p is not None else _default_p()
             try:
                 desc = GroupDescriptor(args.h, args.dim)
@@ -146,6 +157,7 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.verb == "check":
+            _at_least_one("--trials", args.trials)
             report = run_campaign(
                 args.campaign,
                 seed=args.seed,

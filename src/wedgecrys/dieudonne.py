@@ -36,8 +36,8 @@ from .matrices import (
     matrix_from_json,
     matrix_to_json,
 )
-from .modsolve import _lead, _vp, howell_form, kernel_basis
-from .rings import BOTTOM, WittRing, make_witt_ring
+from .modsolve import _lead, howell_form, kernel_basis
+from .rings import BOTTOM, WittRing, _vp, make_witt_ring
 
 
 # ---------------------------------------------------------------------------
@@ -230,11 +230,6 @@ def semilinear_conjugate(D: DieudonneModule, U: Matrix) -> DieudonneModule:
     return DieudonneModule(R, D.h, MF, MV)
 
 
-def conjugate_isocrystal(C: Isocrystal, U: Matrix) -> Isocrystal:
-    M = U @ C.matrix @ invert_unimodular(matrix_phi(U))
-    return Isocrystal(C.ring, C.rank, M, C.shift, C.eff_precision)
-
-
 # ---------------------------------------------------------------------------
 # height, dimension, direct sums
 
@@ -303,10 +298,6 @@ class NewtonPolygon:
 def format_fraction(x: Fraction) -> str:
     x = Fraction(x)
     return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def _lower_hull(points):

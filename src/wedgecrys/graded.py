@@ -456,11 +456,6 @@ def _monomial_exp(ring: GradedRing, f) -> tuple:
     return e
 
 
-def module_to_chart(M: FreeGradedModule, el):
-    """A polynomial element as a chart section (denominator f^0)."""
-    return tuple(dict(c) for c in el)
-
-
 def _clear_denominators(ring: GradedRing, f_exp, coords):
     """Smallest k with coords * f^k polynomial; raises if some exponent is
     negative at a variable f does not contain."""

@@ -3,11 +3,10 @@
 Compound matrices, determinantal ideals and the unit-ideal/zero-ideal rank
 notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
 
-Two computation routes coexist deliberately:
-
-* a generic route using only the ring protocol (works over every ring,
-  including Q and the local test rings), and
-* a packed route through the kernel lanes for Z/p^m, F_q and Witt rings.
+`det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
+on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
+the local test rings).  When the optional compiled lane is built, it takes
+packed Z/p^m, F_q and Witt inputs whose modulus fits its 64-bit arithmetic.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -149,7 +148,7 @@ class Matrix:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        pk = _packed_params(self.ring)
+        pk = _compiled_params(self.ring)
         if pk is not None:
             impl, q, a, fred, p, mprec = pk
             flat = impl.mat_mul(
@@ -157,17 +156,18 @@ class Matrix:
             )
             return _unpack(self.ring, flat, self.rows, other.cols, a)
         R = self.ring
+        add, mul, zero = R.add, R.mul, R.zero
+        m = other.cols
+        cols = [other.entries[j::m] for j in range(m)]
         out = []
         for i in range(self.rows):
-            ri = self.row(i)
-            for j in range(other.cols):
-                acc = R.zero
-                for k in range(self.cols):
-                    x = ri[k]
-                    if not R.is_zero(x):
-                        acc = R.add(acc, R.mul(x, other.entries[k * other.cols + j]))
+            nz = _nonzero(R, self.row(i))
+            for col in cols:
+                acc = zero
+                for l, x in nz:
+                    acc = add(acc, mul(x, col[l]))
                 out.append(acc)
-        return Matrix(R, self.rows, other.cols, out)
+        return Matrix(R, self.rows, m, out)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
@@ -220,16 +220,21 @@ def block_diag(*matrices) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# kernel packing
+# the compiled lane: packed parameters and element packing
 
 
-def _packed_params(ring):
+def _compiled_params(ring):
+    """(lane, q, a, fred, p, m) when the compiled lane serves `ring`, else
+    None: the ring-protocol routes below then do the work."""
     pack = getattr(ring, "pack_params", None)
     pk = pack() if pack else None
     if pk is None:
         return None
     q, a, fred = pk
-    return _kernel.impl_for(q), q, a, fred, ring.p, ring.m
+    impl = _kernel.impl_for(q)
+    if impl is None:
+        return None
+    return impl, q, a, fred, ring.p, ring.m
 
 
 def _pack(M: Matrix):
@@ -247,100 +252,126 @@ def _unpack(ring, flat, rows, cols, a) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants and characteristic polynomials (generic route)
+# determinants and characteristic polynomials (ring protocol)
 
 
-def _gen_det_cofactor(A: Matrix, rows, cols):
-    R = A.ring
-    if len(rows) == 1:
-        return A[rows[0], cols[0]]
-    acc = R.zero
-    c0, rest = cols[0], cols[1:]
-    for idx, r in enumerate(rows):
-        e = A[r, c0]
-        if R.is_zero(e):
-            continue
-        term = R.mul(e, _gen_det_cofactor(A, rows[:idx] + rows[idx + 1 :], rest))
-        acc = R.add(acc, term) if idx % 2 == 0 else R.sub(acc, term)
-    return acc
+def _nonzero(R, row):
+    """(index, entry) pairs of the nonzero entries of a row."""
+    is_zero = R.is_zero
+    return [(l, u) for l, u in enumerate(row) if not is_zero(u)]
 
 
-def _gen_det_bareiss(A: Matrix, rows, cols):
-    # fraction-free: divisions by the previous pivot are exact over a field
-    R = A.ring
-    n = len(rows)
-    W = [[A[r, c] for c in cols] for r in rows]
-    sign = 1
-    prev = R.one
-    for k in range(n - 1):
-        if R.is_zero(W[k][k]):
-            piv = next((i for i in range(k + 1, n) if not R.is_zero(W[i][k])), None)
-            if piv is None:
-                return R.zero
-            W[k], W[piv] = W[piv], W[k]
-            sign = -sign
-        ip = R.inv(prev)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = R.sub(R.mul(W[i][j], W[k][k]), R.mul(W[i][k], W[k][j]))
-                W[i][j] = R.mul(num, ip)
-        prev = W[k][k]
-    d = W[n - 1][n - 1]
-    return d if sign == 1 else R.neg(d)
+def _berkowitz(R, M):
+    """Ascending charpoly coefficients c_0..c_n (c_n = 1) of the square
+    list of rows M.
 
-
-def _gen_berkowitz(A: Matrix, rows, cols):
-    """Ascending charpoly coefficients of the (rows x cols) submatrix."""
-    R = A.ring
-    n = len(rows)
-    M = [[A[r, c] for c in cols] for r in rows]
-    vec = [R.one, R.neg(M[n - 1][n - 1])]
+    Division-free; the Samuelson-Berkowitz recurrence multiplies the
+    charpoly of each trailing principal submatrix by a Toeplitz matrix
+    whose column is built from -(R . B^j . C).
+    """
+    add, mul, neg, is_zero = R.add, R.mul, R.neg, R.is_zero
+    zero, one = R.zero, R.one
+    n = len(M)
+    vec = [one, neg(M[n - 1][n - 1])]
     for k0 in range(n - 2, -1, -1):
         s = n - k0
-        t = [R.one, R.neg(M[k0][k0])]
-        w = [M[i][k0] for i in range(k0 + 1, n)]
+        t = [one, neg(M[k0][k0])]
+        top = _nonzero(R, M[k0][k0 + 1 :])
+        block = [_nonzero(R, row[k0 + 1 :]) for row in M[k0 + 1 :]]
+        w = [row[k0] for row in M[k0 + 1 :]]
         for j in range(s - 1):
-            dot = R.zero
-            for idx in range(s - 1):
-                u = M[k0][k0 + 1 + idx]
-                if not (R.is_zero(u) or R.is_zero(w[idx])):
-                    dot = R.add(dot, R.mul(u, w[idx]))
-            t.append(R.neg(dot))
+            dot = zero
+            for l, u in top:
+                x = w[l]
+                if not is_zero(x):
+                    dot = add(dot, mul(u, x))
+            t.append(neg(dot))
             if j < s - 2:
                 nw = []
-                for i in range(s - 1):
-                    acc = R.zero
-                    for l in range(s - 1):
-                        u = M[k0 + 1 + i][k0 + 1 + l]
-                        if not (R.is_zero(u) or R.is_zero(w[l])):
-                            acc = R.add(acc, R.mul(u, w[l]))
+                for nz in block:
+                    acc = zero
+                    for l, u in nz:
+                        x = w[l]
+                        if not is_zero(x):
+                            acc = add(acc, mul(u, x))
                     nw.append(acc)
                 w = nw
-        newvec = [R.zero] * (s + 1)
-        for j2 in range(s):
-            vj = vec[j2]
-            if R.is_zero(vj):
+        tnz = _nonzero(R, t)
+        newvec = [zero] * (s + 1)
+        for j2, vj in enumerate(vec):
+            if is_zero(vj):
                 continue
-            for i2 in range(j2, s + 1):
-                ti = t[i2 - j2]
-                if not R.is_zero(ti):
-                    newvec[i2] = R.add(newvec[i2], R.mul(ti, vj))
+            for i, ti in tnz:
+                k = i + j2
+                if k > s:
+                    break
+                newvec[k] = add(newvec[k], mul(ti, vj))
         vec = newvec
     vec.reverse()
     return vec
 
 
-def _gen_det_sub(A: Matrix, rows, cols):
-    d = len(rows)
-    if d == 0:
-        return A.ring.one
-    if d <= 4:
-        return _gen_det_cofactor(A, rows, cols)
-    if getattr(A.ring, "is_field", False):
-        return _gen_det_bareiss(A, rows, cols)
-    coeffs = _gen_berkowitz(A, rows, cols)
-    c0 = coeffs[0]
-    return c0 if d % 2 == 0 else A.ring.neg(c0)
+def _det_bareiss(R, W):
+    # fraction-free: divisions by the previous pivot are exact over a field
+    sub, mul, is_zero = R.sub, R.mul, R.is_zero
+    n = len(W)
+    sign = 1
+    prev = R.one
+    for k in range(n - 1):
+        if is_zero(W[k][k]):
+            piv = next((i for i in range(k + 1, n) if not is_zero(W[i][k])), None)
+            if piv is None:
+                return R.zero
+            W[k], W[piv] = W[piv], W[k]
+            sign = -sign
+        ip = R.inv(prev)
+        pk = W[k][k]
+        prow = W[k]
+        for i in range(k + 1, n):
+            row = W[i]
+            lead = row[k]
+            for j in range(k + 1, n):
+                row[j] = mul(sub(mul(row[j], pk), mul(lead, prow[j])), ip)
+        prev = pk
+    d = W[n - 1][n - 1]
+    return d if sign == 1 else R.neg(d)
+
+
+def _minors(A: Matrix):
+    """det(A[rows, cols]) as a function of two index tuples: cofactor
+    expansion up to order 4, then Bareiss over fields and the Berkowitz
+    constant term (division-free) over rings with zero divisors."""
+    R = A.ring
+    E, stride = A.entries, A.cols
+    add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
+    is_field = getattr(R, "is_field", False)
+
+    def cofactor(rows, cols):
+        if len(rows) == 1:
+            return E[rows[0] * stride + cols[0]]
+        acc = R.zero
+        c0, rest = cols[0], cols[1:]
+        for idx, r in enumerate(rows):
+            e = E[r * stride + c0]
+            if is_zero(e):
+                continue
+            term = mul(e, cofactor(rows[:idx] + rows[idx + 1 :], rest))
+            acc = add(acc, term) if idx % 2 == 0 else sub(acc, term)
+        return acc
+
+    def minor(rows, cols):
+        d = len(rows)
+        if d == 0:
+            return R.one
+        if d <= 4:
+            return cofactor(rows, cols)
+        M = [[E[r * stride + c] for c in cols] for r in rows]
+        if is_field:
+            return _det_bareiss(R, M)
+        c0 = _berkowitz(R, M)[0]
+        return c0 if d % 2 == 0 else R.neg(c0)
+
+    return minor
 
 
 def det(A: Matrix):
@@ -350,25 +381,24 @@ def det(A: Matrix):
         raise DimensionMismatch("determinant of a non-square matrix")
     if A.rows == 0:
         return A.ring.one
-    pk = _packed_params(A.ring)
+    pk = _compiled_params(A.ring)
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
         return A.ring.unpack_el(tuple(impl.det(_pack(A), A.rows, a, fred, q, p, mprec)))
     idx = tuple(range(A.rows))
-    return _gen_det_sub(A, idx, idx)
+    return _minors(A)(idx, idx)
 
 
 def charpoly(A: Matrix) -> list:
     """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1."""
     if not A.is_square:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    pk = _packed_params(A.ring)
+    pk = _compiled_params(A.ring)
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
         flat = impl.berkowitz(_pack(A), A.rows, a, fred, q)
         return [A.ring.unpack_el(tuple(flat[k * a : (k + 1) * a])) for k in range(A.rows + 1)]
-    idx = tuple(range(A.rows))
-    return _gen_berkowitz(A, idx, idx)
+    return _berkowitz(A.ring, A.to_rows())
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +417,13 @@ def compound(A: Matrix, d: int) -> Matrix:
     if not 1 <= d <= n:
         raise DimensionMismatch(f"compound order d={d} outside 1..{n}")
     subsets = index_subsets(n, d)
-    pk = _packed_params(A.ring)
+    pk = _compiled_params(A.ring)
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
         flat = impl.compound(_pack(A), n, d, subsets, a, fred, q, p, mprec)
         return _unpack(A.ring, flat, len(subsets), len(subsets), a)
-    ents = [_gen_det_sub(A, S, T) for S in subsets for T in subsets]
+    minor = _minors(A)
+    ents = [minor(S, T) for S in subsets for T in subsets]
     return Matrix(A.ring, len(subsets), len(subsets), ents)
 
 
@@ -405,7 +436,8 @@ def stack_minors(A: Matrix, r: int):
     if A.cols != r:
         raise DimensionMismatch("stack must have exactly r columns")
     cols = tuple(range(r))
-    return tuple(_gen_det_sub(A, S, cols) for S in index_subsets(A.rows, r))
+    minor = _minors(A)
+    return tuple(minor(S, cols) for S in index_subsets(A.rows, r))
 
 
 # ---------------------------------------------------------------------------
@@ -417,15 +449,20 @@ def smith_valuations(A: Matrix) -> list:
 
     Available on local rings carrying the pivot protocol; the list has
     min(rows, cols) entries, sorted ascending, with ring.val_cap meaning a
-    zero diagonal entry.
+    zero diagonal entry.  Pivots on a minimum-valuation entry; elimination
+    multipliers are exact because every remaining entry has valuation >=
+    the pivot's.  Row/column operations are unimodular, so the
+    determinantal ideals (hence statuses, rank, cokernel shape) of the
+    input are those of the diagonal.
     """
     ring = A.ring
     if not hasattr(ring, "pivot_val"):
         raise UnsupportedRing(f"{ring!r} has no valuation-pivot structure")
-    pk = _packed_params(ring)
+    pk = _compiled_params(ring)
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
         return impl.smith_vals(_pack(A), A.rows, A.cols, a, fred, q, p, mprec)
+    pivot_val, sub, mul, is_zero = ring.pivot_val, ring.sub, ring.mul, ring.is_zero
     cap = ring.val_cap
     M = A.to_rows()
     nr, nc = A.rows, A.cols
@@ -434,8 +471,9 @@ def smith_valuations(A: Matrix) -> list:
     for step in range(size):
         bv, bi, bj = cap, -1, -1
         for i in range(step, nr):
+            row = M[i]
             for j in range(step, nc):
-                v = ring.pivot_val(M[i][j])
+                v = pivot_val(row[j])
                 if v < bv:
                     bv, bi, bj = v, i, j
                     if v == 0:
@@ -452,14 +490,15 @@ def smith_valuations(A: Matrix) -> list:
                 row[bj], row[step] = row[step], row[bj]
         om_inv = ring.inv(ring.shift_down(M[step][step], bv))
         prow = M[step]
+        pnz = [(j, prow[j]) for j in range(step, nc) if not is_zero(prow[j])]
         for i in range(step + 1, nr):
-            x = M[i][step]
-            if not ring.is_zero(x):
-                lam = ring.mul(ring.shift_down(x, bv), om_inv)
-                row = M[i]
-                for j in range(step, nc):
-                    if not ring.is_zero(prow[j]):
-                        row[j] = ring.sub(row[j], ring.mul(lam, prow[j]))
+            row = M[i]
+            x = row[step]
+            if not is_zero(x):
+                lam = mul(ring.shift_down(x, bv), om_inv)
+                for j, u in pnz:
+                    row[j] = sub(row[j], mul(lam, u))
+        # the implied column operations only touch the pivot row now
         for j in range(step + 1, nc):
             prow[j] = ring.zero
         vals.append(bv)
@@ -494,9 +533,10 @@ def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
     if i > min(A.rows, A.cols):
         return IdealStatus.ZERO
     all_zero = True
+    minor = _minors(A)
     for S in index_subsets(A.rows, i):
         for T in index_subsets(A.cols, i):
-            m = _gen_det_sub(A, S, T)
+            m = minor(S, T)
             if ring.is_zero(m):
                 continue
             all_zero = False

@@ -8,15 +8,7 @@ eigenspace bases below reproducible byte-for-byte.
 """
 from __future__ import annotations
 
-
-def _vp(x: int, p: int, m: int) -> int:
-    if x == 0:
-        return m
-    v = 0
-    while x % p == 0 and v < m:
-        x //= p
-        v += 1
-    return v
+from .rings import _vp
 
 
 def _lead(row) -> int:

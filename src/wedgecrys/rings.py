@@ -10,7 +10,7 @@ All rings here share one informal protocol used by the matrix layer:
 Local rings additionally expose the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`), and
 the packable rings (Z/p^m, F_q, Witt) expose `pack_params` /
-`pack_el` / `unpack_el` for the kernel lanes.
+`pack_el` / `unpack_el` for the compiled kernel lane.
 
 Elements are plain data: ints for Z/p^m, tuples of ints (ascending
 coefficients) for F_q and Witt rings, Fractions for Q.  Everything is
@@ -22,16 +22,6 @@ import itertools
 from fractions import Fraction
 from functools import lru_cache
 
-from ._kernel.pylane import (
-    _pe_pow,
-    pe_add,
-    pe_inv_unit,
-    pe_mul,
-    pe_neg,
-    pe_shift_down,
-    pe_sub,
-    pe_val,
-)
 from .errors import NonPrime, SchemaError, UnsupportedHom
 
 
@@ -87,6 +77,17 @@ CONWAY = {
 }
 
 
+def _vp(x: int, p: int, cap: int) -> int:
+    """p-adic valuation of the integer x, capped at cap (cap for x = 0)."""
+    if x == 0:
+        return cap
+    v = 0
+    while x % p == 0 and v < cap:
+        x //= p
+        v += 1
+    return v
+
+
 def _prime_factors(n: int):
     out = set()
     d = 2
@@ -103,12 +104,12 @@ def _prime_factors(n: int):
 def _poly_is_irreducible(fred: tuple, a: int, p: int) -> bool:
     if a == 1:
         return True
+    F = _PolynomialQuotient(a, fred, p)
     x = (0, 1) + (0,) * (a - 2)
-    xq = _pe_pow(x, p**a, a, fred, p)
-    if xq != x:
+    if F.pow(x, p**a) != x:
         return False
     for l in _prime_factors(a):
-        if _pe_pow(x, p ** (a // l), a, fred, p) == x:
+        if F.pow(x, p ** (a // l)) == x:
             return False
     return True
 
@@ -126,6 +127,63 @@ def defining_polynomial(p: int, a: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+
+
+class _PolynomialQuotient:
+    """Arithmetic of (Z/c)[x]/(f), shared by F_{p^a} (c = p) and
+    W(F_{p^a})/p^m (c = p^m).
+
+    Elements are length-a tuples of coefficients in [0, c), ascending; `fred`
+    holds the non-leading coefficients of the monic f, so
+    x^a = -(fred[0] + fred[1] x + ...).
+    """
+
+    def __init__(self, a: int, fred: tuple, c: int):
+        self.a = a
+        self.fred = fred
+        self._c = c
+        self.zero = (0,) * a
+        self.one = (1,) + (0,) * (a - 1)
+
+    def add(self, x, y):
+        c = self._c
+        return tuple([(u + v) % c for u, v in zip(x, y)])
+
+    def sub(self, x, y):
+        c = self._c
+        return tuple([(u - v) % c for u, v in zip(x, y)])
+
+    def neg(self, x):
+        c = self._c
+        return tuple([-u % c for u in x])
+
+    def mul(self, x, y):
+        a, c = self.a, self._c
+        if a == 1:
+            return ((x[0] * y[0]) % c,)
+        t = [0] * (2 * a - 1)
+        for i, u in enumerate(x):
+            if u:
+                for j, v in enumerate(y):
+                    t[i + j] += u * v
+        for k in range(2 * a - 2, a - 1, -1):
+            top = t[k] % c
+            if top:
+                for i, f in enumerate(self.fred, k - a):
+                    t[i] -= top * f
+        return tuple([u % c for u in t[:a]])
+
+    def pow(self, x, e: int):
+        res = self.one
+        while e:
+            if e & 1:
+                res = self.mul(res, x)
+            x = self.mul(x, x)
+            e >>= 1
+        return res
+
+    def is_zero(self, x):
+        return not any(x)
 
 
 class ModulusRing:
@@ -181,17 +239,10 @@ class ModulusRing:
         return pow(x, -1, self.q)
 
     def valuation(self, x):
-        if x == 0:
-            return BOTTOM
-        v = 0
-        while x % self.p == 0:
-            x //= self.p
-            v += 1
-        return v
+        return BOTTOM if x == 0 else _vp(x, self.p, self.m)
 
     def pivot_val(self, x) -> int:
-        v = self.valuation(x)
-        return self.m if v is BOTTOM else v
+        return _vp(x, self.p, self.m)
 
     def shift_down(self, x, v: int):
         return x // self.p**v
@@ -218,7 +269,7 @@ class ModulusRing:
         return coords[0]
 
 
-class FiniteField:
+class FiniteField(_PolynomialQuotient):
     """F_{p^a} = F_p[x]/(f), f the table polynomial; elements are coefficient
     tuples of length a (ascending powers)."""
 
@@ -232,12 +283,9 @@ class FiniteField:
             raise NonPrime(f"p must be prime, got {p}")
         if a < 1:
             raise ValueError("extension degree must be >= 1")
+        super().__init__(a, defining_polynomial(p, a), p)
         self.p = p
-        self.a = a
         self.q = p**a
-        self.fred = defining_polynomial(p, a)
-        self.zero = (0,) * a
-        self.one = (1,) + (0,) * (a - 1)
         self.m = 1
 
     def __repr__(self):
@@ -257,31 +305,15 @@ class FiniteField:
             raise ValueError("prime field has no extension generator")
         return (0, 1) + (0,) * (self.a - 2)
 
-    def add(self, x, y):
-        return pe_add(x, y, self.a, self.p)
-
-    def sub(self, x, y):
-        return pe_sub(x, y, self.a, self.p)
-
-    def neg(self, x):
-        return pe_neg(x, self.a, self.p)
-
-    def mul(self, x, y):
-        return pe_mul(x, y, self.a, self.fred, self.p)
-
-    def pow(self, x, e: int):
-        return _pe_pow(x, e, self.a, self.fred, self.p)
-
-    def is_zero(self, x):
-        return not any(x)
-
     def is_unit(self, x):
         return any(x)
 
     def inv(self, x):
         if not any(x):
             raise ZeroDivisionError("inverse of 0")
-        return pe_inv_unit(x, self.a, self.fred, self.p, self.p, 1)
+        if self.a == 1:
+            return (pow(x[0], -1, self.p),)
+        return self.pow(x, self.q - 2)
 
     def frobenius(self, x):
         return self.pow(x, self.p)
@@ -324,7 +356,7 @@ class FiniteField:
         return coords
 
 
-class WittRing:
+class WittRing(_PolynomialQuotient):
     """W(F_{p^a})/p^m as (Z/p^m)[x]/(f_hat), f_hat the integer lift of the
     defining polynomial of F_{p^a}.
 
@@ -341,13 +373,11 @@ class WittRing:
             raise NonPrime(f"p must be an odd prime, got {p}")
         if a < 1 or m < 1:
             raise ValueError("need a >= 1 and m >= 1")
+        # the table coefficients lie in [0, p), so they serve mod p^m as is
+        super().__init__(a, defining_polynomial(p, a), p**m)
         self.p = p
-        self.a = a
         self.m = m
         self.q = p**m
-        self.fred = defining_polynomial(p, a)  # coefficients already in [0, p)
-        self.zero = (0,) * a
-        self.one = (1,) + (0,) * (a - 1)
         self.is_field = m == 1
         self.val_cap = m
         self.residue_field = FiniteField(p, a)
@@ -365,24 +395,23 @@ class WittRing:
 
     def _eval_fhat(self, t):
         # f_hat(t) and f_hat'(t), by Horner
-        a, q, fred = self.a, self.q, self.fred
         val = self.one
         dval = self.zero
         # f = x^a + fred[a-1]x^{a-1} + ... + fred[0]; walk coefficients from the top
-        coeffs = [self.from_int(c) for c in fred]
-        for k in range(a - 1, -1, -1):
-            dval = pe_add(pe_mul(dval, t, a, fred, q), val, a, q)
-            val = pe_add(pe_mul(val, t, a, fred, q), coeffs[k], a, q)
+        coeffs = [self.from_int(c) for c in self.fred]
+        for k in range(self.a - 1, -1, -1):
+            dval = self.add(self.mul(dval, t), val)
+            val = self.add(self.mul(val, t), coeffs[k])
         return val, dval
 
     def _hensel_frobenius_root(self):
         if self.a == 1:
             return self.one  # phi = identity on Z/p^m
-        r = _pe_pow(self.gen(), self.p, self.a, self.fred, self.q)
+        r = self.pow(self.gen(), self.p)
         prec = 1
         while prec < self.m:
             fr, dfr = self._eval_fhat(r)
-            r = pe_sub(r, self.mul(fr, self.inv(dfr)), self.a, self.q)
+            r = self.sub(r, self.mul(fr, self.inv(dfr)))
             prec *= 2
         fr, _ = self._eval_fhat(r)
         if any(fr):
@@ -391,12 +420,11 @@ class WittRing:
 
     def _phi_matrix(self, root):
         # columns are the coordinates of root^j; phi is Z/p^m-linear
-        a, q = self.a, self.q
         cols = []
         acc = self.one
-        for _ in range(a):
+        for _ in range(self.a):
             cols.append(acc)
-            acc = pe_mul(acc, root, a, self.fred, q)
+            acc = self.mul(acc, root)
         return tuple(cols)
 
     # -- ring protocol ---------------------------------------------------
@@ -428,41 +456,40 @@ class WittRing:
             raise ValueError("coefficient count mismatch")
         return coeffs
 
-    def add(self, x, y):
-        return pe_add(x, y, self.a, self.q)
-
-    def sub(self, x, y):
-        return pe_sub(x, y, self.a, self.q)
-
-    def neg(self, x):
-        return pe_neg(x, self.a, self.q)
-
-    def mul(self, x, y):
-        return pe_mul(x, y, self.a, self.fred, self.q)
-
-    def pow(self, x, e: int):
-        return _pe_pow(x, e, self.a, self.fred, self.q)
-
-    def is_zero(self, x):
-        return not any(x)
-
     def is_unit(self, x):
         return any(c % self.p for c in x)
 
     def inv(self, x):
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        return pe_inv_unit(x, self.a, self.fred, self.q, self.p, self.m)
+        if self.a == 1:
+            return (pow(x[0], -1, self.q),)
+        # residue-field inverse, then Newton-Hensel lift to mod p^m
+        y = self.residue_field.inv(self.reduce_mod_p(x))
+        two = self.from_int(2)
+        k = 1
+        while k < self.m:
+            y = self.mul(y, self.sub(two, self.mul(x, y)))
+            k *= 2
+        return y
 
     def valuation(self, x):
-        v = pe_val(x, self.p, self.m)
+        v = self.pivot_val(x)
         return BOTTOM if v >= self.m else v
 
     def pivot_val(self, x) -> int:
-        return pe_val(x, self.p, self.m)
+        """Minimum p-adic valuation over the coefficients; m for zero."""
+        p, best = self.p, self.m
+        for c in x:
+            if c:
+                best = _vp(c, p, best)
+                if best == 0:
+                    break
+        return best
 
     def shift_down(self, x, v: int):
-        return pe_shift_down(x, v, self.p)
+        d = self.p**v
+        return tuple([c // d for c in x])
 
     # -- semilinear structure ---------------------------------------------
 
@@ -530,7 +557,7 @@ class WittRing:
         return {"kind": "witt", "p": self.p, "a": self.a, "m": self.m}
 
     def pack_params(self):
-        return (self.q, self.a, tuple(c % self.q for c in self.fred))
+        return (self.q, self.a, self.fred)
 
     def pack_el(self, x):
         return x

@@ -284,6 +284,8 @@ def slope_precision(h: int, dim: int, r: int, a: int) -> int:
 def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = None) -> dict:
     """The CLI-facing wedge summary: height, dim, slopes, mu check."""
     h = desc.h
+    if not 1 <= r <= h:
+        raise DimensionMismatch(f"need 1 <= r <= {h}")
     if m is None:
         m = slope_precision(h, desc.dim, r, a)
     ring = make_witt_ring(p, a, m)

@@ -7,6 +7,7 @@ pytest -s or in failure output).
 import itertools
 import json
 import math
+import os
 import random
 import subprocess
 import sys
@@ -263,6 +264,8 @@ def test_criterion_11_cli_determinism():
             ["check", "adjunction", "--seed", "5", "--trials", "10"],
         ]
         env = {"PATH": "/usr/bin:/bin"}
+        if "PYTHONPATH" in os.environ:
+            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
         for cmd in commands:
             full = [sys.executable, "-m", "wedgecrys.cli", *cmd]
             a = subprocess.run(full, capture_output=True, env=env)

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -10,6 +11,8 @@ from wedgecrys.rings import make_witt_ring
 def run_cli(args, env=None):
     cmd = [sys.executable, "-m", "wedgecrys.cli", *args]
     base_env = {"PATH": "/usr/bin:/bin"}
+    if "PYTHONPATH" in os.environ:
+        base_env["PYTHONPATH"] = os.environ["PYTHONPATH"]
     if env:
         base_env.update(env)
     return subprocess.run(cmd, capture_output=True, text=True, env=base_env)
@@ -162,3 +165,40 @@ def test_stdout_carries_only_json(capsys):
     out = capsys.readouterr().out
     json.loads(out)  # a single JSON document
     assert out.endswith("\n") and out.count("\n") == 1
+
+
+WEDGE_H3 = ["wedge", "--h", "3", "--dim", "1", "--r", "2", "--p", "3"]
+
+
+def _refused(capsys, argv, code=2):
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+    return captured.err
+
+
+def test_bad_default_prime_env_is_refused(capsys, monkeypatch):
+    monkeypatch.setenv("WEDGECRYS_DEFAULT_P", "abc")
+    err = _refused(capsys, ["wedge", "--h", "2", "--dim", "1", "--r", "2"])
+    assert "WEDGECRYS_DEFAULT_P" in err
+
+
+def test_wedge_extension_degree_zero_is_refused(capsys):
+    assert "--a" in _refused(capsys, WEDGE_H3 + ["--a", "0"])
+
+
+def test_wedge_negative_precision_is_refused(capsys):
+    assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", "-3"])
+
+
+def test_wedge_r_zero_is_a_dimension_error(capsys):
+    _refused(capsys, ["wedge", "--h", "3", "--dim", "1", "--r", "0"], code=3)
+
+
+def test_check_trials_zero_is_refused(capsys):
+    assert "--trials" in _refused(capsys, ["check", "axioms", "--trials", "0"])
+
+
+def test_check_negative_trials_is_refused(capsys):
+    assert "--trials" in _refused(capsys, ["check", "adjunction", "--trials", "-1"])

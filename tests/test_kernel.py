@@ -1,93 +1,77 @@
-"""Lane parity: the compiled kernels must agree with the pure-Python
-reference on random inputs across every packable ring shape."""
+"""The compiled lane against the ring-protocol route.
+
+The ring-protocol route in `matrices` is the reference: with the compiled
+lane switched off in process, every public entry point must return exactly
+what the compiled lane returns, on random inputs over every packable ring
+shape.
+"""
 import random
-import subprocess
-import sys
 
 import pytest
 
-from wedgecrys._kernel import _load_compiled, impl_for, pylane
-from wedgecrys.matrices import index_subsets
-from wedgecrys.rings import defining_polynomial
+from wedgecrys import _kernel
+from wedgecrys.dieudonne import descriptor, make_standard, slopes
+from wedgecrys.matrices import Matrix, charpoly, compound, det, smith_valuations
+from wedgecrys.rings import finite_field, make_witt_ring, modulus_ring
+from wedgecrys.wedge import wedge_isocrystal
 
-cylane = _load_compiled()
+cylane = _kernel._compiled
 
 needs_compiled = pytest.mark.skipif(cylane is None, reason="compiled lane not built")
 
 
-def _random_case(rng):
+def _ring_route(monkeypatch, fn, *args):
+    """fn(*args) with the compiled lane switched off."""
+    with monkeypatch.context() as mp:
+        mp.setattr(_kernel, "_compiled", None)
+        return fn(*args)
+
+
+def _random_ring(rng):
     p = rng.choice([3, 5, 7])
     mprec = rng.choice([1, 1, 2, 3])
     a = rng.choice([1, 1, 2, 3])
-    q = p**mprec
-    fred = (0,) if a == 1 else tuple(c % q for c in defining_polynomial(p, a))
-    return p, mprec, a, q, fred
+    if mprec == 1 and rng.random() < 0.5:
+        return finite_field(p, a)
+    if a == 1 and rng.random() < 0.5:
+        return modulus_ring(p, mprec)
+    return make_witt_ring(p, a, mprec)
+
+
+def _random_matrix(rng, R, rows, cols):
+    return Matrix(R, rows, cols, [R.random_element(rng) for _ in range(rows * cols)])
+
+
+def test_lane_choice_depends_only_on_the_build_and_q():
+    assert _kernel.impl_for(3**200) is None
+    assert _kernel.impl_for(3**3) is cylane
+    assert _kernel.active_lane() == ("cython" if cylane is not None else "python")
 
 
 @needs_compiled
-def test_lane_parity_on_random_inputs():
+def test_lane_parity_on_random_inputs(monkeypatch):
     rng = random.Random(20260810)
     for _ in range(150):
-        p, mprec, a, q, fred = _random_case(rng)
+        R = _random_ring(rng)
         n = rng.randint(1, 5)
-        A = [rng.randrange(q) for _ in range(n * n * a)]
-        B = [rng.randrange(q) for _ in range(n * n * a)]
-        assert pylane.mat_mul(A, B, n, n, n, a, fred, q) == list(
-            cylane.mat_mul(A, B, n, n, n, a, fred, q)
-        )
-        assert pylane.berkowitz(A, n, a, fred, q) == list(cylane.berkowitz(A, n, a, fred, q))
-        assert list(pylane.det(A, n, a, fred, q, p, mprec)) == list(
-            cylane.det(A, n, a, fred, q, p, mprec)
-        )
+        A = _random_matrix(rng, R, n, n)
+        B = _random_matrix(rng, R, n, n)
+        assert A @ B == _ring_route(monkeypatch, Matrix.__matmul__, A, B)
+        assert charpoly(A) == _ring_route(monkeypatch, charpoly, A)
+        assert det(A) == _ring_route(monkeypatch, det, A)
         d = rng.randint(1, n)
-        subs = index_subsets(n, d)
-        assert pylane.compound(A, n, d, subs, a, fred, q, p, mprec) == list(
-            cylane.compound(A, n, d, subs, a, fred, q, p, mprec)
-        )
-        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-        M = [rng.randrange(q) for _ in range(nr * nc * a)]
-        assert pylane.smith_vals(M, nr, nc, a, fred, q, p, mprec) == list(
-            cylane.smith_vals(M, nr, nc, a, fred, q, p, mprec)
-        )
+        assert compound(A, d) == _ring_route(monkeypatch, compound, A, d)
+        M = _random_matrix(rng, R, rng.randint(1, 5), rng.randint(1, 5))
+        assert smith_valuations(M) == _ring_route(monkeypatch, smith_valuations, M)
 
 
 @needs_compiled
-def test_large_modulus_falls_back_to_python_lane():
-    assert impl_for(3**3).LANE == "cython"
-    assert impl_for(3**200).LANE == "python"
+def test_wedge_slopes_identical_across_routes(monkeypatch):
+    # the same high-level computation through both routes
+    R = make_witt_ring(3, 2, 12)
+    C = make_standard(descriptor("LT_3"), R).to_isocrystal()
 
+    def run():
+        return slopes(wedge_isocrystal(C, 2)).segments
 
-@needs_compiled
-def test_wedgecrys_pure_env_forces_python_lane():
-    out = subprocess.run(
-        [sys.executable, "-c", "import wedgecrys; print(wedgecrys.active_lane())"],
-        env={"WEDGECRYS_PURE": "1", "PATH": "/usr/bin:/bin"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "python"
-
-
-@needs_compiled
-def test_matrix_results_identical_across_lanes_end_to_end():
-    # the same high-level computation through both lanes, byte for byte
-    script = (
-        "import random\n"
-        "from wedgecrys.rings import make_witt_ring\n"
-        "from wedgecrys.dieudonne import descriptor, make_standard, slopes\n"
-        "from wedgecrys.wedge import wedge_isocrystal\n"
-        "R = make_witt_ring(3, 2, 12)\n"
-        "C = make_standard(descriptor('LT_3'), R).to_isocrystal()\n"
-        "print(slopes(wedge_isocrystal(C, 2)).segments)\n"
-    )
-    runs = {}
-    for pure in ("", "1"):
-        env = {"PATH": "/usr/bin:/bin"}
-        if pure:
-            env["WEDGECRYS_PURE"] = pure
-        out = subprocess.run(
-            [sys.executable, "-c", script], env=env, capture_output=True, text=True
-        )
-        assert out.returncode == 0, out.stderr
-        runs[pure] = out.stdout
-    assert runs[""] == runs["1"]
+    assert run() == _ring_route(monkeypatch, run)

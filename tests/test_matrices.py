@@ -97,6 +97,18 @@ def test_compound_edge_orders():
     assert compound(A, 3) == Matrix(Z9, 1, 1, [det_by_permutations(A)])
 
 
+def test_compound_order_five_over_witt_ring():
+    # d = 5 minors over a ring with zero divisors go through Berkowitz
+    R = make_witt_ring(3, 2, 3)
+    rng = random.Random(8)
+    A = _random_matrix(R, 6, rng)
+    C = compound(A, 5)
+    subs = index_subsets(6, 5)
+    for si, S in enumerate(subs):
+        for ti, T in enumerate(subs):
+            assert C[si, ti] == det_by_permutations(submatrix(A, S, T))
+
+
 def test_cauchy_binet_over_zp_and_fq():
     rng = random.Random(77)
     for ring in (modulus_ring(3, 3), finite_field(3, 2)):
@@ -130,7 +142,16 @@ def test_compound_dimension_errors():
 
 
 @pytest.mark.parametrize(
-    "ring", [modulus_ring(3, 3), finite_field(5), finite_field(3, 2), make_witt_ring(3, 2, 3)]
+    "ring",
+    [
+        modulus_ring(3, 3),
+        finite_field(5),
+        finite_field(3, 2),
+        make_witt_ring(3, 2, 3),
+        make_witt_ring(3, 3, 2),
+        make_witt_ring(5, 1, 40),  # q = 5^40 > 2^31
+        modulus_ring(3, 40),  # q = 3^40 > 2^31
+    ],
 )
 def test_det_matches_permutation_expansion(ring):
     rng = random.Random(31)
@@ -140,16 +161,15 @@ def test_det_matches_permutation_expansion(ring):
             assert det(A) == det_by_permutations(A)
 
 
-def test_charpoly_against_symbolic_oracle():
-    # det(T I - A) over Z/27 expanded with hand-rolled polynomial arithmetic
-    Z27 = modulus_ring(3, 3)
-    rng = random.Random(13)
+def _check_charpoly_symbolically(R, rng):
+    # det(T I - A) over Z/q expanded with hand-rolled polynomial arithmetic
+    q = R.q
 
     def poly_mul(f, g):
         out = [0] * (len(f) + len(g) - 1)
         for i, a in enumerate(f):
             for j, b in enumerate(g):
-                out[i + j] = (out[i + j] + a * b) % 27
+                out[i + j] = (out[i + j] + a * b) % q
         return out
 
     def poly_det(M, rows, cols):
@@ -164,16 +184,24 @@ def test_charpoly_against_symbolic_oracle():
             for k, c in enumerate(acc):
                 out[k] = c
             for k, c in enumerate(term):
-                out[k] = (out[k] + sign * c) % 27
+                out[k] = (out[k] + sign * c) % q
             acc = out
         return acc
 
     for n in (2, 3, 4, 5):
-        A = _random_matrix(Z27, n, rng)
-        M = [[[(-A[i, j]) % 27] if i != j else [(-A[i, j]) % 27, 1] for j in range(n)] for i in range(n)]
+        A = _random_matrix(R, n, rng)
+        M = [[[(-A[i, j]) % q] if i != j else [(-A[i, j]) % q, 1] for j in range(n)] for i in range(n)]
         expect = poly_det(M, tuple(range(n)), tuple(range(n)))
         expect = expect + [0] * (n + 1 - len(expect))
         assert charpoly(A) == expect
+
+
+def test_charpoly_against_symbolic_oracle():
+    _check_charpoly_symbolically(modulus_ring(3, 3), random.Random(13))
+
+
+def test_charpoly_against_symbolic_oracle_beyond_machine_words():
+    _check_charpoly_symbolically(modulus_ring(3, 40), random.Random(13))
 
 
 # -- determinantal ideals and rank ---------------------------------------------
