@@ -37,7 +37,7 @@ from .matrices import (
     matrix_to_json,
 )
 from .modsolve import _lead, howell_form, kernel_basis
-from .rings import BOTTOM, WittRing, _vp, make_witt_ring
+from .rings import BOTTOM, WittRing, _vp, make_witt_ring, schema_int
 
 
 # ---------------------------------------------------------------------------
@@ -474,13 +474,18 @@ def isocrystal_from_json(obj) -> Isocrystal:
     for field in ("p", "a", "m", "rank", "shift", "matrix"):
         if field not in obj:
             raise SchemaError(f"isocrystal payload missing '{field}'")
+    p = schema_int(obj["p"], "p", 3)
+    a = schema_int(obj["a"], "a", 1)
+    m = schema_int(obj["m"], "m", 1)
+    rank = schema_int(obj["rank"], "rank", 1)
+    shift = schema_int(obj["shift"], "shift")
     M = matrix_from_json(obj["matrix"])
-    ring = make_witt_ring(int(obj["p"]), int(obj["a"]), int(obj["m"]))
+    ring = make_witt_ring(p, a, m)
     if M.ring != ring:
         raise SchemaError("matrix ring does not match the isocrystal's p, a, m")
-    if M.rows != obj["rank"]:
+    if M.rows != rank:
         raise SchemaError("matrix size does not match 'rank'")
-    return Isocrystal(ring, int(obj["rank"]), M, int(obj["shift"]), ring.m)
+    return Isocrystal(ring, rank, M, shift, m)
 
 
 def polygon_to_json(np: NewtonPolygon) -> dict:

@@ -27,7 +27,6 @@ class GradedRing:
 
     kind = "graded_poly"
     is_local = False
-    is_field = False
 
     def __init__(self, coeff_field, var_names, var_degrees):
         if len(var_names) != len(var_degrees) or not var_names:

@@ -5,8 +5,12 @@ notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
 
 `det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
 on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
-the local test rings).  When the optional compiled lane is built, it takes
-packed Z/p^m, F_q and Witt inputs whose modulus fits its 64-bit arithmetic.
+the local test rings).  `det` is the sign-adjusted constant term of the
+Berkowitz characteristic polynomial; every minor of every order, in
+`compound`, `stack_minors` and `minor_ideal_status`, comes from one
+memoised Laplace expansion (`_Minors`).  When the optional compiled lane is
+built, it takes packed Z/p^m, F_q and Witt inputs whose modulus fits its
+64-bit arithmetic, with its own per-minor routes.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -30,7 +34,7 @@ from .errors import (
     UnsupportedRing,
     WedgecrysError,
 )
-from .rings import RingHom, ring_from_descriptor
+from .rings import RingHom, ring_from_descriptor, schema_int
 
 
 @lru_cache(maxsize=None)
@@ -272,8 +276,8 @@ def _berkowitz(R, M):
     add, mul, neg, is_zero = R.add, R.mul, R.neg, R.is_zero
     zero, one = R.zero, R.one
     n = len(M)
-    vec = [one, neg(M[n - 1][n - 1])]
-    for k0 in range(n - 2, -1, -1):
+    vec = [one]
+    for k0 in range(n - 1, -1, -1):
         s = n - k0
         t = [one, neg(M[k0][k0])]
         top = _nonzero(R, M[k0][k0 + 1 :])
@@ -311,89 +315,69 @@ def _berkowitz(R, M):
     return vec
 
 
-def _det_bareiss(R, W):
-    # fraction-free: divisions by the previous pivot are exact over a field
-    sub, mul, is_zero = R.sub, R.mul, R.is_zero
-    n = len(W)
-    sign = 1
-    prev = R.one
-    for k in range(n - 1):
-        if is_zero(W[k][k]):
-            piv = next((i for i in range(k + 1, n) if not is_zero(W[i][k])), None)
-            if piv is None:
-                return R.zero
-            W[k], W[piv] = W[piv], W[k]
-            sign = -sign
-        ip = R.inv(prev)
-        pk = W[k][k]
-        prow = W[k]
-        for i in range(k + 1, n):
-            row = W[i]
-            lead = row[k]
-            for j in range(k + 1, n):
-                row[j] = mul(sub(mul(row[j], pk), mul(lead, prow[j])), ip)
-        prev = pk
-    d = W[n - 1][n - 1]
-    return d if sign == 1 else R.neg(d)
+class _Minors:
+    """det(A[rows, cols]) for index tuples of one matrix A, by Laplace
+    expansion along the first column that skips zero entries.
 
+    Every nonzero minor is memoised on (rows, cols), so the d-minors are
+    built from the (d-1)-minors they share.  Zero minors are not stored:
+    they dominate the monomial matrices of the standard modules, and one
+    column scan recomputes them.  The recursion goes through the instance,
+    not a closure over itself, so the memo is freed with the last reference
+    rather than by a garbage-collection pass.
+    """
 
-def _minors(A: Matrix):
-    """det(A[rows, cols]) as a function of two index tuples: cofactor
-    expansion up to order 4, then Bareiss over fields and the Berkowitz
-    constant term (division-free) over rings with zero divisors."""
-    R = A.ring
-    E, stride = A.entries, A.cols
-    add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
-    is_field = getattr(R, "is_field", False)
+    __slots__ = ("ring", "entries", "stride", "memo")
 
-    def cofactor(rows, cols):
-        if len(rows) == 1:
-            return E[rows[0] * stride + cols[0]]
+    def __init__(self, A: Matrix):
+        self.ring, self.entries, self.stride = A.ring, A.entries, A.cols
+        self.memo = {}
+
+    def __call__(self, rows, cols):
+        E, stride = self.entries, self.stride
+        if len(rows) < 2:
+            return E[rows[0] * stride + cols[0]] if rows else self.ring.one
+        key = (rows, cols)
+        acc = self.memo.get(key)
+        if acc is not None:
+            return acc
+        R = self.ring
+        add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
         acc = R.zero
         c0, rest = cols[0], cols[1:]
         for idx, r in enumerate(rows):
             e = E[r * stride + c0]
             if is_zero(e):
                 continue
-            term = mul(e, cofactor(rows[:idx] + rows[idx + 1 :], rest))
+            cof = self(rows[:idx] + rows[idx + 1 :], rest)
+            if is_zero(cof):
+                continue
+            term = mul(e, cof)
             acc = add(acc, term) if idx % 2 == 0 else sub(acc, term)
+        if not is_zero(acc):
+            self.memo[key] = acc
         return acc
-
-    def minor(rows, cols):
-        d = len(rows)
-        if d == 0:
-            return R.one
-        if d <= 4:
-            return cofactor(rows, cols)
-        M = [[E[r * stride + c] for c in cols] for r in rows]
-        if is_field:
-            return _det_bareiss(R, M)
-        c0 = _berkowitz(R, M)[0]
-        return c0 if d % 2 == 0 else R.neg(c0)
-
-    return minor
 
 
 def det(A: Matrix):
-    """Determinant: cofactor for n <= 4, Bareiss over fields, Berkowitz
-    (division-free) over rings with zero divisors."""
+    """Determinant: (-1)^n times the constant term of the Berkowitz
+    characteristic polynomial, division-free over every ring."""
     if not A.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
-    if A.rows == 0:
-        return A.ring.one
-    pk = _compiled_params(A.ring)
+    n = A.rows
+    pk = _compiled_params(A.ring) if n else None  # the compiled lane has no 0 x 0 case
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
-        return A.ring.unpack_el(tuple(impl.det(_pack(A), A.rows, a, fred, q, p, mprec)))
-    idx = tuple(range(A.rows))
-    return _minors(A)(idx, idx)
+        return A.ring.unpack_el(tuple(impl.det(_pack(A), n, a, fred, q, p, mprec)))
+    c0 = _berkowitz(A.ring, A.to_rows())[0]
+    return c0 if n % 2 == 0 else A.ring.neg(c0)
 
 
 def charpoly(A: Matrix) -> list:
     """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1."""
     if not A.is_square:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    pk = _compiled_params(A.ring)
+    pk = _compiled_params(A.ring) if A.rows else None
     if pk is not None:
         impl, q, a, fred, p, mprec = pk
         flat = impl.berkowitz(_pack(A), A.rows, a, fred, q)
@@ -422,7 +406,7 @@ def compound(A: Matrix, d: int) -> Matrix:
         impl, q, a, fred, p, mprec = pk
         flat = impl.compound(_pack(A), n, d, subsets, a, fred, q, p, mprec)
         return _unpack(A.ring, flat, len(subsets), len(subsets), a)
-    minor = _minors(A)
+    minor = _Minors(A)
     ents = [minor(S, T) for S in subsets for T in subsets]
     return Matrix(A.ring, len(subsets), len(subsets), ents)
 
@@ -436,7 +420,7 @@ def stack_minors(A: Matrix, r: int):
     if A.cols != r:
         raise DimensionMismatch("stack must have exactly r columns")
     cols = tuple(range(r))
-    minor = _minors(A)
+    minor = _Minors(A)
     return tuple(minor(S, cols) for S in index_subsets(A.rows, r))
 
 
@@ -533,7 +517,7 @@ def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
     if i > min(A.rows, A.cols):
         return IdealStatus.ZERO
     all_zero = True
-    minor = _minors(A)
+    minor = _Minors(A)
     for S in index_subsets(A.rows, i):
         for T in index_subsets(A.cols, i):
             m = minor(S, T)
@@ -752,9 +736,7 @@ def matrix_from_json(obj) -> Matrix:
         if field not in obj:
             raise SchemaError(f"matrix payload missing '{field}'")
     ring = ring_from_descriptor(obj["ring"])
-    rows, cols = obj["rows"], obj["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows >= 0 and cols >= 0):
-        raise SchemaError("rows/cols must be non-negative integers")
+    rows, cols = schema_int(obj["rows"], "rows", 0), schema_int(obj["cols"], "cols", 0)
     raw = obj["entries"]
     if not isinstance(raw, list) or len(raw) != rows * cols:
         raise SchemaError(f"expected {rows * cols} entries, got {len(raw) if isinstance(raw, list) else 'non-list'}")

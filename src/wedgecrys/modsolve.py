@@ -65,61 +65,12 @@ def howell_form(rows, ncols: int, p: int, m: int):
 def kernel_basis(rows, p: int, m: int):
     """Howell-form basis of {x : A x = 0} over Z/p^m for square A.
 
-    Two-sided valuation-pivot reduction U A V = diag(p^v); kernel
-    generators are V e_i scaled by the annihilator of p^v_i.
+    The rows of [A^T | I] span {(A x, x)}.  By the Howell property, the
+    rows of its Howell form that vanish on the A^T block span exactly the
+    vectors (0, x) with A x = 0, and their I blocks are the Howell form of
+    the kernel (Storjohann-Mulders, "Fast algorithms for linear algebra
+    modulo N", ESA 1998).
     """
-    q = p**m
     n = len(rows)
-    M = [[x % q for x in r] for r in rows]
-    V = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    vals = [m] * n
-    for step in range(n):
-        bv, bi, bj = m, -1, -1
-        for i in range(step, n):
-            for j in range(step, n):
-                if M[i][j]:
-                    v = _vp(M[i][j], p, m)
-                    if v < bv:
-                        bv, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if bv == 0:
-                break
-        if bi < 0:
-            break
-        if bi != step:
-            M[bi], M[step] = M[step], M[bi]
-        if bj != step:
-            for row in M:
-                row[bj], row[step] = row[step], row[bj]
-            for row in V:
-                row[bj], row[step] = row[step], row[bj]
-        piv = M[step][step]
-        om_inv = pow(piv // p**bv, -1, q)
-        prow = M[step]
-        for i in range(step + 1, n):
-            x = M[i][step]
-            if x:
-                lam = (x // p**bv) * om_inv % q
-                row = M[i]
-                for j in range(step, n):
-                    if prow[j]:
-                        row[j] = (row[j] - lam * prow[j]) % q
-        for j in range(step + 1, n):
-            x = prow[j]
-            if x:
-                mu = (x // p**bv) * om_inv % q
-                prow[j] = 0
-                for row in V:
-                    if row[step]:
-                        row[j] = (row[j] - mu * row[step]) % q
-        vals[step] = bv
-    gens = []
-    for i, v in enumerate(vals):
-        if v == 0:
-            continue
-        t = p ** (m - v) if v < m else 1
-        g = [t * V[r][i] % q for r in range(n)]
-        if any(g):
-            gens.append(g)
-    return howell_form(gens, n, p, m)
+    aug = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
+    return [r[n:] for r in howell_form(aug, 2 * n, p, m) if _lead(r) >= n]

@@ -4,8 +4,7 @@ test rings, and Q.
 All rings here share one informal protocol used by the matrix layer:
 
     zero, one, from_int, add, sub, neg, mul, is_zero, is_unit, inv,
-    random_element(rng), el_to_str / el_from_str, descriptor(),
-    is_field, is_local
+    random_element(rng), el_to_str / el_from_str, descriptor(), is_local
 
 Local rings additionally expose the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`), and
@@ -202,7 +201,6 @@ class ModulusRing:
         self.q = p**m
         self.zero = 0
         self.one = 1
-        self.is_field = m == 1
         self.val_cap = m
 
     def __repr__(self):
@@ -275,7 +273,6 @@ class FiniteField(_PolynomialQuotient):
 
     kind = "Fq"
     is_local = True
-    is_field = True
     val_cap = 1
 
     def __init__(self, p: int, a: int):
@@ -378,7 +375,6 @@ class WittRing(_PolynomialQuotient):
         self.p = p
         self.m = m
         self.q = p**m
-        self.is_field = m == 1
         self.val_cap = m
         self.residue_field = FiniteField(p, a)
         self.frobenius_root = self._hensel_frobenius_root()
@@ -571,7 +567,6 @@ class RationalField:
 
     kind = "Q"
     is_local = True  # a field: the unit-ideal decision is trivial
-    is_field = True
     val_cap = 1
 
     _instance = None
@@ -658,7 +653,6 @@ class TruncatedPolynomialRing:
         self.e = e
         self.zero = (base.zero,) * e
         self.one = (base.one,) + (base.zero,) * (e - 1)
-        self.is_field = e == 1
         self.val_cap = e
 
     def __repr__(self):
@@ -857,21 +851,34 @@ def prime_field_embedding(F: FiniteField, E: FiniteField) -> RingHom:
 # wire-format descriptors
 
 
+def schema_int(x, name: str, minimum: int | None = None) -> int:
+    """A payload field that must be a JSON integer (not a bool, float,
+    string, null or container) of at least `minimum`."""
+    if type(x) is not int or (minimum is not None and x < minimum):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise SchemaError(f"'{name}' must be an integer{bound}, got {x!r}")
+    return x
+
+
 def ring_from_descriptor(desc) -> object:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise SchemaError("ring descriptor must be an object with a 'kind' field")
     kind = desc["kind"]
     try:
         if kind == "Zpm":
-            return modulus_ring(int(desc["p"]), int(desc["m"]))
+            return modulus_ring(schema_int(desc["p"], "p", 3), schema_int(desc["m"], "m", 1))
         if kind == "Fq":
-            return finite_field(int(desc["p"]), int(desc.get("a", 1)))
+            return finite_field(schema_int(desc["p"], "p", 2), schema_int(desc.get("a", 1), "a", 1))
         if kind == "witt":
-            return make_witt_ring(int(desc["p"]), int(desc["a"]), int(desc["m"]))
+            return make_witt_ring(
+                schema_int(desc["p"], "p", 3), schema_int(desc["a"], "a", 1), schema_int(desc["m"], "m", 1)
+            )
         if kind == "Q":
             return QQ
         if kind == "tpoly":
-            return local_test_ring(int(desc["p"]), int(desc.get("a", 1)), int(desc["e"]))
+            return local_test_ring(
+                schema_int(desc["p"], "p", 2), schema_int(desc.get("a", 1), "a", 1), schema_int(desc["e"], "e", 1)
+            )
     except KeyError as exc:
         raise SchemaError(f"ring descriptor missing field {exc}") from exc
     except (NonPrime, ValueError) as exc:

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from wedgecrys.cli import main
 from wedgecrys.dieudonne import descriptor, isocrystal_to_json, make_standard
 from wedgecrys.rings import make_witt_ring
@@ -202,3 +204,27 @@ def test_check_trials_zero_is_refused(capsys):
 
 def test_check_negative_trials_is_refused(capsys):
     assert "--trials" in _refused(capsys, ["check", "adjunction", "--trials", "-1"])
+
+
+_MATRIX = {"schema": "v1", "ring": {"kind": "witt", "p": 3, "a": 1, "m": 4}, "rows": 1, "cols": 1, "entries": ["1"]}
+_ISOCRYSTAL = {"schema": "v1", "p": 3, "a": 1, "m": 4, "rank": 1, "shift": 0, "matrix": _MATRIX}
+
+
+@pytest.mark.parametrize(
+    "verb, payload, field",
+    [
+        ("slopes", {**_ISOCRYSTAL, "shift": "abc"}, "shift"),
+        ("slopes", {**_ISOCRYSTAL, "shift": 1.5}, "shift"),
+        ("slopes", {**_ISOCRYSTAL, "p": "x"}, "p"),
+        ("slopes", {**_ISOCRYSTAL, "m": None}, "m"),
+        ("slopes", {**_ISOCRYSTAL, "a": 0}, "a"),
+        ("slopes", {**_ISOCRYSTAL, "rank": 0, "matrix": {**_MATRIX, "rows": 0, "cols": 0, "entries": []}}, "rank"),
+        ("slopes", {**_ISOCRYSTAL, "matrix": {**_MATRIX, "ring": {"kind": "witt", "p": [3], "a": 1, "m": 4}}}, "p"),
+        ("rank", {**_MATRIX, "ring": {"kind": "Zpm", "p": [3], "m": 2}}, "p"),
+        ("rank", {**_MATRIX, "ring": {"kind": "tpoly", "p": 3, "a": 1, "e": {}}}, "e"),
+        ("rank", {**_MATRIX, "rows": True}, "rows"),
+        ("rank", {**_MATRIX, "cols": 1.0}, "cols"),
+    ],
+)
+def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
+    assert f"'{field}'" in _refused(capsys, [verb, "--in", json.dumps(payload)])

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wedgecrys.dieudonne import descriptor, make_standard
 from wedgecrys.errors import ArityMismatch, DimensionMismatch, RankPrecondition, SchemaError
 from wedgecrys.matrices import (
     IdealStatus,
@@ -97,16 +98,32 @@ def test_compound_edge_orders():
     assert compound(A, 3) == Matrix(Z9, 1, 1, [det_by_permutations(A)])
 
 
-def test_compound_order_five_over_witt_ring():
-    # d = 5 minors over a ring with zero divisors go through Berkowitz
-    R = make_witt_ring(3, 2, 3)
-    rng = random.Random(8)
-    A = _random_matrix(R, 6, rng)
-    C = compound(A, 5)
-    subs = index_subsets(6, 5)
-    for si, S in enumerate(subs):
-        for ti, T in enumerate(subs):
-            assert C[si, ti] == det_by_permutations(submatrix(A, S, T))
+def _standard_mf(h):
+    return make_standard(descriptor(h, 1), make_witt_ring(3, 1, 8)).MF
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda rng: _random_matrix(make_witt_ring(3, 2, 3), 6, rng),
+        lambda rng: _random_matrix(finite_field(5), 6, rng),
+        lambda rng: _random_matrix(finite_field(3, 2), 6, rng),
+        lambda rng: _random_matrix(QQ, 6, rng),
+        lambda rng: _random_matrix(local_test_ring(3, 1, 2), 6, rng),
+        lambda rng: _standard_mf(6),
+    ],
+    ids=["witt-3-2-3", "F5", "F9", "Q", "tpoly-3-1-2", "standard-MF-h6"],
+)
+def test_compound_order_five_against_leibniz(make):
+    # orders 5 and 6 of a 6x6 matrix: zero divisors, fields and the
+    # monomial matrices of the standard modules all take the one expansion
+    A = make(random.Random(8))
+    for d in (5, 6):
+        C = compound(A, d)
+        subs = index_subsets(6, d)
+        for si, S in enumerate(subs):
+            for ti, T in enumerate(subs):
+                assert C[si, ti] == det_by_permutations(submatrix(A, S, T))
 
 
 def test_cauchy_binet_over_zp_and_fq():
@@ -155,7 +172,7 @@ def test_compound_dimension_errors():
 )
 def test_det_matches_permutation_expansion(ring):
     rng = random.Random(31)
-    for n in (1, 2, 3, 4, 5):
+    for n in (0, 1, 2, 3, 4, 5):
         for _ in range(6):
             A = _random_matrix(ring, n, rng)
             assert det(A) == det_by_permutations(A)
@@ -188,6 +205,7 @@ def _check_charpoly_symbolically(R, rng):
             acc = out
         return acc
 
+    assert charpoly(Matrix.zeros(R, 0, 0)) == [R.one]
     for n in (2, 3, 4, 5):
         A = _random_matrix(R, n, rng)
         M = [[[(-A[i, j]) % q] if i != j else [(-A[i, j]) % q, 1] for j in range(n)] for i in range(n)]
