@@ -1,9 +1,10 @@
 """Optional compiled kernel lane.
 
-The compiled Cython lane (built at install time) serves the packed-matrix
-kernels for moduli q <= MAX_Q, whose products fit its 64-bit arithmetic.
-`impl_for` returns None when the lane is not built or q is too large; the
-caller then takes the ring-protocol route in `matrices`.
+The compiled Cython lane (built at install time) serves matrix products,
+determinants and compound matrices for moduli q <= MAX_Q, whose products
+fit its 64-bit arithmetic.  `impl_for` returns None when the lane is not
+built or q is too large; the caller then takes the ring-protocol route in
+`matrices`, which is the only route for charpoly and Smith forms.
 """
 try:
     from . import _cylane as _compiled

@@ -1,16 +1,18 @@
 # cython: language_level=3, boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernel lane.
+"""Compiled kernel lane: matrix products and minors.
 
-Computes what the ring-protocol routes in `matrices` compute, on packed
-matrices, restricted to moduli q <= MAX_Q so that every product of two
-reduced coefficients fits in a 64-bit signed integer (q < 2^31 gives
-products < 2^62, and one accumulation step stays < 2^63).
-Entries are `a` coefficients per matrix cell, row-major and flattened.
+`mat_mul`, `det` and `compound` compute what `Matrix.__matmul__`, `det` and
+`compound` in `matrices` compute, on packed matrices, restricted to moduli
+q <= MAX_Q so that every product of two reduced coefficients fits in a
+64-bit signed integer (q < 2^31 gives products < 2^62, and one
+accumulation step stays < 2^63).  A minor of order up to 4 is a cofactor
+expansion; a larger one is the sign-adjusted constant term of the Berkowitz
+characteristic polynomial.  Entries are `a` coefficients per matrix cell,
+row-major and flattened.
 """
 from cpython cimport array
 import array as _array
 
-LANE = "cython"
 MAX_Q = (1 << 31) - 1
 
 cdef array.array _LL_TEMPLATE = _array.array('q', [])
@@ -87,97 +89,6 @@ cdef inline void _copy(long long* dst, const long long* u, int a) nogil:
     cdef int i
     for i in range(a):
         dst[i] = u[i]
-
-
-cdef long long _inv_scalar(long long u, long long q) nogil:
-    # extended gcd; u is a unit mod q
-    cdef long long r0 = q, r1 = u % q, s0 = 0, s1 = 1, quo, t
-    while r1 != 0:
-        quo = r0 / r1
-        t = r0 - quo * r1
-        r0 = r1
-        r1 = t
-        t = s0 - quo * s1
-        s0 = s1
-        s1 = t
-    return _mod(s0, q)
-
-
-cdef int _vp(long long x, long long p, int cap) nogil:
-    cdef int v = 0
-    if x == 0:
-        return cap
-    while x % p == 0 and v < cap:
-        x = x / p
-        v += 1
-    return v
-
-
-cdef int _val(const long long* u, int a, long long p, int cap) nogil:
-    cdef int best = cap, i, v
-    for i in range(a):
-        if u[i] != 0:
-            v = _vp(u[i], p, cap)
-            if v < best:
-                best = v
-                if best == 0:
-                    return 0
-    return best
-
-
-cdef void _pow_into(long long* dst, const long long* u, long long e,
-                    const long long* fred, long long* tmp, long long* base,
-                    long long* acc, int a, long long q) nogil:
-    # dst = u^e; base and acc are length-a scratch buffers
-    cdef int i
-    for i in range(a):
-        acc[i] = 0
-        base[i] = u[i]
-    acc[0] = 1 % q
-    while e > 0:
-        if e & 1:
-            _mul_into(acc, acc, base, fred, tmp, a, q)
-        _mul_into(base, base, base, fred, tmp, a, q)
-        e >>= 1
-    for i in range(a):
-        dst[i] = acc[i]
-
-
-cdef void _inv_unit_into(long long* dst, const long long* u, const long long* fred,
-                         long long* scratch, int a, long long q, long long p,
-                         int mprec) nogil:
-    # residue-field inverse by exponentiation, then Hensel lifting to mod q.
-    # scratch needs 2a-1 + 6a slots.
-    cdef long long* tmp = scratch
-    cdef long long* up = scratch + (2 * a - 1)
-    cdef long long* fp = up + a
-    cdef long long* base = fp + a
-    cdef long long* acc = base + a
-    cdef long long* y = acc + a
-    cdef long long* t2 = y + a
-    cdef int i
-    cdef long long k, qa
-    if a == 1:
-        dst[0] = _inv_scalar(u[0], q)
-        return
-    for i in range(a):
-        up[i] = u[i] % p
-        fp[i] = fred[i] % p
-    qa = 1
-    for i in range(a):
-        qa *= p
-    _pow_into(y, up, qa - 2, fp, tmp, base, acc, a, p)
-    if mprec > 1:
-        k = 1
-        while k < mprec:
-            # y <- y (2 - u y) mod q
-            _mul_into(t2, u, y, fred, tmp, a, q)
-            _neg_into(t2, t2, a, q)
-            t2[0] = _mod(t2[0] + 2, q)
-            _mul_into(y, y, t2, fred, tmp, a, q)
-            k *= 2
-    for i in range(a):
-        dst[i] = y[i]
 
 
 # ---------------------------------------------------------------------------
@@ -275,24 +186,6 @@ cdef void _berkowitz_core(const long long* M, Py_ssize_t n, int a,
         vlen = s + 1
 
 
-def berkowitz(A, Py_ssize_t n, int a, fred, long long q):
-    cdef array.array ca = _from_list(A), cf = _from_list(fred)
-    cdef array.array vec = _zeros((n + 1) * a)
-    cdef array.array scratch = _zeros((3 * n + 2) * a + 4 * a)
-    cdef array.array out = _zeros((n + 1) * a)
-    cdef long long* pv = vec.data.as_longlongs
-    cdef long long* po = out.data.as_longlongs
-    cdef Py_ssize_t i
-    cdef int c
-    with nogil:
-        _berkowitz_core(ca.data.as_longlongs, n, a, cf.data.as_longlongs, q,
-                        pv, scratch.data.as_longlongs)
-        for i in range(n + 1):  # descending -> ascending
-            for c in range(a):
-                po[i * a + c] = pv[(n - i) * a + c]
-    return list(out)
-
-
 cdef void _det_cof(const long long* M, Py_ssize_t stride, int* rows, int* cols,
                    int nidx, const long long* fred, long long q, int a,
                    long long* dst, long long* tmp, long long* prod) nogil:
@@ -322,65 +215,18 @@ cdef void _det_cof(const long long* M, Py_ssize_t stride, int* rows, int* cols,
             _sub_into(dst, dst, prod, a, q)
 
 
-cdef void _det_bareiss(long long* W, int n, const long long* fred, long long q,
-                       long long p, int a, long long* dst, long long* scratch) nogil:
-    # W is a scratch copy (n*n*a); q is prime here (mprec == 1)
-    cdef long long* tmp = scratch
-    cdef long long* prev = scratch + 2 * a
-    cdef long long* ip = prev + a
-    cdef long long* num = ip + a
-    cdef long long* t2 = num + a
-    cdef long long* inv_scr = t2 + a
-    cdef int i, j, k, piv, c, sign = 1
-    for c in range(a):
-        prev[c] = 0
-    prev[0] = 1 % q
-    for k in range(n - 1):
-        if _is_zero(W + (k * n + k) * a, a):
-            piv = -1
-            for i in range(k + 1, n):
-                if not _is_zero(W + (i * n + k) * a, a):
-                    piv = i
-                    break
-            if piv < 0:
-                for c in range(a):
-                    dst[c] = 0
-                return
-            for j in range(n * a):
-                t2[0] = W[k * n * a + j]
-                W[k * n * a + j] = W[piv * n * a + j]
-                W[piv * n * a + j] = t2[0]
-            sign = -sign
-        _inv_unit_into(ip, prev, fred, inv_scr, a, q, p, 1)
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                _mul_into(num, W + (i * n + j) * a, W + (k * n + k) * a, fred, tmp, a, q)
-                _mul_into(t2, W + (i * n + k) * a, W + (k * n + j) * a, fred, tmp, a, q)
-                _sub_into(num, num, t2, a, q)
-                _mul_into(W + (i * n + j) * a, num, ip, fred, tmp, a, q)
-        _copy(prev, W + (k * n + k) * a, a)
-    if sign == 1:
-        _copy(dst, W + ((n - 1) * n + (n - 1)) * a, a)
-    else:
-        _neg_into(dst, W + ((n - 1) * n + (n - 1)) * a, a, q)
-
-
-def det(A, Py_ssize_t n, int a, fred, long long q, long long p, int mprec):
-    cdef list idx = list(range(n))
-    return _det_dispatch(A, n, idx, idx, a, fred, q, p, mprec)
-
-
-def _det_dispatch(A, Py_ssize_t stride, rows, cols, int a, fred, long long q,
-                  long long p, int mprec):
+cdef list _det_dispatch(A, Py_ssize_t stride, rows, cols, int a, fred, long long q):
+    # det(A[rows, cols]): cofactor expansion up to order 4, else the
+    # sign-adjusted constant term of the Berkowitz charpoly
     cdef int d = len(rows)
     cdef array.array ca, cf, dst, tmp, prod, sub, scr, vec
     cdef int ri[32]
     cdef int ci[32]
-    cdef int i, j
+    cdef int i, j, k
     ca = _from_list(A)
     cf = _from_list(fred)
-    dst = _zeros(a)
     if d <= 4:
+        dst = _zeros(a)
         tmp = _zeros(2 * a)
         prod = _zeros(8 * a)  # per-level product/minor buffers, depth <= 4
         for i in range(d):
@@ -397,11 +243,6 @@ def _det_dispatch(A, Py_ssize_t stride, rows, cols, int a, fred, long long q,
             for k in range(a):
                 sub.data.as_longlongs[(i * d + j) * a + k] = \
                     ca.data.as_longlongs[(rows[i] * stride + cols[j]) * a + k]
-    if mprec == 1:
-        scr = _zeros(2 * a + 4 * a + (2 * a - 1) + 6 * a)
-        _det_bareiss(sub.data.as_longlongs, d, cf.data.as_longlongs, q, p, a,
-                     dst.data.as_longlongs, scr.data.as_longlongs)
-        return list(dst)
     vec = _zeros((d + 1) * a)
     scr = _zeros((3 * d + 2) * a + 4 * a)
     _berkowitz_core(sub.data.as_longlongs, d, a, cf.data.as_longlongs, q,
@@ -413,77 +254,14 @@ def _det_dispatch(A, Py_ssize_t stride, rows, cols, int a, fred, long long q,
     return out
 
 
-def compound(A, Py_ssize_t n, int d, subsets, int a, fred, long long q,
-             long long p, int mprec):
+def det(A, Py_ssize_t n, int a, fred, long long q):
+    cdef list idx = list(range(n))
+    return _det_dispatch(A, n, idx, idx, a, fred, q)
+
+
+def compound(A, Py_ssize_t n, int d, subsets, int a, fred, long long q):
     out = []
     for S in subsets:
         for T in subsets:
-            out.extend(_det_dispatch(A, n, S, T, a, fred, q, p, mprec))
+            out.extend(_det_dispatch(A, n, S, T, a, fred, q))
     return out
-
-
-def smith_vals(A, Py_ssize_t nr, Py_ssize_t nc, int a, fred, long long q,
-               long long p, int mprec):
-    cdef array.array ca = _from_list(A), cf = _from_list(fred)
-    cdef array.array lam = _zeros(a), om = _zeros(a), prod = _zeros(a)
-    cdef array.array scr = _zeros((2 * a - 1) + 6 * a + 2 * a)
-    cdef long long* M = ca.data.as_longlongs
-    cdef long long* pf = cf.data.as_longlongs
-    cdef long long* plam = lam.data.as_longlongs
-    cdef long long* pom = om.data.as_longlongs
-    cdef long long* pprod = prod.data.as_longlongs
-    cdef long long* pscr = scr.data.as_longlongs
-    cdef long long* ptmp = pscr + 6 * a + (2 * a - 1)
-    cdef Py_ssize_t size = nr if nr < nc else nc
-    cdef Py_ssize_t step, i, j, bi, bj
-    cdef int bv, v, c
-    cdef long long pv, t
-    vals = []
-    for step in range(size):
-        bv, bi, bj = mprec, -1, -1
-        for i in range(step, nr):
-            for j in range(step, nc):
-                if not _is_zero(M + (i * nc + j) * a, a):
-                    v = _val(M + (i * nc + j) * a, a, p, mprec)
-                    if v < bv:
-                        bv, bi, bj = v, i, j
-                        if v == 0:
-                            break
-            if bv == 0:
-                break
-        if bi < 0:
-            vals.extend([mprec] * (size - step))
-            break
-        if bi != step:
-            for j in range(nc * a):
-                t = M[step * nc * a + j]
-                M[step * nc * a + j] = M[bi * nc * a + j]
-                M[bi * nc * a + j] = t
-        if bj != step:
-            for i in range(nr):
-                for c in range(a):
-                    t = M[(i * nc + step) * a + c]
-                    M[(i * nc + step) * a + c] = M[(i * nc + bj) * a + c]
-                    M[(i * nc + bj) * a + c] = t
-        pv = 1
-        for c in range(bv):
-            pv *= p
-        for c in range(a):
-            pom[c] = M[(step * nc + step) * a + c] / pv
-        _inv_unit_into(pom, pom, pf, pscr, a, q, p, mprec)
-        for i in range(step + 1, nr):
-            if not _is_zero(M + (i * nc + step) * a, a):
-                for c in range(a):
-                    plam[c] = M[(i * nc + step) * a + c] / pv
-                _mul_into(plam, plam, pom, pf, ptmp, a, q)
-                for j in range(step, nc):
-                    if not _is_zero(M + (step * nc + j) * a, a):
-                        _mul_into(pprod, plam, M + (step * nc + j) * a, pf, ptmp, a, q)
-                        _sub_into(M + (i * nc + j) * a, M + (i * nc + j) * a,
-                                  pprod, a, q)
-        for j in range(step + 1, nc):
-            for c in range(a):
-                M[(step * nc + j) * a + c] = 0
-        vals.append(bv)
-    vals.sort()
-    return vals

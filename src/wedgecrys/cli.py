@@ -71,8 +71,16 @@ def _at_least_one(flag: str, value) -> None:
         raise WedgecrysError(f"{flag} must be >= 1, got {value}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses bad arguments with one stderr line and exit code 2; the verb
+    subparsers inherit the class."""
+
+    def error(self, message):
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="wedgecrys",
         description="exact compound-matrix, rank, slope and wedge computations",
     )

@@ -275,10 +275,6 @@ class NewtonPolygon:
         return cls(tuple(sorted(agg.items())))
 
     @property
-    def total_multiplicity(self) -> int:
-        return sum(m for _, m in self.segments)
-
-    @property
     def weighted_sum(self) -> Fraction:
         return sum((s * m for s, m in self.segments), Fraction(0))
 

@@ -204,9 +204,6 @@ class FreeGradedModule:
     def zero_element(self):
         return ({},) * self.rank
 
-    def basis_element(self, i: int):
-        return tuple(self.ring.one if j == i else {} for j in range(self.rank))
-
     def add(self, x, y):
         return tuple(self.ring.add(a, b) for a, b in zip(x, y))
 

@@ -9,8 +9,9 @@ the local test rings).  `det` is the sign-adjusted constant term of the
 Berkowitz characteristic polynomial; every minor of every order, in
 `compound`, `stack_minors` and `minor_ideal_status`, comes from one
 memoised Laplace expansion (`_Minors`).  When the optional compiled lane is
-built, it takes packed Z/p^m, F_q and Witt inputs whose modulus fits its
-64-bit arithmetic, with its own per-minor routes.
+built, it takes the matrix products, `det` and `compound` of packed Z/p^m,
+F_q and Witt inputs whose modulus fits its 64-bit arithmetic; `charpoly`
+and `smith_valuations` have the ring-protocol route only.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -154,7 +155,7 @@ class Matrix:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         pk = _compiled_params(self.ring)
         if pk is not None:
-            impl, q, a, fred, p, mprec = pk
+            impl, q, a, fred = pk
             flat = impl.mat_mul(
                 _pack(self), _pack(other), self.rows, self.cols, other.cols, a, fred, q
             )
@@ -228,8 +229,8 @@ def block_diag(*matrices) -> Matrix:
 
 
 def _compiled_params(ring):
-    """(lane, q, a, fred, p, m) when the compiled lane serves `ring`, else
-    None: the ring-protocol routes below then do the work."""
+    """(lane, q, a, fred) when the compiled lane serves `ring`, else None:
+    the ring-protocol routes below then do the work."""
     pack = getattr(ring, "pack_params", None)
     pk = pack() if pack else None
     if pk is None:
@@ -238,7 +239,7 @@ def _compiled_params(ring):
     impl = _kernel.impl_for(q)
     if impl is None:
         return None
-    return impl, q, a, fred, ring.p, ring.m
+    return impl, q, a, fred
 
 
 def _pack(M: Matrix):
@@ -367,8 +368,8 @@ def det(A: Matrix):
     n = A.rows
     pk = _compiled_params(A.ring) if n else None  # the compiled lane has no 0 x 0 case
     if pk is not None:
-        impl, q, a, fred, p, mprec = pk
-        return A.ring.unpack_el(tuple(impl.det(_pack(A), n, a, fred, q, p, mprec)))
+        impl, q, a, fred = pk
+        return A.ring.unpack_el(tuple(impl.det(_pack(A), n, a, fred, q)))
     c0 = _berkowitz(A.ring, A.to_rows())[0]
     return c0 if n % 2 == 0 else A.ring.neg(c0)
 
@@ -377,11 +378,6 @@ def charpoly(A: Matrix) -> list:
     """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1."""
     if not A.is_square:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    pk = _compiled_params(A.ring) if A.rows else None
-    if pk is not None:
-        impl, q, a, fred, p, mprec = pk
-        flat = impl.berkowitz(_pack(A), A.rows, a, fred, q)
-        return [A.ring.unpack_el(tuple(flat[k * a : (k + 1) * a])) for k in range(A.rows + 1)]
     return _berkowitz(A.ring, A.to_rows())
 
 
@@ -403,8 +399,8 @@ def compound(A: Matrix, d: int) -> Matrix:
     subsets = index_subsets(n, d)
     pk = _compiled_params(A.ring)
     if pk is not None:
-        impl, q, a, fred, p, mprec = pk
-        flat = impl.compound(_pack(A), n, d, subsets, a, fred, q, p, mprec)
+        impl, q, a, fred = pk
+        flat = impl.compound(_pack(A), n, d, subsets, a, fred, q)
         return _unpack(A.ring, flat, len(subsets), len(subsets), a)
     minor = _Minors(A)
     ents = [minor(S, T) for S in subsets for T in subsets]
@@ -442,10 +438,6 @@ def smith_valuations(A: Matrix) -> list:
     ring = A.ring
     if not hasattr(ring, "pivot_val"):
         raise UnsupportedRing(f"{ring!r} has no valuation-pivot structure")
-    pk = _compiled_params(ring)
-    if pk is not None:
-        impl, q, a, fred, p, mprec = pk
-        return impl.smith_vals(_pack(A), A.rows, A.cols, a, fred, q, p, mprec)
     pivot_val, sub, mul, is_zero = ring.pivot_val, ring.sub, ring.mul, ring.is_zero
     cap = ring.val_cap
     M = A.to_rows()
@@ -562,14 +554,6 @@ def determinantal_status(A: Matrix, i: int) -> IdealStatus:
 class RankResult:
     rank: int | None
     witness: tuple
-
-    @property
-    def is_defined(self) -> bool:
-        return self.rank is not None
-
-    @property
-    def undecidable(self) -> bool:
-        return IdealStatus.UNDECIDABLE in self.witness
 
 
 def rank(A: Matrix) -> RankResult:

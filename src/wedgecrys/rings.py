@@ -18,6 +18,7 @@ immutable and safe to share across threads.
 from __future__ import annotations
 
 import itertools
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -41,15 +42,42 @@ class _BottomType:
 BOTTOM = _BottomType()
 
 
+# Miller-Rabin with the first twelve prime bases decides primality exactly
+# below 318665857834031151167461 (about 3.18 * 10^23); the rings take
+# p < 2^64, well inside that range.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_P_LIMIT = 1 << 64
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < 3.18 * 10^23."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
+
+
+def _check_prime(p: int, odd: bool) -> None:
+    """Raise NonPrime unless p is a prime below 2^64 (and odd if asked)."""
+    if p >= _P_LIMIT or (odd and p == 2) or not _is_prime(p):
+        kind = "an odd prime" if odd else "a prime"
+        raise NonPrime(f"p must be {kind} below 2^64, got {p}")
 
 
 # Conway polynomials (non-leading coefficients, ascending), hard-coded for
@@ -192,8 +220,7 @@ class ModulusRing:
     is_local = True
 
     def __init__(self, p: int, m: int):
-        if p == 2 or not _is_prime(p):
-            raise NonPrime(f"p must be an odd prime, got {p}")
+        _check_prime(p, odd=True)
         if m < 1:
             raise ValueError("precision m must be >= 1")
         self.p = p
@@ -276,14 +303,12 @@ class FiniteField(_PolynomialQuotient):
     val_cap = 1
 
     def __init__(self, p: int, a: int):
-        if not _is_prime(p):
-            raise NonPrime(f"p must be prime, got {p}")
+        _check_prime(p, odd=False)
         if a < 1:
             raise ValueError("extension degree must be >= 1")
         super().__init__(a, defining_polynomial(p, a), p)
         self.p = p
         self.q = p**a
-        self.m = 1
 
     def __repr__(self):
         return f"F_{self.q}" if self.a > 1 else f"F_{self.p}"
@@ -366,8 +391,7 @@ class WittRing(_PolynomialQuotient):
     is_local = True
 
     def __init__(self, p: int, a: int, m: int):
-        if p == 2 or not _is_prime(p):
-            raise NonPrime(f"p must be an odd prime, got {p}")
+        _check_prime(p, odd=True)
         if a < 1 or m < 1:
             raise ValueError("need a >= 1 and m >= 1")
         # the table coefficients lie in [0, p), so they serve mod p^m as is
@@ -446,12 +470,6 @@ class WittRing(_PolynomialQuotient):
     def from_int(self, k: int):
         return (k % self.q,) + (0,) * (self.a - 1)
 
-    def from_coeffs(self, coeffs):
-        coeffs = tuple(c % self.q for c in coeffs)
-        if len(coeffs) != self.a:
-            raise ValueError("coefficient count mismatch")
-        return coeffs
-
     def is_unit(self, x):
         return any(c % self.p for c in x)
 
@@ -511,9 +529,6 @@ class WittRing(_PolynomialQuotient):
             return x
         return self._apply_mat(self._phi_mats[k], x)
 
-    def frobenius_inv(self, x):
-        return self.frobenius_pow(x, self.a - 1)
-
     def frobenius_matrix(self):
         """Columns of phi as a Z/p^m-linear map on coefficient vectors."""
         if self.a == 1:
@@ -560,6 +575,11 @@ class WittRing(_PolynomialQuotient):
 
     def unpack_el(self, coords):
         return coords
+
+
+# the documented Q entry forms 'n' and 'n/d': an optional '-', decimal
+# digits, and a nonzero denominator in decimal digits
+_Q_ENTRY = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class RationalField:
@@ -626,6 +646,8 @@ class RationalField:
         return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
 
     def el_from_str(self, s: str):
+        if not _Q_ENTRY.fullmatch(s):
+            raise ValueError(f"expected 'n' or 'n/d' (d nonzero), got {s!r}")
         return Fraction(s)
 
     def descriptor(self):

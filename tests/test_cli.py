@@ -53,18 +53,28 @@ def test_compound_diag_q(capsys):
     assert out["entries"] == ["2", "0", "0", "0", "3", "0", "0", "0", "6"]
 
 
-def test_compound_malformed_entry_names_index(capsys):
+@pytest.mark.parametrize(
+    "ring, bad",
+    [
+        pytest.param({"kind": "Zpm", "p": 3, "m": 2}, "oops", id="Zpm-oops"),
+        # Q entries are 'n' or 'n/d' only: no exponent or decimal notation
+        pytest.param({"kind": "Q"}, "1e30", id="Q-1e30"),
+        pytest.param({"kind": "Q"}, "2.5", id="Q-2.5"),
+    ],
+)
+def test_compound_malformed_entry_names_index(capsys, ring, bad):
     payload = json.dumps(
         {
             "schema": "v1",
-            "ring": {"kind": "Zpm", "p": 3, "m": 2},
+            "ring": ring,
             "rows": 2,
             "cols": 2,
-            "entries": ["1", "0", "oops", "1"],
+            "entries": ["1", "0", bad, "1"],
         }
     )
     assert main(["compound", "--in", payload, "--d", "1"]) == 2
-    assert "index 2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "index 2" in err and err.count("\n") == 1
 
 
 def test_compound_dimension_error_exit_3(capsys):
@@ -228,3 +238,8 @@ _ISOCRYSTAL = {"schema": "v1", "p": 3, "a": 1, "m": 4, "rank": 1, "shift": 0, "m
 )
 def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
     assert f"'{field}'" in _refused(capsys, [verb, "--in", json.dumps(payload)])
+
+
+def test_prime_at_or_above_two_to_the_64_is_refused(capsys):
+    payload = {**_MATRIX, "ring": {"kind": "Zpm", "p": 2**64 + 13, "m": 1}}  # a prime
+    assert "2^64" in _refused(capsys, ["rank", "--in", json.dumps(payload)])

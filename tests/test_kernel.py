@@ -1,9 +1,9 @@
 """The compiled lane against the ring-protocol route.
 
 The ring-protocol route in `matrices` is the reference: with the compiled
-lane switched off in process, every public entry point must return exactly
-what the compiled lane returns, on random inputs over every packable ring
-shape.
+lane switched off in process, matrix products, `det` and `compound` must
+return exactly what the compiled lane returns, on random inputs over every
+packable ring shape.
 """
 import random
 
@@ -11,7 +11,7 @@ import pytest
 
 from wedgecrys import _kernel
 from wedgecrys.dieudonne import descriptor, make_standard, slopes
-from wedgecrys.matrices import Matrix, charpoly, compound, det, smith_valuations
+from wedgecrys.matrices import Matrix, compound, det
 from wedgecrys.rings import finite_field, make_witt_ring, modulus_ring
 from wedgecrys.wedge import wedge_isocrystal
 
@@ -57,12 +57,25 @@ def test_lane_parity_on_random_inputs(monkeypatch):
         A = _random_matrix(rng, R, n, n)
         B = _random_matrix(rng, R, n, n)
         assert A @ B == _ring_route(monkeypatch, Matrix.__matmul__, A, B)
-        assert charpoly(A) == _ring_route(monkeypatch, charpoly, A)
         assert det(A) == _ring_route(monkeypatch, det, A)
         d = rng.randint(1, n)
         assert compound(A, d) == _ring_route(monkeypatch, compound, A, d)
-        M = _random_matrix(rng, R, rng.randint(1, 5), rng.randint(1, 5))
-        assert smith_valuations(M) == _ring_route(monkeypatch, smith_valuations, M)
+
+
+@needs_compiled
+@pytest.mark.parametrize("R", [finite_field(5, 1), finite_field(3, 2)], ids=["F5", "F9"])
+def test_minors_of_order_5_and_6_over_fields(monkeypatch, R):
+    # past the cofactor expansion (order <= 4) the lane takes the constant
+    # term of its Berkowitz charpoly, over prime and extension fields alike
+    rng = random.Random(20261018)
+    for n in (5, 6):
+        for singular in (False, True):
+            A = _random_matrix(rng, R, n, n)
+            if singular:  # repeat a row
+                A = Matrix.from_rows(R, A.to_rows()[:-1] + [list(A.row(0))])
+            assert det(A) == _ring_route(monkeypatch, det, A)
+            for d in range(5, n + 1):
+                assert compound(A, d) == _ring_route(monkeypatch, compound, A, d)
 
 
 @needs_compiled

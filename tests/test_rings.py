@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -87,6 +88,19 @@ def test_make_witt_ring_precision_one_is_the_residue_field():
     for _ in range(20):
         x = R.random_element(rng)
         assert R.frobenius(x) == R.pow(x, 5)
+
+
+def test_primality_is_fast_and_exact():
+    start = time.perf_counter()
+    assert modulus_ring(2**61 - 1, 1).q == 2**61 - 1
+    assert time.perf_counter() - start < 0.1
+    # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7, and
+    # the square of a prime
+    for n in (561, 3215031751, (2**31 - 1) ** 2):
+        with pytest.raises(NonPrime):
+            modulus_ring(n, 1)
+    with pytest.raises(NonPrime):
+        finite_field(2**64 + 13, 1)  # a prime, but above the supported range
 
 
 def test_make_witt_ring_rejects_two_and_composites():
