@@ -22,6 +22,7 @@ from .errors import (
     WedgecrysError,
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
+from .rings import PRECISION_LIMIT
 from .wedge import slope_precision, wedge_report
 
 EXIT_OK = 0
@@ -49,13 +50,8 @@ def _read_payload(source: str):
         raise SchemaError(f"invalid JSON: {exc}") from exc
 
 
-def _emit(obj, out: str | None) -> None:
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(obj) -> None:
+    sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _default_p() -> int:
@@ -89,15 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("compound", help="compound matrix of d-minors")
     c.add_argument("--in", dest="src", required=True, help="matrix JSON (path, '-', or inline)")
     c.add_argument("--d", type=int, required=True)
-    c.add_argument("--out")
 
     r = sub.add_parser("rank", help="determinantal-ideal rank with witness")
     r.add_argument("--in", dest="src", required=True)
-    r.add_argument("--out")
 
     s = sub.add_parser("slopes", help="Newton slopes of an isocrystal")
     s.add_argument("--in", dest="src", required=True)
-    s.add_argument("--out")
 
     w = sub.add_parser("wedge", help="wedge power report for a standard module")
     w.add_argument("--h", dest="h", type=int, required=True)
@@ -106,7 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--p", type=int, default=None)
     w.add_argument("--a", type=int, default=1)
     w.add_argument("--m", type=int, default=None, help="working precision (default: sufficient)")
-    w.add_argument("--out")
 
     k = sub.add_parser("check", help="run a property campaign")
     k.add_argument("campaign", choices=CAMPAIGNS)
@@ -114,7 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     k.add_argument("--trials", type=int, default=None)
     k.add_argument("--exhaustive-f2", action="store_true")
     k.add_argument("--wrong-shift", action="store_true", help=argparse.SUPPRESS)
-    k.add_argument("--out")
     return ap
 
 
@@ -123,7 +114,7 @@ def main(argv=None) -> int:
     try:
         if args.verb == "compound":
             A = matrix_from_json(_read_payload(args.src))
-            _emit(matrix_to_json(compound(A, args.d)), args.out)
+            _emit(matrix_to_json(compound(A, args.d)))
             return EXIT_OK
 
         if args.verb == "rank":
@@ -134,19 +125,20 @@ def main(argv=None) -> int:
                     "schema": "v1",
                     "rank": res.rank,
                     "witness": [s.value for s in res.witness],
-                },
-                args.out,
+                }
             )
             return EXIT_OK
 
         if args.verb == "slopes":
             C = isocrystal_from_json(_read_payload(args.src))
-            _emit(polygon_to_json(slopes(C)), args.out)
+            _emit(polygon_to_json(slopes(C)))
             return EXIT_OK
 
         if args.verb == "wedge":
             _at_least_one("--a", args.a)
             _at_least_one("--m", args.m)
+            if args.m is not None and args.m > PRECISION_LIMIT:
+                raise WedgecrysError(f"--m must be <= {PRECISION_LIMIT}, got {args.m}")
             p = args.p if args.p is not None else _default_p()
             try:
                 desc = GroupDescriptor(args.h, args.dim)
@@ -161,7 +153,7 @@ def main(argv=None) -> int:
                 need = slope_precision(args.h, args.dim, args.r, args.a)
                 sys.stderr.write(f"precision exhausted; required minimum m: {need}\n")
                 return EXIT_PRECISION
-            _emit(report, args.out)
+            _emit(report)
             return EXIT_OK
 
         if args.verb == "check":
@@ -173,7 +165,7 @@ def main(argv=None) -> int:
                 exhaustive_f2=args.exhaustive_f2,
                 wrong_shift=args.wrong_shift,
             )
-            _emit(report, args.out)
+            _emit(report)
             if report["failures"]:
                 sys.stderr.write(
                     f"{report['failures']} failure(s); first counterexample: "

@@ -37,7 +37,7 @@ from .matrices import (
     matrix_to_json,
 )
 from .modsolve import _lead, howell_form, kernel_basis
-from .rings import BOTTOM, WittRing, _vp, make_witt_ring, schema_int
+from .rings import BOTTOM, WittRing, _vp, make_witt_ring, schema_int, schema_precision
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,7 @@ def apply_F_integral(X, v):
 
 
 def apply_V(D: DieudonneModule, v):
-    return D.MV.mul_vector(vector_phi(D.ring, v, D.ring.a - 1 if D.ring.a > 1 else 0))
+    return D.MV.mul_vector(vector_phi(D.ring, v, D.ring.a - 1))
 
 
 @dataclass(frozen=True)
@@ -216,17 +216,19 @@ def verify_axioms(D: DieudonneModule) -> AxiomReport:
     failures = []
     if D.MF @ matrix_phi(D.MV) != pI:
         failures.append("MF . phi(MV) != p I")
-    if D.MV @ matrix_phi(D.MF, R.a - 1 if R.a > 1 else 0) != pI:
+    if D.MV @ matrix_phi(D.MF, R.a - 1) != pI:
         failures.append("MV . phi^{-1}(MF) != p I")
     return AxiomReport(not failures, tuple(failures))
 
 
 def semilinear_conjugate(D: DieudonneModule, U: Matrix) -> DieudonneModule:
-    """Base change by a unimodular U: MF -> U MF phi(U)^{-1}."""
+    """Base change by a unimodular U: MF -> U MF phi(U)^{-1} and
+    MV -> U MV phi^{-1}(U)^{-1}.  phi is a ring automorphism, so
+    phi^k(U)^{-1} = phi^k(U^{-1}) and one inversion serves both."""
     R = D.ring
-    k_inv = R.a - 1 if R.a > 1 else 0
-    MF = U @ D.MF @ invert_unimodular(matrix_phi(U))
-    MV = U @ D.MV @ invert_unimodular(matrix_phi(U, k_inv))
+    U_inv = invert_unimodular(U)
+    MF = U @ D.MF @ matrix_phi(U_inv)
+    MV = U @ D.MV @ matrix_phi(U_inv, R.a - 1)
     return DieudonneModule(R, D.h, MF, MV)
 
 
@@ -472,7 +474,7 @@ def isocrystal_from_json(obj) -> Isocrystal:
             raise SchemaError(f"isocrystal payload missing '{field}'")
     p = schema_int(obj["p"], "p", 3)
     a = schema_int(obj["a"], "a", 1)
-    m = schema_int(obj["m"], "m", 1)
+    m = schema_precision(obj["m"], "m")
     rank = schema_int(obj["rank"], "rank", 1)
     shift = schema_int(obj["shift"], "shift")
     M = matrix_from_json(obj["matrix"])

@@ -11,6 +11,10 @@ valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`), and
 the packable rings (Z/p^m, F_q, Witt) expose `pack_params` /
 `pack_el` / `unpack_el` for the compiled kernel lane.
 
+F_q is W(F_q)/p: `FiniteField` and `WittRing` share one element
+implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), with F_q at m = 1.
+Units are inverted mod p and lifted by Newton-Hensel steps (`_newton_inverse`).
+
 Elements are plain data: ints for Z/p^m, tuples of ints (ascending
 coefficients) for F_q and Witt rings, Fractions for Q.  Everything is
 immutable and safe to share across threads.
@@ -131,7 +135,7 @@ def _prime_factors(n: int):
 def _poly_is_irreducible(fred: tuple, a: int, p: int) -> bool:
     if a == 1:
         return True
-    F = _PolynomialQuotient(a, fred, p)
+    F = _PolynomialQuotient(p, a, 1, fred)
     x = (0, 1) + (0,) * (a - 2)
     if F.pow(x, p**a) != x:
         return False
@@ -144,6 +148,8 @@ def _poly_is_irreducible(fred: tuple, a: int, p: int) -> bool:
 @lru_cache(maxsize=None)
 def defining_polynomial(p: int, a: int) -> tuple:
     """Non-leading coefficients of the degree-a defining polynomial over F_p."""
+    if a < 1:
+        raise ValueError("extension degree must be >= 1")
     if (p, a) in CONWAY:
         return CONWAY[(p, a)]
     for desc in itertools.product(range(p), repeat=a):
@@ -153,24 +159,70 @@ def defining_polynomial(p: int, a: int) -> tuple:
     raise AssertionError("irreducible search is exhaustive; unreachable")
 
 
+# Entry strings: an integer is decimal digits with an optional '-' (no
+# whitespace, '+' or '_'); a Q entry is 'n' or 'n/d' with d nonzero.
+_INT_ENTRY = re.compile(r"-?[0-9]+")
+_Q_ENTRY = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
+def _int_entry(s: str) -> int:
+    if not _INT_ENTRY.fullmatch(s):
+        raise ValueError(f"expected decimal digits with an optional '-', got {s!r}")
+    return int(s)
+
+
+def _newton_inverse(R, x, y, prec: int):
+    """Lift y, an inverse of the unit x modulo the maximal ideal of R, to
+    the inverse of x in R, where the maximal ideal's prec-th power is 0:
+    each step y <- y (2 - x y) doubles the precision."""
+    two = R.from_int(2)
+    k = 1
+    while k < prec:
+        y = R.mul(y, R.sub(two, R.mul(x, y)))
+        k *= 2
+    return y
+
+
 # ---------------------------------------------------------------------------
 
 
 class _PolynomialQuotient:
-    """Arithmetic of (Z/c)[x]/(f), shared by F_{p^a} (c = p) and
-    W(F_{p^a})/p^m (c = p^m).
+    """W(F_{p^a})/p^m = (Z/p^m)[x]/(f), f the lift of the degree-a defining
+    polynomial of F_{p^a}; F_{p^a} is the case m = 1.
 
-    Elements are length-a tuples of coefficients in [0, c), ascending; `fred`
-    holds the non-leading coefficients of the monic f, so
-    x^a = -(fred[0] + fred[1] x + ...).
+    Elements are length-a tuples of coefficients in [0, p^m), ascending;
+    `fred` holds the non-leading coefficients of the monic f, so
+    x^a = -(fred[0] + fred[1] x + ...).  The table coefficients lie in
+    [0, p), so they serve mod p^m as they are.
     """
 
-    def __init__(self, a: int, fred: tuple, c: int):
+    is_local = True
+
+    def __init__(self, p: int, a: int, m: int, fred: tuple):
+        if m < 1:
+            raise ValueError("precision m must be >= 1")
+        self.p = p
         self.a = a
+        self.m = m
         self.fred = fred
-        self._c = c
+        self._c = p**m
+        self.val_cap = m
         self.zero = (0,) * a
         self.one = (1,) + (0,) * (a - 1)
+
+    def __eq__(self, other):
+        return type(other) is type(self) and (self.p, self.a, self.m) == (other.p, other.a, other.m)
+
+    def __hash__(self):
+        return hash((self.kind, self.p, self.a, self.m))
+
+    def from_int(self, k: int):
+        return (k % self._c,) + self.zero[1:]
+
+    def gen(self):
+        if self.a == 1:
+            raise ValueError(f"{self!r} has no extension generator")
+        return (0, 1) + (0,) * (self.a - 2)
 
     def add(self, x, y):
         c = self._c
@@ -211,6 +263,61 @@ class _PolynomialQuotient:
 
     def is_zero(self, x):
         return not any(x)
+
+    def is_unit(self, x):
+        return any(c % self.p for c in x)
+
+    def inv(self, x):
+        """x^(p^a - 2) inverts a unit mod p; a Newton-Hensel lift takes the
+        inverse to p^m.  At a = 1 Python's modular inverse does both."""
+        if not self.is_unit(x):
+            raise ZeroDivisionError("not a unit")
+        if self.a == 1:
+            return (pow(x[0], -1, self._c),)
+        F = finite_field(self.p, self.a)
+        y = F.pow(tuple([c % self.p for c in x]), F.q - 2)
+        return _newton_inverse(self, x, y, self.m)
+
+    def valuation(self, x):
+        v = self.pivot_val(x)
+        return BOTTOM if v >= self.m else v
+
+    def pivot_val(self, x) -> int:
+        """Minimum p-adic valuation over the coefficients; m for zero."""
+        p, best = self.p, self.m
+        for c in x:
+            if c:
+                best = _vp(c, p, best)
+                if best == 0:
+                    break
+        return best
+
+    def shift_down(self, x, v: int):
+        d = self.p**v
+        return tuple([c // d for c in x])
+
+    def random_element(self, rng):
+        c = self._c
+        return tuple(rng.randrange(c) for _ in range(self.a))
+
+    def el_to_str(self, x) -> str:
+        return ",".join(str(c) for c in x)
+
+    def el_from_str(self, s: str):
+        c = self._c
+        coords = tuple(_int_entry(u) % c for u in s.split(","))
+        if len(coords) != self.a:
+            raise ValueError(f"expected {self.a} coefficients, got {len(coords)}")
+        return coords
+
+    def pack_params(self):
+        return (self._c, self.a, self.fred)
+
+    def pack_el(self, x):
+        return x
+
+    def unpack_el(self, coords):
+        return coords
 
 
 class ModulusRing:
@@ -279,7 +386,7 @@ class ModulusRing:
         return str(x)
 
     def el_from_str(self, s: str):
-        return int(s, 10) % self.q
+        return _int_entry(s) % self.q
 
     def descriptor(self):
         return {"kind": "Zpm", "p": self.p, "m": self.m}
@@ -295,87 +402,27 @@ class ModulusRing:
 
 
 class FiniteField(_PolynomialQuotient):
-    """F_{p^a} = F_p[x]/(f), f the table polynomial; elements are coefficient
-    tuples of length a (ascending powers)."""
+    """F_{p^a} = F_p[x]/(f), f the table polynomial: W(F_{p^a})/p^m at
+    m = 1, with the p-power Frobenius.  p = 2 is allowed."""
 
     kind = "Fq"
-    is_local = True
-    val_cap = 1
 
     def __init__(self, p: int, a: int):
         _check_prime(p, odd=False)
-        if a < 1:
-            raise ValueError("extension degree must be >= 1")
-        super().__init__(a, defining_polynomial(p, a), p)
-        self.p = p
+        super().__init__(p, a, 1, defining_polynomial(p, a))
         self.q = p**a
 
     def __repr__(self):
-        return f"F_{self.q}" if self.a > 1 else f"F_{self.p}"
-
-    def __eq__(self, other):
-        return type(other) is FiniteField and (self.p, self.a) == (other.p, other.a)
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.a))
-
-    def from_int(self, k: int):
-        return (k % self.p,) + (0,) * (self.a - 1)
-
-    def gen(self):
-        if self.a == 1:
-            raise ValueError("prime field has no extension generator")
-        return (0, 1) + (0,) * (self.a - 2)
-
-    def is_unit(self, x):
-        return any(x)
-
-    def inv(self, x):
-        if not any(x):
-            raise ZeroDivisionError("inverse of 0")
-        if self.a == 1:
-            return (pow(x[0], -1, self.p),)
-        return self.pow(x, self.q - 2)
-
-    def frobenius(self, x):
-        return self.pow(x, self.p)
-
-    def valuation(self, x):
-        return BOTTOM if not any(x) else 0
-
-    def pivot_val(self, x) -> int:
-        return 0 if any(x) else 1
-
-    def shift_down(self, x, v: int):
-        return x
-
-    def elements(self):
-        for coords in itertools.product(range(self.p), repeat=self.a):
-            yield coords
-
-    def random_element(self, rng):
-        return tuple(rng.randrange(self.p) for _ in range(self.a))
-
-    def el_to_str(self, x) -> str:
-        return ",".join(str(c) for c in x)
-
-    def el_from_str(self, s: str):
-        coords = tuple(int(c, 10) % self.p for c in s.split(","))
-        if len(coords) != self.a:
-            raise ValueError(f"expected {self.a} coefficients, got {len(coords)}")
-        return coords
+        return f"F_{self.q}"
 
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "a": self.a}
 
-    def pack_params(self):
-        return (self.p, self.a, self.fred)
+    def frobenius(self, x):
+        return self.pow(x, self.p)
 
-    def pack_el(self, x):
-        return x
-
-    def unpack_el(self, coords):
-        return coords
+    def elements(self):
+        return itertools.product(range(self.p), repeat=self.a)
 
 
 class WittRing(_PolynomialQuotient):
@@ -388,28 +435,19 @@ class WittRing(_PolynomialQuotient):
     """
 
     kind = "witt"
-    is_local = True
 
     def __init__(self, p: int, a: int, m: int):
         _check_prime(p, odd=True)
-        if a < 1 or m < 1:
-            raise ValueError("need a >= 1 and m >= 1")
-        # the table coefficients lie in [0, p), so they serve mod p^m as is
-        super().__init__(a, defining_polynomial(p, a), p**m)
-        self.p = p
-        self.m = m
-        self.q = p**m
-        self.val_cap = m
-        self.residue_field = FiniteField(p, a)
-        self.frobenius_root = self._hensel_frobenius_root()
+        super().__init__(p, a, m, defining_polynomial(p, a))
+        self.q = self._c
+        self.residue_field = finite_field(p, a)
+        self.frobenius_root = root = self._hensel_frobenius_root()
         # all Frobenius powers cached up front: the ring stays immutable
-        self._phi_mats = {}
-        if a > 1:
-            root = self.frobenius_root
-            first = self._phi_matrix(root)
-            for k in range(1, a):
-                self._phi_mats[k] = self._phi_matrix(root)
-                root = self._apply_mat(first, root)
+        first = self._phi_matrix(root)
+        self._phi_mats = {1: first}
+        for k in range(2, a):
+            root = self._apply_mat(first, root)
+            self._phi_mats[k] = self._phi_matrix(root)
 
     # -- construction helpers ------------------------------------------------
 
@@ -447,63 +485,11 @@ class WittRing(_PolynomialQuotient):
             acc = self.mul(acc, root)
         return tuple(cols)
 
-    # -- ring protocol ---------------------------------------------------
-
     def __repr__(self):
         return f"W(F_{self.p**self.a})/{self.p}^{self.m}"
 
-    def __eq__(self, other):
-        return type(other) is WittRing and (self.p, self.a, self.m) == (
-            other.p,
-            other.a,
-            other.m,
-        )
-
-    def __hash__(self):
-        return hash(("witt", self.p, self.a, self.m))
-
-    def gen(self):
-        if self.a == 1:
-            raise ValueError("rank-1 Witt ring has no extension generator")
-        return (0, 1) + (0,) * (self.a - 2)
-
-    def from_int(self, k: int):
-        return (k % self.q,) + (0,) * (self.a - 1)
-
-    def is_unit(self, x):
-        return any(c % self.p for c in x)
-
-    def inv(self, x):
-        if not self.is_unit(x):
-            raise ZeroDivisionError("not a unit")
-        if self.a == 1:
-            return (pow(x[0], -1, self.q),)
-        # residue-field inverse, then Newton-Hensel lift to mod p^m
-        y = self.residue_field.inv(self.reduce_mod_p(x))
-        two = self.from_int(2)
-        k = 1
-        while k < self.m:
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
-            k *= 2
-        return y
-
-    def valuation(self, x):
-        v = self.pivot_val(x)
-        return BOTTOM if v >= self.m else v
-
-    def pivot_val(self, x) -> int:
-        """Minimum p-adic valuation over the coefficients; m for zero."""
-        p, best = self.p, self.m
-        for c in x:
-            if c:
-                best = _vp(c, p, best)
-                if best == 0:
-                    break
-        return best
-
-    def shift_down(self, x, v: int):
-        d = self.p**v
-        return tuple([c // d for c in x])
+    def descriptor(self):
+        return {"kind": "witt", "p": self.p, "a": self.a, "m": self.m}
 
     # -- semilinear structure ---------------------------------------------
 
@@ -517,13 +503,9 @@ class WittRing(_PolynomialQuotient):
         return acc
 
     def frobenius(self, x):
-        if self.a == 1:
-            return x
-        return self._apply_mat(self._phi_mats[1], x)
+        return self.frobenius_pow(x, 1)
 
     def frobenius_pow(self, x, k: int):
-        if self.a == 1:
-            return x
         k %= self.a
         if k == 0:
             return x
@@ -531,8 +513,6 @@ class WittRing(_PolynomialQuotient):
 
     def frobenius_matrix(self):
         """Columns of phi as a Z/p^m-linear map on coefficient vectors."""
-        if self.a == 1:
-            return ((1,),)
         return self._phi_mats[1]
 
     def reduce_mod_p(self, x):
@@ -551,35 +531,6 @@ class WittRing(_PolynomialQuotient):
                 return w
             w = nxt
         raise AssertionError("Teichmueller iteration did not stabilize")
-
-    def random_element(self, rng):
-        return tuple(rng.randrange(self.q) for _ in range(self.a))
-
-    def el_to_str(self, x) -> str:
-        return ",".join(str(c) for c in x)
-
-    def el_from_str(self, s: str):
-        coords = tuple(int(c, 10) % self.q for c in s.split(","))
-        if len(coords) != self.a:
-            raise ValueError(f"expected {self.a} coefficients, got {len(coords)}")
-        return coords
-
-    def descriptor(self):
-        return {"kind": "witt", "p": self.p, "a": self.a, "m": self.m}
-
-    def pack_params(self):
-        return (self.q, self.a, self.fred)
-
-    def pack_el(self, x):
-        return x
-
-    def unpack_el(self, coords):
-        return coords
-
-
-# the documented Q entry forms 'n' and 'n/d': an optional '-', decimal
-# digits, and a nonzero denominator in decimal digits
-_Q_ENTRY = re.compile(r"-?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 class RationalField:
@@ -727,12 +678,7 @@ class TruncatedPolynomialRing:
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
         y = (self.base.inv(x[0]),) + (self.base.zero,) * (self.e - 1)
-        two = self.from_int(2)
-        k = 1
-        while k < self.e:
-            y = self.mul(y, self.sub(two, self.mul(x, y)))
-            k *= 2
-        return y
+        return _newton_inverse(self, x, y, self.e)
 
     def pivot_val(self, x) -> int:
         for i, c in enumerate(x):
@@ -832,17 +778,15 @@ class RingHom:
 
 def precision_reduction(R, new_m: int) -> RingHom:
     """Z/p^m -> Z/p^j or W(F_q)/p^m -> W(F_q)/p^j for j <= m."""
+    if not isinstance(R, (ModulusRing, WittRing)):
+        raise UnsupportedHom(f"no precision reduction on {R!r}")
+    if not 1 <= new_m <= R.m:
+        raise UnsupportedHom("target precision out of range")
     if isinstance(R, ModulusRing):
-        if not 1 <= new_m <= R.m:
-            raise UnsupportedHom("target precision out of range")
         S = modulus_ring(R.p, new_m)
         return RingHom(R, S, lambda x: x % S.q, f"mod {R.p}^{new_m}")
-    if isinstance(R, WittRing):
-        if not 1 <= new_m <= R.m:
-            raise UnsupportedHom("target precision out of range")
-        S = make_witt_ring(R.p, R.a, new_m)
-        return RingHom(R, S, lambda x: tuple(c % S.q for c in x), f"mod {R.p}^{new_m}")
-    raise UnsupportedHom(f"no precision reduction on {R!r}")
+    S = make_witt_ring(R.p, R.a, new_m)
+    return RingHom(R, S, lambda x: tuple(c % S.q for c in x), f"mod {R.p}^{new_m}")
 
 
 def residue_reduction(R) -> RingHom:
@@ -882,24 +826,35 @@ def schema_int(x, name: str, minimum: int | None = None) -> int:
     return x
 
 
+# the ring constructors compute p^m eagerly, so precisions are capped
+PRECISION_LIMIT = 1 << 16
+
+
+def schema_precision(x, name: str) -> int:
+    """A precision field (m or e): a JSON integer in [1, PRECISION_LIMIT]."""
+    if schema_int(x, name, 1) > PRECISION_LIMIT:
+        raise SchemaError(f"'{name}' must be at most {PRECISION_LIMIT}, got {x}")
+    return x
+
+
 def ring_from_descriptor(desc) -> object:
     if not isinstance(desc, dict) or "kind" not in desc:
         raise SchemaError("ring descriptor must be an object with a 'kind' field")
     kind = desc["kind"]
     try:
         if kind == "Zpm":
-            return modulus_ring(schema_int(desc["p"], "p", 3), schema_int(desc["m"], "m", 1))
+            return modulus_ring(schema_int(desc["p"], "p", 3), schema_precision(desc["m"], "m"))
         if kind == "Fq":
             return finite_field(schema_int(desc["p"], "p", 2), schema_int(desc.get("a", 1), "a", 1))
         if kind == "witt":
             return make_witt_ring(
-                schema_int(desc["p"], "p", 3), schema_int(desc["a"], "a", 1), schema_int(desc["m"], "m", 1)
+                schema_int(desc["p"], "p", 3), schema_int(desc["a"], "a", 1), schema_precision(desc["m"], "m")
             )
         if kind == "Q":
             return QQ
         if kind == "tpoly":
             return local_test_ring(
-                schema_int(desc["p"], "p", 2), schema_int(desc.get("a", 1), "a", 1), schema_int(desc["e"], "e", 1)
+                schema_int(desc["p"], "p", 2), schema_int(desc.get("a", 1), "a", 1), schema_precision(desc["e"], "e")
             )
     except KeyError as exc:
         raise SchemaError(f"ring descriptor missing field {exc}") from exc

@@ -57,6 +57,11 @@ def test_compound_diag_q(capsys):
     "ring, bad",
     [
         pytest.param({"kind": "Zpm", "p": 3, "m": 2}, "oops", id="Zpm-oops"),
+        # integers are decimal digits with an optional '-': no whitespace,
+        # '+' or '_', which int() would accept
+        pytest.param({"kind": "Zpm", "p": 3, "m": 2}, " +1_0 ", id="Zpm-plus-underscore"),
+        pytest.param({"kind": "Fq", "p": 3, "a": 1}, " 2", id="Fq-space"),
+        pytest.param({"kind": "witt", "p": 3, "a": 1, "m": 2}, "+1", id="witt-plus"),
         # Q entries are 'n' or 'n/d' only: no exponent or decimal notation
         pytest.param({"kind": "Q"}, "1e30", id="Q-1e30"),
         pytest.param({"kind": "Q"}, "2.5", id="Q-2.5"),
@@ -234,6 +239,11 @@ _ISOCRYSTAL = {"schema": "v1", "p": 3, "a": 1, "m": 4, "rank": 1, "shift": 0, "m
         ("rank", {**_MATRIX, "ring": {"kind": "tpoly", "p": 3, "a": 1, "e": {}}}, "e"),
         ("rank", {**_MATRIX, "rows": True}, "rows"),
         ("rank", {**_MATRIX, "cols": 1.0}, "cols"),
+        # precisions above 2^16: the ring constructors would compute p^m
+        ("slopes", {**_ISOCRYSTAL, "m": 10**9}, "m"),
+        ("rank", {**_MATRIX, "ring": {"kind": "Zpm", "p": 3, "m": 2**16 + 1}}, "m"),
+        ("rank", {**_MATRIX, "ring": {"kind": "witt", "p": 3, "a": 1, "m": 10**9}}, "m"),
+        ("rank", {**_MATRIX, "ring": {"kind": "tpoly", "p": 3, "a": 1, "e": 2**16 + 1}}, "e"),
     ],
 )
 def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
@@ -243,3 +253,23 @@ def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
 def test_prime_at_or_above_two_to_the_64_is_refused(capsys):
     payload = {**_MATRIX, "ring": {"kind": "Zpm", "p": 2**64 + 13, "m": 1}}  # a prime
     assert "2^64" in _refused(capsys, ["rank", "--in", json.dumps(payload)])
+
+
+def test_precision_cap_is_inclusive(capsys):
+    payload = {**_MATRIX, "ring": {"kind": "Zpm", "p": 3, "m": 2**16}}
+    assert main(["rank", "--in", json.dumps(payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
+
+
+def test_wedge_precision_above_cap_is_refused(capsys):
+    assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", str(2**16 + 1)])
+
+
+def test_out_option_is_refused(capsys, tmp_path):
+    target = tmp_path / "report.json"
+    with pytest.raises(SystemExit) as exc:
+        main(WEDGE_H3 + ["--out", str(target)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1 and "--out" in captured.err
+    assert not target.exists()

@@ -248,3 +248,50 @@ def test_element_string_round_trip():
         for _ in range(20):
             x = R.random_element(rng)
             assert R.el_from_str(R.el_to_str(x)) == x
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("p", [3, 5])
+def test_finite_field_is_the_witt_ring_at_precision_one(p, a):
+    F, W = FiniteField(p, a), make_witt_ring(p, a, 1)
+    assert F.pack_params() == W.pack_params()
+    rng_f, rng_w = random.Random(p + 10 * a), random.Random(p + 10 * a)
+    for _ in range(60):
+        x, y = F.random_element(rng_f), F.random_element(rng_f)
+        assert (W.random_element(rng_w), W.random_element(rng_w)) == (x, y)
+        assert F.add(x, y) == W.add(x, y)
+        assert F.mul(x, y) == W.mul(x, y)
+        assert F.is_unit(x) == W.is_unit(x) == any(x)
+        assert F.pivot_val(x) == W.pivot_val(x)
+        assert F.valuation(x) == W.valuation(x)
+        s = F.el_to_str(x)
+        assert W.el_to_str(x) == s and F.el_from_str(s) == W.el_from_str(s) == x
+        if any(x):
+            assert F.inv(x) == W.inv(x)
+            assert F.mul(x, F.inv(x)) == F.one
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_inverse_exhaustive_over_f4_and_f8(a):
+    F = finite_field(2, a)
+    units = [x for x in F.elements() if F.is_unit(x)]
+    assert len(units) == 2**a - 1
+    assert sorted(F.inv(x) for x in units) == sorted(units)
+    for x in units:
+        assert F.mul(x, F.inv(x)) == F.one
+    with pytest.raises(ZeroDivisionError):
+        F.inv(F.zero)
+
+
+@pytest.mark.parametrize("p,a,m", [(3, 2, 40), (5, 3, 30)])
+def test_witt_unit_inverse_at_high_precision(p, a, m):
+    R = make_witt_ring(p, a, m)
+    rng = random.Random(m)
+    checked = 0
+    while checked < 40:
+        x = R.random_element(rng)
+        if R.is_unit(x):
+            assert R.mul(x, R.inv(x)) == R.one
+            checked += 1
+    with pytest.raises(ZeroDivisionError):
+        R.inv(R.from_int(p))
