@@ -22,7 +22,7 @@ from .errors import (
     WedgecrysError,
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
-from .rings import PRECISION_LIMIT
+from .rings import DEGREE_LIMIT, PRECISION_LIMIT
 from .wedge import slope_precision, wedge_report
 
 EXIT_OK = 0
@@ -137,6 +137,8 @@ def main(argv=None) -> int:
         if args.verb == "wedge":
             _at_least_one("--a", args.a)
             _at_least_one("--m", args.m)
+            if args.a > DEGREE_LIMIT:
+                raise WedgecrysError(f"--a must be <= {DEGREE_LIMIT}, got {args.a}")
             if args.m is not None and args.m > PRECISION_LIMIT:
                 raise WedgecrysError(f"--m must be <= {PRECISION_LIMIT}, got {args.m}")
             p = args.p if args.p is not None else _default_p()

@@ -37,7 +37,16 @@ from .matrices import (
     matrix_to_json,
 )
 from .modsolve import _lead, howell_form, kernel_basis
-from .rings import BOTTOM, WittRing, _vp, make_witt_ring, schema_int, schema_precision
+from .rings import (
+    BOTTOM,
+    DEGREE_LIMIT,
+    PRECISION_LIMIT,
+    WittRing,
+    _vp,
+    make_witt_ring,
+    schema_capped,
+    schema_int,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +482,8 @@ def isocrystal_from_json(obj) -> Isocrystal:
         if field not in obj:
             raise SchemaError(f"isocrystal payload missing '{field}'")
     p = schema_int(obj["p"], "p", 3)
-    a = schema_int(obj["a"], "a", 1)
-    m = schema_precision(obj["m"], "m")
+    a = schema_capped(obj["a"], "a", DEGREE_LIMIT)
+    m = schema_capped(obj["m"], "m", PRECISION_LIMIT)
     rank = schema_int(obj["rank"], "rank", 1)
     shift = schema_int(obj["shift"], "shift")
     M = matrix_from_json(obj["matrix"])

@@ -5,8 +5,10 @@ notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
 
 `det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
 on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
-the local test rings).  `det` is the sign-adjusted constant term of the
-Berkowitz characteristic polynomial; every minor of every order, in
+the local test rings).  `charpoly` reduces to Hessenberg form by unimodular
+similarities with minimum-valuation pivots and runs the Hessenberg
+recurrence, so it needs the pivot protocol, and `det` is the sign-adjusted
+constant term of that polynomial; every minor of every order, in
 `compound`, `stack_minors` and `minor_ideal_status`, comes from one
 memoised Laplace expansion (`_Minors`).  When the optional compiled lane is
 built, it takes the matrix products, `det` and `compound` of packed Z/p^m,
@@ -266,54 +268,85 @@ def _nonzero(R, row):
     return [(l, u) for l, u in enumerate(row) if not is_zero(u)]
 
 
-def _berkowitz(R, M):
+def _hessenberg_charpoly(R, M):
     """Ascending charpoly coefficients c_0..c_n (c_n = 1) of the square
-    list of rows M.
+    list of rows M, which is overwritten.
 
-    Division-free; the Samuelson-Berkowitz recurrence multiplies the
-    charpoly of each trailing principal submatrix by a Toeplitz matrix
-    whose column is built from -(R . B^j . C).
+    M is first reduced to upper Hessenberg form by similarity.  Column j
+    pivots on the entry below the diagonal of minimum `pivot_val` v, and
+    row i below it loses u = shift_down(x_i, v) . inv(shift_down(pivot, v))
+    times the pivot row, which clears x_i exactly; the inverse column
+    operation follows, so every step is a unimodular similarity and the
+    result is exact at the ring's precision.  The division-free Hessenberg
+    recurrence (Cohen, Alg. 2.2.9) then builds the charpoly of each leading
+    principal block from the smaller ones.
     """
-    add, mul, neg, is_zero = R.add, R.mul, R.neg, R.is_zero
-    zero, one = R.zero, R.one
+    if not hasattr(R, "pivot_val"):
+        raise UnsupportedRing(f"{R!r} has no valuation-pivot structure")
+    add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
+    pivot_val, shift_down = R.pivot_val, R.shift_down
+    zero, one, cap = R.zero, R.one, R.val_cap
     n = len(M)
-    vec = [one]
-    for k0 in range(n - 1, -1, -1):
-        s = n - k0
-        t = [one, neg(M[k0][k0])]
-        top = _nonzero(R, M[k0][k0 + 1 :])
-        block = [_nonzero(R, row[k0 + 1 :]) for row in M[k0 + 1 :]]
-        w = [row[k0] for row in M[k0 + 1 :]]
-        for j in range(s - 1):
-            dot = zero
-            for l, u in top:
-                x = w[l]
-                if not is_zero(x):
-                    dot = add(dot, mul(u, x))
-            t.append(neg(dot))
-            if j < s - 2:
-                nw = []
-                for nz in block:
-                    acc = zero
-                    for l, u in nz:
-                        x = w[l]
-                        if not is_zero(x):
-                            acc = add(acc, mul(u, x))
-                    nw.append(acc)
-                w = nw
-        tnz = _nonzero(R, t)
-        newvec = [zero] * (s + 1)
-        for j2, vj in enumerate(vec):
-            if is_zero(vj):
-                continue
-            for i, ti in tnz:
-                k = i + j2
-                if k > s:
+    for j in range(n - 2):
+        k = j + 1
+        bv, bi = cap, -1
+        for i in range(k, n):
+            v = pivot_val(M[i][j])
+            if v < bv:
+                bv, bi = v, i
+                if v == 0:
                     break
-                newvec[k] = add(newvec[k], mul(ti, vj))
-        vec = newvec
-    vec.reverse()
-    return vec
+        if bi < 0:
+            continue
+        if bi != k:
+            M[bi], M[k] = M[k], M[bi]
+            for row in M:
+                row[bi], row[k] = row[k], row[bi]
+        prow = M[k]
+        w = R.inv(shift_down(prow[j], bv))
+        pnz = _nonzero(R, prow[k:])
+        ops = []
+        for i in range(k + 1, n):
+            row = M[i]
+            x = row[j]
+            if is_zero(x):
+                continue
+            u = mul(shift_down(x, bv), w)
+            row[j] = zero
+            for l, y in pnz:
+                row[k + l] = sub(row[k + l], mul(u, y))
+            ops.append((i, u))
+        # the inverse column operations: column k gains u times column i
+        if ops:
+            for row in M:
+                acc = row[k]
+                for i, u in ops:
+                    y = row[i]
+                    if not is_zero(y):
+                        acc = add(acc, mul(u, y))
+                row[k] = acc
+    polys = [[one]]
+    for c in range(n):
+        prev = polys[-1]
+        new = [zero] + prev
+        h = M[c][c]
+        if not is_zero(h):
+            for l, y in enumerate(prev):
+                new[l] = sub(new[l], mul(h, y))
+        t = one
+        for i in range(c - 1, -1, -1):
+            t = mul(t, M[i + 1][i])
+            if is_zero(t):
+                break
+            s = M[i][c]
+            if is_zero(s):
+                continue
+            s = mul(s, t)
+            for l, y in enumerate(polys[i]):
+                if not is_zero(y):
+                    new[l] = sub(new[l], mul(s, y))
+        polys.append(new)
+    return polys[n]
 
 
 class _Minors:
@@ -361,8 +394,8 @@ class _Minors:
 
 
 def det(A: Matrix):
-    """Determinant: (-1)^n times the constant term of the Berkowitz
-    characteristic polynomial, division-free over every ring."""
+    """Determinant: (-1)^n times the constant term of the Hessenberg
+    characteristic polynomial, over every ring with the pivot protocol."""
     if not A.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = A.rows
@@ -370,15 +403,16 @@ def det(A: Matrix):
     if pk is not None:
         impl, q, a, fred = pk
         return A.ring.unpack_el(tuple(impl.det(_pack(A), n, a, fred, q)))
-    c0 = _berkowitz(A.ring, A.to_rows())[0]
+    c0 = _hessenberg_charpoly(A.ring, A.to_rows())[0]
     return c0 if n % 2 == 0 else A.ring.neg(c0)
 
 
 def charpoly(A: Matrix) -> list:
-    """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1."""
+    """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1, by
+    Hessenberg reduction over rings with the pivot protocol."""
     if not A.is_square:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    return _berkowitz(A.ring, A.to_rows())
+    return _hessenberg_charpoly(A.ring, A.to_rows())
 
 
 # ---------------------------------------------------------------------------

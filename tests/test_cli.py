@@ -244,6 +244,12 @@ _ISOCRYSTAL = {"schema": "v1", "p": 3, "a": 1, "m": 4, "rank": 1, "shift": 0, "m
         ("rank", {**_MATRIX, "ring": {"kind": "Zpm", "p": 3, "m": 2**16 + 1}}, "m"),
         ("rank", {**_MATRIX, "ring": {"kind": "witt", "p": 3, "a": 1, "m": 10**9}}, "m"),
         ("rank", {**_MATRIX, "ring": {"kind": "tpoly", "p": 3, "a": 1, "e": 2**16 + 1}}, "e"),
+        # extension degrees above 16: the constructors search for a degree-a
+        # defining polynomial and build a-by-a Frobenius matrices
+        ("slopes", {**_ISOCRYSTAL, "a": 17}, "a"),
+        ("rank", {**_MATRIX, "ring": {"kind": "Fq", "p": 3, "a": 160}}, "a"),
+        ("rank", {**_MATRIX, "ring": {"kind": "witt", "p": 3, "a": 17, "m": 2}}, "a"),
+        ("rank", {**_MATRIX, "ring": {"kind": "tpoly", "p": 3, "a": 10**9, "e": 2}}, "a"),
     ],
 )
 def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
@@ -263,6 +269,16 @@ def test_precision_cap_is_inclusive(capsys):
 
 def test_wedge_precision_above_cap_is_refused(capsys):
     assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", str(2**16 + 1)])
+
+
+def test_wedge_extension_degree_above_cap_is_refused(capsys):
+    assert "--a" in _refused(capsys, WEDGE_H3 + ["--a", "17"])
+
+
+def test_extension_degree_cap_is_inclusive(capsys):
+    payload = {**_MATRIX, "ring": {"kind": "Fq", "p": 3, "a": 16}, "entries": ["1" + ",0" * 15]}
+    assert main(["rank", "--in", json.dumps(payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 1
 
 
 def test_out_option_is_refused(capsys, tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import time
 
@@ -59,6 +60,45 @@ def test_lex_smallest_irreducible_outside_table():
     fred = defining_polynomial(11, 2)
     F = FiniteField(11, 2)
     assert F.pow(F.gen(), 11**2) == F.gen()
+
+
+def _has_root_or_factor(fred, p):
+    """Trial division of the monic x^a + fred[a-1] x^(a-1) + ... + fred[0]
+    over F_p by every monic polynomial of degree 1 .. a // 2."""
+    a = len(fred)
+    f = list(fred) + [1]
+    for d in range(1, a // 2 + 1):
+        for low in itertools.product(range(p), repeat=d):
+            g = list(low) + [1]
+            r = f[:]
+            for k in range(a - d, -1, -1):
+                c = r[k + d]
+                if c:
+                    for i, gi in enumerate(g):
+                        r[k + i] = (r[k + i] - c * gi) % p
+            if not any(r[:d]):
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p, a", [(11, 4), (13, 4), (2, 6), (5, 6), (7, 6), (19, 3)])
+def test_defining_polynomial_is_the_lex_smallest_irreducible(p, a):
+    # every candidate before it (ascending constant term first) factors;
+    # at p = 3 mod 4 and 4 | a that includes every binomial x^a + c
+    fred = defining_polynomial(p, a)
+    assert not _has_root_or_factor(fred, p)
+    rank = sum(c * p**i for i, c in enumerate(fred))
+    for k in range(rank):
+        assert _has_root_or_factor(tuple(k // p**i % p for i in range(a)), p)
+
+
+def test_defining_polynomial_search_scales_to_large_primes():
+    # neither range(p) materialised nor a sweep over all p binomials
+    # x^4 + c, none of which is irreducible when p = 3 mod 4
+    p = 2**61 - 1
+    F = FiniteField(p, 4)
+    assert F.fred[1:] == (1, 0, 0)
+    assert F.pow(F.gen(), p**4) == F.gen() != F.pow(F.gen(), p**2)
 
 
 def test_make_witt_ring_a1_is_plain_modulus_ring_with_identity_frobenius():

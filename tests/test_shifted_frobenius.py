@@ -37,7 +37,7 @@ def test_apply_f_raises_when_image_leaves_the_lattice():
 
 def test_det_generic_berkowitz_route_on_truncated_ring():
     # n = 5 over F_3[t]/(t^2): not packable and with zero divisors, so det
-    # is the constant term of the division-free Berkowitz charpoly
+    # is the constant term of the Hessenberg charpoly, pivoting t-adically
     T = local_test_ring(3, 1, 2)
     rng = random.Random(1)
 
