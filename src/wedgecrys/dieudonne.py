@@ -167,9 +167,16 @@ def make_standard(desc: GroupDescriptor, ring: WittRing) -> DieudonneModule:
 
 
 def matrix_phi(M: Matrix, k: int = 1) -> Matrix:
-    """Entrywise Frobenius power of a matrix over a Witt ring."""
+    """Entrywise Frobenius power phi^k of a matrix over a Witt ring.
+
+    phi fixes 0 and phi^a = id, so zero entries are kept as they are and M
+    itself is returned when a divides k.
+    """
     R = M.ring
-    return M.map_entries(lambda x: R.frobenius_pow(x, k))
+    if k % R.a == 0:
+        return M
+    phi, is_zero = R.frobenius_pow, R.is_zero
+    return M.map_entries(lambda x: x if is_zero(x) else phi(x, k))
 
 
 def vector_phi(ring: WittRing, v, k: int = 1):

@@ -8,9 +8,14 @@ on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
 the local test rings).  `charpoly` reduces to Hessenberg form by unimodular
 similarities with minimum-valuation pivots and runs the Hessenberg
 recurrence, so it needs the pivot protocol, and `det` is the sign-adjusted
-constant term of that polynomial; every minor of every order, in
+constant term of that polynomial.  Every minor of every order, in
 `compound`, `stack_minors` and `minor_ideal_status`, comes from one
-memoised Laplace expansion (`_Minors`).  When the optional compiled lane is
+level-by-level Laplace build of the nonzero minors (`_nonzero_minors`), and
+products run row by row over the nonzero entries of both factors, so the
+monomial Frobenius matrices of the standard modules and their compounds
+cost work in proportion to their nonzeros, while a dense input takes the
+products it took before: those of a memoised expansion of every minor and
+of the row-by-column product.  When the optional compiled lane is
 built, it takes the matrix products, `det` and `compound` of packed Z/p^m,
 F_q and Witt inputs whose modulus fits its 64-bit arithmetic; `charpoly`
 and `smith_valuations` have the ring-protocol route only.
@@ -23,6 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -151,6 +157,9 @@ class Matrix:
             raise DimensionMismatch("shape mismatch")
 
     def __matmul__(self, other):
+        """The matrix product.  On the ring-protocol route it runs by rows
+        (Gustavson): row i accumulates x . row_l(other) over the nonzero
+        entries x = self[i, l], visiting only the nonzeros of row_l(other)."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
@@ -165,15 +174,14 @@ class Matrix:
         R = self.ring
         add, mul, zero = R.add, R.mul, R.zero
         m = other.cols
-        cols = [other.entries[j::m] for j in range(m)]
+        brows = [_nonzero(R, other.row(l)) for l in range(other.rows)]
         out = []
         for i in range(self.rows):
-            nz = _nonzero(R, self.row(i))
-            for col in cols:
-                acc = zero
-                for l, x in nz:
-                    acc = add(acc, mul(x, col[l]))
-                out.append(acc)
+            acc = [zero] * m
+            for l, x in _nonzero(R, self.row(i)):
+                for j, y in brows[l]:
+                    acc[j] = add(acc[j], mul(x, y))
+            out.extend(acc)
         return Matrix(R, self.rows, m, out)
 
     def mul_vector(self, vec):
@@ -349,48 +357,45 @@ def _hessenberg_charpoly(R, M):
     return polys[n]
 
 
-class _Minors:
-    """det(A[rows, cols]) for index tuples of one matrix A, by Laplace
-    expansion along the first column that skips zero entries.
+def _nonzero_minors(A: Matrix, d: int) -> dict:
+    """{(S, T): det(A[S, T])} over the nonzero d-minors of A, with S and T
+    increasing tuples of row and column indices.
 
-    Every nonzero minor is memoised on (rows, cols), so the d-minors are
-    built from the (d-1)-minors they share.  Zero minors are not stored:
-    they dominate the monomial matrices of the standard modules, and one
-    column scan recomputes them.  The recursion goes through the instance,
-    not a closure over itself, so the memo is freed with the last reference
-    rather than by a garbage-collection pass.
+    Built level by level along the Laplace expansion by the first column:
+    each nonzero (k-1)-minor (S, T) pushes the term +-A[r, c0] * minor into
+    the k-minor (S u {r}, (c0,) + T) for every nonzero A[r, c0] with r not in
+    S and c0 < T[0], signed by the position of r in S u {r}.  A k-minor
+    reaches a d-minor only by gaining d - k columns before its first, so
+    c0 >= d - k: a dense A costs the products of a memoised expansion of
+    every d-minor, and a monomial A, with one nonzero minor per row subset,
+    costs O(C(n, d) d).  Sums that vanish are dropped at each level, and a
+    level is freed once the next is built.
     """
-
-    __slots__ = ("ring", "entries", "stride", "memo")
-
-    def __init__(self, A: Matrix):
-        self.ring, self.entries, self.stride = A.ring, A.entries, A.cols
-        self.memo = {}
-
-    def __call__(self, rows, cols):
-        E, stride = self.entries, self.stride
-        if len(rows) < 2:
-            return E[rows[0] * stride + cols[0]] if rows else self.ring.one
-        key = (rows, cols)
-        acc = self.memo.get(key)
-        if acc is not None:
-            return acc
-        R = self.ring
-        add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
-        acc = R.zero
-        c0, rest = cols[0], cols[1:]
-        for idx, r in enumerate(rows):
-            e = E[r * stride + c0]
-            if is_zero(e):
-                continue
-            cof = self(rows[:idx] + rows[idx + 1 :], rest)
-            if is_zero(cof):
-                continue
-            term = mul(e, cof)
-            acc = add(acc, term) if idx % 2 == 0 else sub(acc, term)
-        if not is_zero(acc):
-            self.memo[key] = acc
-        return acc
+    R = A.ring
+    if d == 0:
+        return {((), ()): R.one}
+    add, sub, mul, neg, is_zero = R.add, R.sub, R.mul, R.neg, R.is_zero
+    E, nc = A.entries, A.cols
+    colnz = [_nonzero(R, E[c::nc]) for c in range(nc)]
+    level = {((r,), (c,)): x for c in range(d - 1, nc) for r, x in colnz[c]}
+    for k in range(2, d + 1):
+        nxt = {}
+        for (S, T), minor in level.items():
+            for c0 in range(d - k, T[0]):
+                cols = (c0,) + T
+                for r, x in colnz[c0]:
+                    idx = bisect_left(S, r)
+                    if idx < len(S) and S[idx] == r:
+                        continue
+                    key = (S[:idx] + (r,) + S[idx:], cols)
+                    term = mul(x, minor)
+                    acc = nxt.get(key)
+                    if acc is None:
+                        nxt[key] = neg(term) if idx % 2 else term
+                    else:
+                        nxt[key] = sub(acc, term) if idx % 2 else add(acc, term)
+        level = {key: v for key, v in nxt.items() if not is_zero(v)}
+    return level
 
 
 def det(A: Matrix):
@@ -423,7 +428,9 @@ def compound(A: Matrix, d: int) -> Matrix:
     """The C(n,d) x C(n,d) matrix of d-minors of a square A.
 
     Entry at (row-subset S, column-subset T), both running through the
-    frozen lexicographic order, is det(A[S, T]) with no extra sign.
+    frozen lexicographic order, is det(A[S, T]) with no extra sign.  Only
+    the nonzero minors are computed (`_nonzero_minors`); a monomial A, such
+    as the Frobenius matrix of a standard module, has one per row subset.
     """
     if not A.is_square:
         raise DimensionMismatch("compound of a non-square matrix")
@@ -436,9 +443,12 @@ def compound(A: Matrix, d: int) -> Matrix:
         impl, q, a, fred = pk
         flat = impl.compound(_pack(A), n, d, subsets, a, fred, q)
         return _unpack(A.ring, flat, len(subsets), len(subsets), a)
-    minor = _Minors(A)
-    ents = [minor(S, T) for S in subsets for T in subsets]
-    return Matrix(A.ring, len(subsets), len(subsets), ents)
+    N = len(subsets)
+    pos = {S: i for i, S in enumerate(subsets)}
+    ents = [A.ring.zero] * (N * N)
+    for (S, T), v in _nonzero_minors(A, d).items():
+        ents[pos[S] * N + pos[T]] = v
+    return Matrix(A.ring, N, N, ents)
 
 
 def stack_minors(A: Matrix, r: int):
@@ -450,8 +460,9 @@ def stack_minors(A: Matrix, r: int):
     if A.cols != r:
         raise DimensionMismatch("stack must have exactly r columns")
     cols = tuple(range(r))
-    minor = _Minors(A)
-    return tuple(minor(S, cols) for S in index_subsets(A.rows, r))
+    minors = _nonzero_minors(A, r)
+    zero = A.ring.zero
+    return tuple(minors.get((S, cols), zero) for S in index_subsets(A.rows, r))
 
 
 # ---------------------------------------------------------------------------
@@ -542,19 +553,12 @@ def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
         return IdealStatus.UNIT
     if i > min(A.rows, A.cols):
         return IdealStatus.ZERO
-    all_zero = True
-    minor = _Minors(A)
-    for S in index_subsets(A.rows, i):
-        for T in index_subsets(A.cols, i):
-            m = minor(S, T)
-            if ring.is_zero(m):
-                continue
-            all_zero = False
-            if getattr(ring, "is_local", False) and ring.is_unit(m):
-                return IdealStatus.UNIT
-    if all_zero:
+    minors = _nonzero_minors(A, i).values()
+    if not minors:
         return IdealStatus.ZERO
     if getattr(ring, "is_local", False):
+        if any(ring.is_unit(m) for m in minors):
+            return IdealStatus.UNIT
         return IdealStatus.PROPER_NONZERO
     return IdealStatus.UNDECIDABLE
 

@@ -109,13 +109,24 @@ CONWAY = {
 
 
 def _vp(x: int, p: int, cap: int) -> int:
-    """p-adic valuation of the integer x, capped at cap (cap for x = 0)."""
+    """p-adic valuation of the integer x, capped at cap (cap for x = 0).
+
+    O(log v) big-integer divisions: square p up to the largest p^(2^i) that
+    divides x with 2^i <= cap, then strip the powers p^(2^i) greedily from
+    the largest down, each only while the total stays within cap.
+    """
     if x == 0:
         return cap
+    pows = []
+    pw, e = p, 1
+    while e <= cap and x % pw == 0:
+        pows.append((pw, e))
+        pw, e = pw * pw, 2 * e
     v = 0
-    while x % p == 0 and v < cap:
-        x //= p
-        v += 1
+    for pw, e in reversed(pows):
+        if v + e <= cap and x % pw == 0:
+            x //= pw
+            v += e
     return v
 
 

@@ -23,6 +23,8 @@ from wedgecrys.matrices import (
     minor_ideal_status,
     rank,
     rank_lemma_check,
+    smith_valuations,
+    stack_minors,
     wedge_exact_sequence,
 )
 from wedgecrys.rings import (
@@ -102,6 +104,38 @@ def _standard_mf(h):
     return make_standard(descriptor(h, 1), make_witt_ring(3, 1, 8)).MF
 
 
+def _sparse_matrix(ring, rows, cols, rng, density):
+    return Matrix(
+        ring,
+        rows,
+        cols,
+        [ring.random_element(rng) if rng.random() < density else ring.zero
+         for _ in range(rows * cols)],
+    )
+
+
+def _equal_rows(rng):
+    # rows 1 and 4 agree, so every minor using both vanishes
+    R = modulus_ring(3, 5)
+    A = _random_matrix(R, 6, rng).to_rows()
+    A[4] = list(A[1])
+    return Matrix.from_rows(R, A)
+
+
+def _p_cubed_entries(rng):
+    # every entry a multiple of 3^3, so every minor of order >= 2 is 0 mod 3^5
+    R = modulus_ring(3, 5)
+    return Matrix.from_int_rows(R, [[27 * rng.randrange(9) for _ in range(6)] for _ in range(6)])
+
+
+def _permuted_standard_mf(rng):
+    MF = _standard_mf(6)
+    perm = list(range(6))
+    rng.shuffle(perm)
+    P = Matrix.from_int_rows(MF.ring, [[int(perm[i] == j) for j in range(6)] for i in range(6)])
+    return P @ MF @ P.transpose()
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -111,19 +145,125 @@ def _standard_mf(h):
         lambda rng: _random_matrix(QQ, 6, rng),
         lambda rng: _random_matrix(local_test_ring(3, 1, 2), 6, rng),
         lambda rng: _standard_mf(6),
+        lambda rng: _sparse_matrix(modulus_ring(3, 5), 6, 6, rng, 0.3),
+        lambda rng: _sparse_matrix(finite_field(3, 2), 6, 6, rng, 0.3),
+        _equal_rows,
+        _p_cubed_entries,
+        _permuted_standard_mf,
     ],
-    ids=["witt-3-2-3", "F5", "F9", "Q", "tpoly-3-1-2", "standard-MF-h6"],
+    ids=["witt-3-2-3", "F5", "F9", "Q", "tpoly-3-1-2", "standard-MF-h6",
+         "sparse-Z243", "sparse-F9", "equal-rows-Z243", "p3-entries-Z243",
+         "permuted-standard-MF-h6"],
 )
 def test_compound_order_five_against_leibniz(make):
-    # orders 5 and 6 of a 6x6 matrix: zero divisors, fields and the
-    # monomial matrices of the standard modules all take the one expansion
+    # every order of a 6x6 matrix: zero divisors, fields, sparse and
+    # cancelling inputs and the monomial matrices of the standard modules
+    # all take the one level-by-level build of the nonzero minors
     A = make(random.Random(8))
-    for d in (5, 6):
+    for d in range(1, 7):
         C = compound(A, d)
         subs = index_subsets(6, d)
         for si, S in enumerate(subs):
             for ti, T in enumerate(subs):
                 assert C[si, ti] == det_by_permutations(submatrix(A, S, T))
+
+
+def test_stack_minors_of_sparse_stacks_against_leibniz():
+    rng = random.Random(31)
+    for ring in (modulus_ring(3, 5), finite_field(3, 2), make_witt_ring(5, 2, 3), QQ):
+        for h, r in ((4, 1), (5, 2), (6, 3), (6, 6), (7, 4), (2, 3)):
+            for density in (1.0, 0.4, 0.15, 0.0):
+                A = _sparse_matrix(ring, h, r, rng, density)
+                subs = index_subsets(h, r)
+                want = tuple(det_by_permutations(submatrix(A, S, tuple(range(r)))) for S in subs)
+                assert stack_minors(A, r) == want
+
+
+class _CountingRing:
+    """A ring that counts its additive and multiplicative calls and
+    otherwise behaves as the ring it wraps.  It has no `pack_params`, so
+    every product and minor takes the ring-protocol route."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.zero, self.one = inner.zero, inner.one
+        self.calls = dict.fromkeys(("add", "sub", "mul", "neg", "is_zero"), 0)
+
+    def __getattr__(self, name):
+        if name == "pack_params":
+            raise AttributeError(name)
+        return getattr(self.inner, name)
+
+    def _count(self, name):
+        self.calls[name] += 1
+        return getattr(self.inner, name)
+
+    def add(self, x, y):
+        return self._count("add")(x, y)
+
+    def sub(self, x, y):
+        return self._count("sub")(x, y)
+
+    def mul(self, x, y):
+        return self._count("mul")(x, y)
+
+    def neg(self, x):
+        return self._count("neg")(x)
+
+    def is_zero(self, x):
+        return self._count("is_zero")(x)
+
+
+def _counted(A):
+    R = _CountingRing(A.ring)
+    return R, Matrix(R, A.rows, A.cols, A.entries)
+
+
+def test_compound_and_product_work_follow_the_nonzeros():
+    # a dense enumeration of the 63,504 pairs of 5-subsets of 10 makes
+    # about 663,000 ring calls, and a dense 70 x 70 product 4,900 products
+    MF = _standard_mf(10)
+    R, A = _counted(MF)
+    C = compound(A, 5)
+    assert sum(R.calls.values()) <= 2000, R.calls
+    assert C.entries == compound(MF, 5).entries
+
+    B8 = compound(_standard_mf(8), 4)
+    R, B = _counted(B8)
+    assert (B @ B).entries == (B8 @ B8).entries
+    assert R.calls["mul"] <= 70, R.calls
+
+
+def _product_by_triple_loop(A, B):
+    R = A.ring
+    out = []
+    for i in range(A.rows):
+        for j in range(B.cols):
+            acc = R.zero
+            for l in range(A.cols):
+                acc = R.add(acc, R.mul(A[i, l], B[l, j]))
+            out.append(acc)
+    return Matrix(R, A.rows, B.cols, out)
+
+
+def test_product_against_triple_loop():
+    rng = random.Random(52)
+    shapes = [(3, 4, 2), (1, 5, 1), (5, 1, 4), (1, 1, 6), (6, 3, 1), (4, 4, 4),
+              (0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0)]
+    for ring in (finite_field(2), make_witt_ring(3, 2, 3), QQ):
+        for n, k, m in shapes:
+            for density in (1.0, 0.5, 0.2, 0.0):
+                A = _sparse_matrix(ring, n, k, rng, density)
+                B = _sparse_matrix(ring, k, m, rng, density)
+                if n and k:
+                    # a zero row and a zero column in the left factor
+                    rows = A.to_rows()
+                    rows[rng.randrange(n)] = [ring.zero] * k
+                    c = rng.randrange(k)
+                    for row in rows:
+                        row[c] = ring.zero
+                    A = Matrix.from_rows(ring, rows)
+                assert A @ B == _product_by_triple_loop(A, B), (ring, n, k, m)
 
 
 def test_cauchy_binet_over_zp_and_fq():
@@ -236,17 +376,47 @@ def test_status_examples():
         assert determinantal_status(I4, i) is IdealStatus.UNIT
 
 
+def _status_by_leibniz(A, i):
+    minors = [det_by_permutations(submatrix(A, S, T))
+              for S in index_subsets(A.rows, i) for T in index_subsets(A.cols, i)]
+    R = A.ring
+    if all(R.is_zero(m) for m in minors):
+        return IdealStatus.ZERO
+    if any(R.is_unit(m) for m in minors):
+        return IdealStatus.UNIT
+    return IdealStatus.PROPER_NONZERO
+
+
+def _status_by_smith(A, i):
+    vals = smith_valuations(A)
+    sigma = sum(vals[:i])
+    if sigma >= A.ring.val_cap:
+        return IdealStatus.ZERO
+    return IdealStatus.UNIT if sigma == 0 else IdealStatus.PROPER_NONZERO
+
+
 def test_witness_matches_brute_force_minor_enumeration():
     rings = [modulus_ring(3, 2), modulus_ring(3, 3), finite_field(3, 2),
              local_test_ring(3, 1, 2), QQ]
     rng = random.Random(99)
     for ring in rings:
         for n in (2, 3):
-            for _ in range(8):
-                A = _random_matrix(ring, n, rng)
-                fast = determinantal_witness(A)
-                slow = tuple(minor_ideal_status(A, i) for i in range(n + 2))
-                assert fast == slow, (ring, A)
+            for density in (1.0, 0.3):
+                for _ in range(8):
+                    A = _sparse_matrix(ring, n, n, rng, density)
+                    fast = determinantal_witness(A)
+                    slow = tuple(minor_ideal_status(A, i) for i in range(n + 2))
+                    assert fast == slow, (ring, A)
+        # rectangular, sparse and all-zero inputs: the enumeration against
+        # Leibniz minors and against the Smith valuations
+        for rows, cols in ((1, 3), (3, 1), (2, 4), (4, 3)):
+            for density in (1.0, 0.3, 0.0):
+                A = _sparse_matrix(ring, rows, cols, rng, density)
+                for i in range(1, min(rows, cols) + 1):
+                    slow = minor_ideal_status(A, i)
+                    assert slow == _status_by_leibniz(A, i), (ring, A, i)
+                    assert slow == _status_by_smith(A, i), (ring, A, i)
+                assert minor_ideal_status(A, min(rows, cols) + 1) is IdealStatus.ZERO
 
 
 def test_witness_monotone():
@@ -426,8 +596,6 @@ def test_lambda_r_tuple_order_contract():
 
 
 def test_lambda_r_tuple_reproduces_compound_column_blocks():
-    from wedgecrys.matrices import stack_minors
-
     Z9 = modulus_ring(3, 2)
     rng = random.Random(44)
     A = _random_matrix(Z9, 4, rng)

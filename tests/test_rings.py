@@ -7,6 +7,7 @@ import pytest
 from wedgecrys.errors import NonPrime
 from wedgecrys.rings import (
     BOTTOM,
+    _vp,
     CONWAY,
     FiniteField,
     defining_polynomial,
@@ -209,6 +210,35 @@ def test_valuation_examples():
     W = make_witt_ring(3, 2, 3)
     assert valuation(W, W.from_int(9)) == 2
     assert valuation(W, W.zero) is BOTTOM
+
+
+def _vp_by_stripping(x, p, cap):
+    if x == 0:
+        return cap
+    v = 0
+    while x % p == 0 and v < cap:
+        x //= p
+        v += 1
+    return v
+
+
+def test_vp_matches_one_factor_at_a_time():
+    rng = random.Random(61)
+    primes = (2, 3, 5, 7, 101, 2**61 - 1)
+    for _ in range(4000):
+        p = rng.choice(primes)
+        cap = rng.randint(1, 300)
+        v = rng.randint(0, cap + 5)
+        unit = rng.randrange(1, 10**6)
+        if unit % p == 0:
+            unit += 1
+        x = rng.choice((1, -1)) * unit * p**v
+        assert _vp(x, p, cap) == _vp_by_stripping(x, p, cap) == min(v, cap), (x, p, cap)
+    for p in primes:
+        for cap in (1, 2, 7, 64):
+            assert _vp(0, p, cap) == cap
+            for v in (cap - 1, cap, cap + 1):
+                assert _vp(p**v, p, cap) == min(v, cap)
 
 
 def test_valuation_is_additive_when_defined():
