@@ -436,11 +436,11 @@ def eigenspace(X, c: int) -> EigenBasis:
     kills the torsion that only existed because p^{c+e} annihilates it) and
     re-canonicalized in Howell form.
     """
-    if c < 0:
-        raise ValueError("c must be >= 0")
     C = _as_crystal(X)
     R = C.ring
     exponent = c + C.shift
+    if exponent < 0:
+        raise ValueError(f"c + shift must be >= 0, got c + shift = {exponent}")
     m_eff = C.eff_precision
     m_out = m_eff - exponent
     if m_out < 1:

@@ -15,10 +15,7 @@ products run row by row over the nonzero entries of both factors, so the
 monomial Frobenius matrices of the standard modules and their compounds
 cost work in proportion to their nonzeros, while a dense input takes the
 products it took before: those of a memoised expansion of every minor and
-of the row-by-column product.  When the optional compiled lane is
-built, it takes the matrix products, `det` and `compound` of packed Z/p^m,
-F_q and Witt inputs whose modulus fits its 64-bit arithmetic; `charpoly`
-and `smith_valuations` have the ring-protocol route only.
+of the row-by-column product.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -32,7 +29,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from . import _kernel
 from .errors import (
     ArityMismatch,
     DimensionMismatch,
@@ -157,20 +153,13 @@ class Matrix:
             raise DimensionMismatch("shape mismatch")
 
     def __matmul__(self, other):
-        """The matrix product.  On the ring-protocol route it runs by rows
-        (Gustavson): row i accumulates x . row_l(other) over the nonzero
-        entries x = self[i, l], visiting only the nonzeros of row_l(other)."""
+        """The matrix product, by rows (Gustavson): row i accumulates
+        x . row_l(other) over the nonzero entries x = self[i, l], visiting
+        only the nonzeros of row_l(other)."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        pk = _compiled_params(self.ring)
-        if pk is not None:
-            impl, q, a, fred = pk
-            flat = impl.mat_mul(
-                _pack(self), _pack(other), self.rows, self.cols, other.cols, a, fred, q
-            )
-            return _unpack(self.ring, flat, self.rows, other.cols, a)
         R = self.ring
         add, mul, zero = R.add, R.mul, R.zero
         m = other.cols
@@ -232,38 +221,6 @@ def block_diag(*matrices) -> Matrix:
         i0 += M.rows
         j0 += M.cols
     return Matrix.from_rows(ring, out)
-
-
-# ---------------------------------------------------------------------------
-# the compiled lane: packed parameters and element packing
-
-
-def _compiled_params(ring):
-    """(lane, q, a, fred) when the compiled lane serves `ring`, else None:
-    the ring-protocol routes below then do the work."""
-    pack = getattr(ring, "pack_params", None)
-    pk = pack() if pack else None
-    if pk is None:
-        return None
-    q, a, fred = pk
-    impl = _kernel.impl_for(q)
-    if impl is None:
-        return None
-    return impl, q, a, fred
-
-
-def _pack(M: Matrix):
-    out = []
-    pe = M.ring.pack_el
-    for e in M.entries:
-        out.extend(pe(e))
-    return out
-
-
-def _unpack(ring, flat, rows, cols, a) -> Matrix:
-    ue = ring.unpack_el
-    ents = [ue(tuple(flat[k * a : (k + 1) * a])) for k in range(rows * cols)]
-    return Matrix(ring, rows, cols, ents)
 
 
 # ---------------------------------------------------------------------------
@@ -404,10 +361,6 @@ def det(A: Matrix):
     if not A.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = A.rows
-    pk = _compiled_params(A.ring) if n else None  # the compiled lane has no 0 x 0 case
-    if pk is not None:
-        impl, q, a, fred = pk
-        return A.ring.unpack_el(tuple(impl.det(_pack(A), n, a, fred, q)))
     c0 = _hessenberg_charpoly(A.ring, A.to_rows())[0]
     return c0 if n % 2 == 0 else A.ring.neg(c0)
 
@@ -438,11 +391,6 @@ def compound(A: Matrix, d: int) -> Matrix:
     if not 1 <= d <= n:
         raise DimensionMismatch(f"compound order d={d} outside 1..{n}")
     subsets = index_subsets(n, d)
-    pk = _compiled_params(A.ring)
-    if pk is not None:
-        impl, q, a, fred = pk
-        flat = impl.compound(_pack(A), n, d, subsets, a, fred, q)
-        return _unpack(A.ring, flat, len(subsets), len(subsets), a)
     N = len(subsets)
     pos = {S: i for i, S in enumerate(subsets)}
     ents = [A.ring.zero] * (N * N)
@@ -576,15 +524,18 @@ def determinantal_witness(A: Matrix):
 
 
 def determinantal_status(A: Matrix, i: int) -> IdealStatus:
-    """Status of the i-th determinantal ideal U_i(A)."""
+    """Status of the i-th determinantal ideal U_i(A), for square and
+    rectangular A."""
     if i < 0:
         raise ValueError("i must be >= 0")
     if i == 0:
         return IdealStatus.UNIT
-    if i > min(A.rows, A.cols):
+    size = min(A.rows, A.cols)
+    if i > size:
         return IdealStatus.ZERO
-    if hasattr(A.ring, "pivot_val") and getattr(A.ring, "is_local", False):
-        return determinantal_witness(A)[i]
+    ring = A.ring
+    if hasattr(ring, "pivot_val") and getattr(ring, "is_local", False):
+        return _statuses_from_valuations(smith_valuations(A), ring.val_cap, size)[i]
     return minor_ideal_status(A, i)
 
 

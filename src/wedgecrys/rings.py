@@ -7,9 +7,7 @@ All rings here share one informal protocol used by the matrix layer:
     random_element(rng), el_to_str / el_from_str, descriptor(), is_local
 
 Local rings additionally expose the pivot protocol driving the
-valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`), and
-the packable rings (Z/p^m, F_q, Witt) expose `pack_params` /
-`pack_el` / `unpack_el` for the compiled kernel lane.
+valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
 
 F_q is W(F_q)/p: `FiniteField` and `WittRing` share one element
 implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), with F_q at m = 1.
@@ -326,15 +324,6 @@ class _PolynomialQuotient:
             raise ValueError(f"expected {self.a} coefficients, got {len(coords)}")
         return coords
 
-    def pack_params(self):
-        return (self._c, self.a, self.fred)
-
-    def pack_el(self, x):
-        return x
-
-    def unpack_el(self, coords):
-        return coords
-
 
 class ModulusRing:
     """Z/p^m with exact arithmetic; elements are ints in [0, p^m)."""
@@ -406,15 +395,6 @@ class ModulusRing:
 
     def descriptor(self):
         return {"kind": "Zpm", "p": self.p, "m": self.m}
-
-    def pack_params(self):
-        return (self.q, 1, (0,))
-
-    def pack_el(self, x):
-        return (x,)
-
-    def unpack_el(self, coords):
-        return coords[0]
 
 
 class FiniteField(_PolynomialQuotient):
@@ -620,9 +600,6 @@ class RationalField:
     def descriptor(self):
         return {"kind": "Q"}
 
-    def pack_params(self):
-        return None
-
 
 class TruncatedPolynomialRing:
     """F_q[t]/(t^e): the polynomial-flavoured local test ring.
@@ -726,9 +703,6 @@ class TruncatedPolynomialRing:
 
     def descriptor(self):
         return {"kind": "tpoly", "p": self.base.p, "a": self.base.a, "e": self.e}
-
-    def pack_params(self):
-        return None
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import pytest
 from wedgecrys.dieudonne import (
     DieudonneModule,
     GroupDescriptor,
+    Isocrystal,
     apply_F,
     apply_F_integral,
     apply_V,
@@ -227,6 +228,28 @@ def test_eigenspace_vectors_satisfy_the_relation():
                 for wx, vx in zip(w, vec):
                     assert all((a - pc * b) % q_out == 0 for a, b in zip(wx, vx))
             assert eb.rank == (k if c == 0 else l)
+
+
+def test_eigenspace_accepts_a_negative_slope():
+    # shift 1, M = I: F = p^-1 phi has slope -1, so F = p^-1 x is solvable
+    R = make_witt_ring(3, 1, 6)
+    C = Isocrystal(R, 2, Matrix.identity(R, 2), 1, R.m)
+    assert slopes(C).expanded() == [Fraction(-1)] * 2
+    eb = eigenspace(C, -1)
+    assert eb.rank == 2 and eb.free_rank == 2 and eb.precision == 6
+    with pytest.raises(ValueError, match="c \\+ shift must be >= 0"):
+        eigenspace(C, -2)
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_eigenspace_refuses_a_negative_exponent(c):
+    # shift -2, M = I: c + shift < 0 is refused, not computed with p^(c + shift)
+    R = make_witt_ring(3, 1, 6)
+    C = Isocrystal(R, 2, Matrix.identity(R, 2), -2, R.m)
+    with pytest.raises(ValueError, match="c \\+ shift must be >= 0"):
+        eigenspace(C, c)
+    eb = eigenspace(C, 2)
+    assert eb.rank == 2 and eb.precision == 6
 
 
 def test_eigenspace_brute_force_oracle_small():
