@@ -384,9 +384,11 @@ def slopes(X) -> NewtonPolygon:
 class EigenBasis:
     """Howell-canonical basis of {x : F(x) = p^c x} over Z/p^precision.
 
-    `vectors` are coordinate tuples over the Witt ring (entries reduced mod
-    p^precision); `pivot_valuations` the p-valuations of the Howell pivots,
-    so `rank` counts all generators and `free_rank` the unit-pivot ones.
+    `vectors` are Howell rows over Z/p^precision, not ring elements: one
+    tuple per basis coordinate, holding its a coefficients (ascending, a
+    1-tuple at a = 1) reduced mod p^precision.  `pivot_valuations` are the
+    p-valuations of the Howell pivots, so `rank` counts all generators and
+    `free_rank` the unit-pivot ones.
     """
 
     vectors: tuple
@@ -417,8 +419,8 @@ def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):
             col = [0] * N
             for i in range(h):
                 entry = R.mul(C.matrix[i, k], w)
-                for jj in range(a):
-                    col[i * a + jj] = entry[jj] % q
+                for jj, c in enumerate((entry,) if a == 1 else entry):
+                    col[i * a + jj] = c % q
             cols.append(col)
     pe = R.p**exponent if exponent < precision else 0
     rows = [[cols[j][i] % q for j in range(N)] for i in range(N)]

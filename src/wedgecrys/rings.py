@@ -9,17 +9,18 @@ All rings here share one informal protocol used by the matrix layer:
 Local rings additionally expose the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
 
-F_q is W(F_q)/p: `FiniteField` and `WittRing` share one element
-implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), with F_q at m = 1.
-Units are inverted mod p and lifted by Newton-Hensel steps (`_newton_inverse`).
-
-Elements are plain data: ints for Z/p^m, tuples of ints (ascending
-coefficients) for F_q and Witt rings, Fractions for Q.  Everything is
-immutable and safe to share across threads.
+One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
+Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  At a = 1 its
+elements are ints in [0, p^m), with int arithmetic chosen at construction
+(`_int_elements`); at a >= 2 they are tuples of a ints (ascending
+coefficients), and units are inverted mod p and lifted by Newton-Hensel
+steps (`_newton_inverse`).  Q has Fraction elements.  Elements are plain
+immutable data, and every ring is safe to share across threads.
 """
 from __future__ import annotations
 
 import itertools
+import operator
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -197,20 +198,59 @@ def _newton_inverse(R, x, y, prec: int):
     return y
 
 
+def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
+    """The element protocol of Z/p^m on ints in [0, p^m), as plain functions
+    that an a = 1 ring stores on itself.  `coefficient_lists` rings split
+    entry strings on ',' and refuse more than one coefficient."""
+    c = p**m
+
+    def from_list(s: str):
+        x, *rest = [_int_entry(u) % c for u in s.split(",")]
+        if rest:
+            raise ValueError(f"expected 1 coefficients, got {1 + len(rest)}")
+        return x
+
+    def inv(x):
+        if x % p == 0:
+            raise ZeroDivisionError("not a unit")
+        return pow(x, -1, c)
+
+    return {
+        "from_int": lambda k: k % c,
+        "add": lambda x, y: (x + y) % c,
+        "sub": lambda x, y: (x - y) % c,
+        "neg": lambda x: -x % c,
+        "mul": lambda x, y: x * y % c,
+        "pow": lambda x, e: pow(x, e, c),
+        "is_zero": operator.not_,
+        "is_unit": lambda x: x % p != 0,
+        "inv": inv,
+        "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
+        "shift_down": lambda x, v: x // p**v,
+        "coeffs_mod": lambda x, n: x % n,
+        "random_element": lambda rng: rng.randrange(c),
+        "el_to_str": str,
+        "el_from_str": from_list if coefficient_lists else lambda s: _int_entry(s) % c,
+    }
+
+
 # ---------------------------------------------------------------------------
 
 
 class _PolynomialQuotient:
     """W(F_{p^a})/p^m = (Z/p^m)[x]/(f), f the lift of the degree-a defining
-    polynomial of F_{p^a}; F_{p^a} is the case m = 1.
+    polynomial of F_{p^a}; F_{p^a} is the case m = 1, Z/p^m the case a = 1.
 
-    Elements are length-a tuples of coefficients in [0, p^m), ascending;
-    `fred` holds the non-leading coefficients of the monic f, so
+    At a = 1 elements are ints in [0, p^m), and the functions of
+    `_int_elements`, stored on the instance, replace the methods below.
+    At a >= 2 elements are length-a tuples of coefficients in [0, p^m),
+    ascending; `fred` holds the non-leading coefficients of the monic f, so
     x^a = -(fred[0] + fred[1] x + ...).  The table coefficients lie in
     [0, p), so they serve mod p^m as they are.
     """
 
     is_local = True
+    coefficient_lists = True  # entry strings are ','-separated coefficients
 
     def __init__(self, p: int, a: int, m: int, fred: tuple):
         if m < 1:
@@ -221,8 +261,12 @@ class _PolynomialQuotient:
         self.fred = fred
         self._c = p**m
         self.val_cap = m
-        self.zero = (0,) * a
-        self.one = (1,) + (0,) * (a - 1)
+        if a == 1:
+            self.zero, self.one = 0, 1
+            vars(self).update(_int_elements(p, m, self.coefficient_lists))
+        else:
+            self.zero = (0,) * a
+            self.one = (1,) + (0,) * (a - 1)
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.p, self.a, self.m) == (other.p, other.a, other.m)
@@ -252,8 +296,6 @@ class _PolynomialQuotient:
 
     def mul(self, x, y):
         a, c = self.a, self._c
-        if a == 1:
-            return ((x[0] * y[0]) % c,)
         t = [0] * (2 * a - 1)
         for i, u in enumerate(x):
             if u:
@@ -283,11 +325,9 @@ class _PolynomialQuotient:
 
     def inv(self, x):
         """x^(p^a - 2) inverts a unit mod p; a Newton-Hensel lift takes the
-        inverse to p^m.  At a = 1 Python's modular inverse does both."""
+        inverse to p^m."""
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
-        if self.a == 1:
-            return (pow(x[0], -1, self._c),)
         F = finite_field(self.p, self.a)
         y = F.pow(tuple([c % self.p for c in x]), F.q - 2)
         return _newton_inverse(self, x, y, self.m)
@@ -310,6 +350,10 @@ class _PolynomialQuotient:
         d = self.p**v
         return tuple([c // d for c in x])
 
+    def coeffs_mod(self, x, n: int):
+        """x with every coefficient reduced mod n."""
+        return tuple([c % n for c in x])
+
     def random_element(self, rng):
         c = self._c
         return tuple(rng.randrange(c) for _ in range(self.a))
@@ -325,73 +369,20 @@ class _PolynomialQuotient:
         return coords
 
 
-class ModulusRing:
-    """Z/p^m with exact arithmetic; elements are ints in [0, p^m)."""
+class ModulusRing(_PolynomialQuotient):
+    """Z/p^m for odd p: W(F_p)/p^m under its own name, with int elements in
+    [0, p^m) and entries that are bare integers."""
 
     kind = "Zpm"
-    is_local = True
+    coefficient_lists = False
 
     def __init__(self, p: int, m: int):
         _check_prime(p, odd=True)
-        if m < 1:
-            raise ValueError("precision m must be >= 1")
-        self.p = p
-        self.m = m
-        self.q = p**m
-        self.zero = 0
-        self.one = 1
-        self.val_cap = m
+        super().__init__(p, 1, m, defining_polynomial(p, 1))
+        self.q = self._c
 
     def __repr__(self):
         return f"Z/{self.p}^{self.m}"
-
-    def __eq__(self, other):
-        return type(other) is ModulusRing and (self.p, self.m) == (other.p, other.m)
-
-    def __hash__(self):
-        return hash(("Zpm", self.p, self.m))
-
-    def from_int(self, k: int) -> int:
-        return k % self.q
-
-    def add(self, x, y):
-        return (x + y) % self.q
-
-    def sub(self, x, y):
-        return (x - y) % self.q
-
-    def neg(self, x):
-        return (-x) % self.q
-
-    def mul(self, x, y):
-        return (x * y) % self.q
-
-    def is_zero(self, x):
-        return x == 0
-
-    def is_unit(self, x):
-        return x % self.p != 0
-
-    def inv(self, x):
-        return pow(x, -1, self.q)
-
-    def valuation(self, x):
-        return BOTTOM if x == 0 else _vp(x, self.p, self.m)
-
-    def pivot_val(self, x) -> int:
-        return _vp(x, self.p, self.m)
-
-    def shift_down(self, x, v: int):
-        return x // self.p**v
-
-    def random_element(self, rng):
-        return rng.randrange(self.q)
-
-    def el_to_str(self, x) -> str:
-        return str(x)
-
-    def el_from_str(self, s: str):
-        return _int_entry(s) % self.q
 
     def descriptor(self):
         return {"kind": "Zpm", "p": self.p, "m": self.m}
@@ -418,7 +409,7 @@ class FiniteField(_PolynomialQuotient):
         return self.pow(x, self.p)
 
     def elements(self):
-        return itertools.product(range(self.p), repeat=self.a)
+        return range(self.p) if self.a == 1 else itertools.product(range(self.p), repeat=self.a)
 
 
 class WittRing(_PolynomialQuotient):
@@ -459,15 +450,22 @@ class WittRing(_PolynomialQuotient):
         return val, dval
 
     def _hensel_frobenius_root(self):
+        """The root of f_hat lifting xbar^p, by Newton steps r <- r - f(r) s
+        that carry s, an inverse of f'(r): inverted once mod p, then one step
+        s <- s (2 - f'(r) s) per root step keeps it exact to the root's
+        precision, and both double each step."""
         if self.a == 1:
             return self.one  # phi = identity on Z/p^m
         r = self.pow(self.gen(), self.p)
+        fr, dfr = self._eval_fhat(r)
+        s = self.from_residue(self.residue_field.inv(self.reduce_mod_p(dfr)))
+        two = self.from_int(2)
         prec = 1
         while prec < self.m:
-            fr, dfr = self._eval_fhat(r)
-            r = self.sub(r, self.mul(fr, self.inv(dfr)))
+            r = self.sub(r, self.mul(fr, s))
             prec *= 2
-        fr, _ = self._eval_fhat(r)
+            fr, dfr = self._eval_fhat(r)
+            s = self.mul(s, self.sub(two, self.mul(dfr, s)))
         if any(fr):
             raise AssertionError("Hensel lift of the Frobenius root failed to converge")
         return r
@@ -490,6 +488,7 @@ class WittRing(_PolynomialQuotient):
     # -- semilinear structure ---------------------------------------------
 
     def _apply_mat(self, cols, x):
+        # only reached at a >= 2: at a = 1 phi is the identity
         acc = self.zero
         for j in range(self.a):
             cj = x[j]
@@ -512,10 +511,10 @@ class WittRing(_PolynomialQuotient):
         return self._phi_mats[1]
 
     def reduce_mod_p(self, x):
-        return tuple(c % self.p for c in x)
+        return self.coeffs_mod(x, self.p)
 
     def from_residue(self, u):
-        return tuple(c % self.q for c in u)
+        return self.coeffs_mod(u, self.q)
 
     def teichmuller(self, u):
         """The (q-1)-st root of unity (or 0) lifting the residue element u."""
@@ -772,18 +771,15 @@ def precision_reduction(R, new_m: int) -> RingHom:
         raise UnsupportedHom(f"no precision reduction on {R!r}")
     if not 1 <= new_m <= R.m:
         raise UnsupportedHom("target precision out of range")
-    if isinstance(R, ModulusRing):
-        S = modulus_ring(R.p, new_m)
-        return RingHom(R, S, lambda x: x % S.q, f"mod {R.p}^{new_m}")
-    S = make_witt_ring(R.p, R.a, new_m)
-    return RingHom(R, S, lambda x: tuple(c % S.q for c in x), f"mod {R.p}^{new_m}")
+    S = modulus_ring(R.p, new_m) if isinstance(R, ModulusRing) else make_witt_ring(R.p, R.a, new_m)
+    return RingHom(R, S, lambda x: R.coeffs_mod(x, S.q), f"mod {R.p}^{new_m}")
 
 
 def residue_reduction(R) -> RingHom:
     """Reduction onto the residue field."""
     if isinstance(R, ModulusRing):
         S = finite_field(R.p, 1)
-        return RingHom(R, S, lambda x: (x % R.p,), "residue")
+        return RingHom(R, S, S.from_int, "residue")
     if isinstance(R, WittRing):
         S = R.residue_field
         return RingHom(R, S, R.reduce_mod_p, "residue")
@@ -799,8 +795,7 @@ def prime_field_embedding(F: FiniteField, E: FiniteField) -> RingHom:
     """F_p -> F_{p^a} sending c to the constant c."""
     if F.a != 1 or F.p != E.p:
         raise UnsupportedHom("only prime-field embeddings are supported")
-    pad = (0,) * (E.a - 1)
-    return RingHom(F, E, lambda x: (x[0],) + pad, "embed")
+    return RingHom(F, E, E.from_int, "embed")
 
 
 # ---------------------------------------------------------------------------

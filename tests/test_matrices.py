@@ -658,3 +658,60 @@ def test_matrix_json_round_trip_and_errors():
     assert "index 4" in str(exc.value)
     with pytest.raises(SchemaError):
         matrix_from_json({"schema": "v0"})
+
+
+# -- a = 1: Z/p^m, W(F_p)/p^m and F_p share the int element route ---------------
+
+
+def _int_rows(rng, p, m, n, kind):
+    """n x n plain ints in [0, p^m): dense, sparse (a third nonzero) or
+    zero-heavy (four fifths zero, the rest p^k times a unit)."""
+    q = p**m
+    if kind == "dense":
+        return [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+    if kind == "sparse":
+        return [[rng.randrange(q) if rng.random() < 0.35 else 0 for _ in range(n)] for _ in range(n)]
+    return [[p ** rng.randrange(m) * rng.randrange(1, q, p) % q if rng.random() < 0.2 else 0
+             for _ in range(n)] for _ in range(n)]
+
+
+def _int_val(x, p, m):
+    v = 0
+    while v < m and x % p ** (v + 1) == 0:
+        v += 1
+    return v
+
+
+@pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 4), (5, 40)])
+def test_a1_rings_agree_with_each_other_and_the_oracles(p, m):
+    rings = [modulus_ring(p, m), make_witt_ring(p, 1, m)] + ([finite_field(p)] if m == 1 else [])
+    rng = random.Random(f"a1-parity:{p}:{m}")
+    for n in (1, 2, 3, 4, 5):
+        for kind in ("dense", "sparse", "zero-heavy"):
+            rows, other = _int_rows(rng, p, m, n, kind), _int_rows(rng, p, m, n, kind)
+            A0 = Matrix.from_rows(rings[0], rows)
+            want = {
+                "det": det_by_permutations(A0),
+                # c_k = (-1)^(n-k) times the sum of the principal (n-k)-minors
+                "charpoly": [(-1) ** (n - k) * sum(det_by_permutations(submatrix(A0, S, S))
+                                                  for S in index_subsets(n, n - k)) % p**m
+                             for k in range(n)] + [1],
+                "compound": [[det_by_permutations(submatrix(A0, S, T))
+                              for S in index_subsets(n, d) for T in index_subsets(n, d)]
+                             for d in range(1, n + 1)],
+                "product": list(_product_by_triple_loop(A0, Matrix.from_rows(rings[0], other)).entries),
+            }
+            # the i-th determinantal ideal is p^(v_1 + ... + v_i)
+            minor_vals = [min(_int_val(x, p, m) for x in c) for c in want["compound"]]
+            for R in rings:
+                A, B = Matrix.from_rows(R, rows), Matrix.from_rows(R, other)
+                got = {
+                    "det": det(A),
+                    "charpoly": charpoly(A),
+                    "compound": [list(compound(A, d).entries) for d in range(1, n + 1)],
+                    "product": list((A @ B).entries),
+                }
+                assert got == want, (R, kind, rows)
+                assert all(type(x) is int for x in got["charpoly"] + got["product"])
+                vals = smith_valuations(A)
+                assert [min(m, sum(vals[:i])) for i in range(1, n + 1)] == minor_vals, (R, rows)

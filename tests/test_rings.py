@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import time
 
 import pytest
@@ -10,6 +11,7 @@ from wedgecrys.rings import (
     _vp,
     CONWAY,
     FiniteField,
+    WittRing,
     defining_polynomial,
     finite_field,
     local_test_ring,
@@ -329,15 +331,16 @@ def test_finite_field_is_the_witt_ring_at_precision_one(p, a):
     rng_f, rng_w = random.Random(p + 10 * a), random.Random(p + 10 * a)
     for _ in range(60):
         x, y = F.random_element(rng_f), F.random_element(rng_f)
+        coeffs = (x,) if a == 1 else x  # ints at a = 1, coefficient tuples above
         assert (W.random_element(rng_w), W.random_element(rng_w)) == (x, y)
         assert F.add(x, y) == W.add(x, y)
         assert F.mul(x, y) == W.mul(x, y)
-        assert F.is_unit(x) == W.is_unit(x) == any(x)
+        assert F.is_unit(x) == W.is_unit(x) == any(coeffs)
         assert F.pivot_val(x) == W.pivot_val(x)
         assert F.valuation(x) == W.valuation(x)
         s = F.el_to_str(x)
         assert W.el_to_str(x) == s and F.el_from_str(s) == W.el_from_str(s) == x
-        if any(x):
+        if any(coeffs):
             assert F.inv(x) == W.inv(x)
             assert F.mul(x, F.inv(x)) == F.one
 
@@ -366,3 +369,62 @@ def test_witt_unit_inverse_at_high_precision(p, a, m):
             checked += 1
     with pytest.raises(ZeroDivisionError):
         R.inv(R.from_int(p))
+
+
+# -- a = 1: one int element route for Z/p^m, F_p and W(F_p)/p^m ---------------
+
+
+_A1_RINGS = [modulus_ring(3, 2), finite_field(3), make_witt_ring(3, 1, 2),
+             modulus_ring(5, 40), finite_field(2), make_witt_ring(7, 1, 5)]
+
+
+@pytest.mark.parametrize("R", _A1_RINGS, ids=repr)
+def test_a1_non_units_raise_zero_division(R):
+    for x in (0, R.p, R.p**R.m - R.p):
+        x = R.from_int(x)
+        with pytest.raises(ZeroDivisionError, match="not a unit"):
+            R.inv(x)
+    assert R.mul(R.from_int(R.p + 1), R.inv(R.from_int(R.p + 1))) == R.one == 1
+
+
+@pytest.mark.parametrize("R", _A1_RINGS, ids=repr)
+def test_a1_elements_are_ints_and_round_trip_as_strings(R):
+    rng = random.Random(repr(R))
+    for _ in range(30):
+        x = R.random_element(rng)
+        assert type(x) is int and 0 <= x < R.p**R.m
+        assert R.el_to_str(x) == str(x) and R.el_from_str(str(x)) == x
+    assert R.el_from_str("-1") == R.p**R.m - 1
+    # Zpm entries are bare integers; Fq and witt entries are coefficient lists
+    if R.kind == "Zpm":
+        msg = "expected decimal digits with an optional '-', got '1,2'"
+    else:
+        msg = "expected 1 coefficients, got 2"
+    with pytest.raises(ValueError, match=re.escape(msg)):
+        R.el_from_str("1,2")
+
+
+def test_a1_rings_stay_distinct():
+    Z, W, F = modulus_ring(3, 1), make_witt_ring(3, 1, 1), finite_field(3)
+    assert len({Z, W, F}) == 3 and Z != W != F != Z
+    assert [R.descriptor()["kind"] for R in (Z, W, F)] == ["Zpm", "witt", "Fq"]
+
+
+def _frobenius_root_by_full_inverses(R):
+    """The Hensel lift of xbar^p that inverts f_hat'(r) afresh each step."""
+    r = R.pow(R.gen(), R.p)
+    prec = 1
+    while prec < R.m:
+        fr, dfr = R._eval_fhat(r)
+        r = R.sub(r, R.mul(fr, R.inv(dfr)))
+        prec *= 2
+    return r
+
+
+@pytest.mark.parametrize("a", [2, 3, 4])
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_frobenius_root_matches_the_lift_with_full_inverses(p, a):
+    for m in (1, 2, 7, 64, 900):
+        R = WittRing(p, a, m)
+        assert R.frobenius_root == _frobenius_root_by_full_inverses(R), m
+        assert R._eval_fhat(R.frobenius_root)[0] == R.zero

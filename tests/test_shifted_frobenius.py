@@ -22,7 +22,7 @@ def test_apply_f_on_shifted_wedge_divides_exactly():
     # F_w(e2^e3) = p^{-1}(p e3 ^ p e1) = -p (e1^e3), canonical mod p^{m-1}
     out = apply_F(W, (R.zero, R.zero, R.one))
     assert out[0] == R.zero and out[2] == R.zero
-    assert (out[1][0] + 3) % 3**7 == 0
+    assert (out[1] + 3) % 3**7 == 0
 
 
 def test_apply_f_raises_when_image_leaves_the_lattice():

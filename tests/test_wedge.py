@@ -130,8 +130,8 @@ def test_lambda_r_sections_linear_dependence_by_bilinear_expansion():
     R = make_witt_ring(3, 1, 6)
     mu3 = make_standard(descriptor(3, 3), R).to_isocrystal()
     rng = random.Random(3)
-    t1 = R.teichmuller((1,))
-    t2 = R.teichmuller((2,))
+    t1 = R.teichmuller(1)
+    t2 = R.teichmuller(2)
     v1 = graded_vector(mu3, (t1, R.zero, R.zero), -1)
     v2 = graded_vector(mu3, (R.zero, t2, R.zero), -1)
     v3 = graded_vector(mu3, (t1, t2, R.zero), -1)  # v1 + v2
