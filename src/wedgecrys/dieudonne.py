@@ -338,13 +338,91 @@ def twisted_power_matrix(C: Isocrystal) -> Matrix:
     return L
 
 
+def _strong_components(M: Matrix) -> list:
+    """The strongly connected components of the digraph j -> i over the
+    nonzero entries M[i, j], each an increasing list of indices, in an order
+    that makes M block upper triangular: a nonzero M[i, j] has the component
+    of i at or before that of j.
+
+    Tarjan (1972), run with an explicit stack since a path may be as long as
+    the matrix.  Row i lists the columns of its nonzero entries, the edges
+    i -> j of the reversed digraph, which has the same components; Tarjan
+    closes a component only after every component it reaches, so the
+    closing order, reversed, is the block order.  Ring elements are
+    canonical, so an entry is zero exactly when it equals `ring.zero`, and
+    a matrix with no zero entry, such as a dense one, is one component
+    without a scan.
+    """
+    n, E, zero = M.rows, M.entries, M.ring.zero
+    if zero not in E:
+        return [list(range(n))]
+    succ = [[j for j, x in enumerate(E[i * n : (i + 1) * n]) if x != zero] for i in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack, comps, count = [], [], 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = count
+        count += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, edges = work[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = count
+                    count += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work:
+                    u = work[-1][0]
+                    if low[v] < low[u]:
+                        low[u] = low[v]
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    comps.append(sorted(comp))
+    comps.reverse()
+    return comps
+
+
 def slopes(X) -> NewtonPolygon:
     """Newton slopes, as exact rationals with multiplicities.
 
-    Computed from the characteristic polynomial of the a-fold twisted power:
-    polygon slopes of det(T I - L), divided by a, shifted by -e.  Raises
-    PrecisionExhausted when det L vanishes at working precision (then the
-    polygon's left vertex is unknowable).
+    Computed from the characteristic polynomials of a-fold twisted powers:
+    polygon slopes of det(T I - L), divided by a, shifted by -e.
+
+    The crystal is first split along the strongly connected components of
+    the nonzero pattern of its matrix M (`_strong_components`).  A
+    permutation matrix P has 0/1 entries, so phi(P) = P and reordering the
+    basis is a semilinear conjugation, P M phi(P)^{-1} = P M P^{-1}; in the
+    component order M is block upper triangular, a filtration by
+    sub-isocrystals.  The twisted power is then block upper triangular too,
+    its diagonal blocks are the twisted powers of M's diagonal blocks, and
+    det(T I - L) is the product of theirs, so the Newton polygon is the
+    union of the blocks' slope multisets (Katz, "Slope filtrations of
+    F-crystals", 1979) and no polynomial product is formed.  A crystal with
+    one component, such as a dense one, runs on its own matrix.
+
+    Raises PrecisionExhausted when eff_precision <= rank * a, or when det L
+    vanishes at working precision (then the polygon's left vertex is
+    unknowable): valuations add below p^m, so that is when the block
+    determinant valuations sum to eff_precision or more, or some block's
+    determinant is 0.
     """
     C = _as_crystal(X)
     R = C.ring
@@ -353,26 +431,32 @@ def slopes(X) -> NewtonPolygon:
         raise PrecisionExhausted(
             f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
         )
-    L = twisted_power_matrix(C)
-    coeffs = charpoly(L)
-    vals = []
-    for c in coeffs:
-        v = R.valuation(c)
-        vals.append(BOTTOM if (v is BOTTOM or v >= eff) else v)
-    if vals[0] is BOTTOM:
-        raise PrecisionExhausted(
-            "det of the twisted power vanishes at working precision",
-            required_m=eff + 1,
-        )
-    points = [(i, v) for i, v in enumerate(vals) if v is not BOTTOM]
-    # all true polygon vertices have valuation <= vals[0] < eff, so points
-    # reported BOTTOM (true valuation >= eff) lie strictly above the hull
-    hull = _lower_hull(points)
+    comps = _strong_components(C.matrix)
+    blocks = [C]
+    if len(comps) > 1:
+        E = C.matrix.entries
+        blocks = []
+        for S in comps:
+            k = len(S)
+            sub = Matrix(R, k, k, [E[i * n + j] for i in S for j in S])
+            blocks.append(Isocrystal(R, k, sub, C.shift, eff))
+    # det L is 0 mod p^m once the block valuations sum to m
+    cap = min(eff, R.m)
+    det_val = 0
     out = []
-    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-        root_val = Fraction(y1 - y2, x2 - x1)
-        iso_slope = root_val / a - C.shift
-        out.extend([iso_slope] * (x2 - x1))
+    for B in blocks:
+        vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
+        if vals[0] is BOTTOM or det_val + vals[0] >= cap:
+            raise PrecisionExhausted(
+                "det of the twisted power vanishes at working precision",
+                required_m=eff + 1,
+            )
+        det_val += vals[0]
+        # all true polygon vertices have valuation <= vals[0] < cap, so points
+        # of valuation BOTTOM or >= cap lie strictly above the hull
+        hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM and v < cap])
+        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+            out.extend([Fraction(y1 - y2, x2 - x1) / a - C.shift] * (x2 - x1))
     return NewtonPolygon.from_multiset(out)
 
 
@@ -386,9 +470,10 @@ class EigenBasis:
 
     `vectors` are Howell rows over Z/p^precision, not ring elements: one
     tuple per basis coordinate, holding its a coefficients (ascending, a
-    1-tuple at a = 1) reduced mod p^precision.  `pivot_valuations` are the
-    p-valuations of the Howell pivots, so `rank` counts all generators and
-    `free_rank` the unit-pivot ones.
+    1-tuple at a = 1) reduced mod p^precision; `ring_vectors` gives them as
+    ring elements.  `pivot_valuations` are the p-valuations of the Howell
+    pivots, so `rank` counts all generators and `free_rank` the unit-pivot
+    ones.
     """
 
     vectors: tuple
@@ -402,6 +487,15 @@ class EigenBasis:
     @property
     def free_rank(self) -> int:
         return sum(1 for v in self.pivot_valuations if v == 0)
+
+    def ring_vectors(self, ring) -> tuple:
+        """The basis vectors with coordinates in `ring`, the crystal's Witt
+        ring: ints at a = 1 and a-tuples at a >= 2, ready for `apply_F`."""
+        if any(len(x) != ring.a for v in self.vectors for x in v):
+            raise RingMismatch(f"basis coordinates are not elements of {ring!r}")
+        if ring.a == 1:
+            return tuple(tuple(ring.from_int(x) for (x,) in v) for v in self.vectors)
+        return tuple(tuple(ring.coeffs_mod(x, ring.q) for x in v) for v in self.vectors)
 
 
 def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):

@@ -1,0 +1,298 @@
+"""Block-triangular slopes against the unsplit oracle.
+
+`slopes` splits a crystal along the strongly connected components of its
+nonzero pattern and runs the twisted power, charpoly and lower hull per
+block.  `unsplit_slopes` below is the route it replaced: one charpoly of the
+whole twisted power.  It shares the charpoly and hull with `slopes` but no
+splitting, so it pins the partition, the block extraction and the summed
+precision guard.
+"""
+import math
+import random
+from fractions import Fraction
+
+import pytest
+
+from wedgecrys import dieudonne
+from wedgecrys.dieudonne import (
+    Isocrystal,
+    NewtonPolygon,
+    _as_crystal,
+    _lower_hull,
+    _strong_components,
+    descriptor,
+    make_standard,
+    slopes,
+    twisted_power_matrix,
+)
+from wedgecrys.errors import PrecisionExhausted
+from wedgecrys.matrices import Matrix, charpoly
+from wedgecrys.rings import BOTTOM, make_witt_ring, modulus_ring
+from wedgecrys.wedge import slope_precision, wedge_isocrystal
+
+
+def unsplit_slopes(X) -> NewtonPolygon:
+    """Newton slopes from the charpoly of the whole a-fold twisted power."""
+    C = _as_crystal(X)
+    R = C.ring
+    n, a, eff = C.rank, R.a, C.eff_precision
+    if eff <= n * a:
+        raise PrecisionExhausted(
+            f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
+        )
+    L = twisted_power_matrix(C)
+    coeffs = charpoly(L)
+    vals = []
+    for c in coeffs:
+        v = R.valuation(c)
+        vals.append(BOTTOM if (v is BOTTOM or v >= eff) else v)
+    if vals[0] is BOTTOM:
+        raise PrecisionExhausted(
+            "det of the twisted power vanishes at working precision",
+            required_m=eff + 1,
+        )
+    points = [(i, v) for i, v in enumerate(vals) if v is not BOTTOM]
+    hull = _lower_hull(points)
+    out = []
+    for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
+        root_val = Fraction(y1 - y2, x2 - x1)
+        out.extend([root_val / a - C.shift] * (x2 - x1))
+    return NewtonPolygon.from_multiset(out)
+
+
+def _outcome(fn, C):
+    """The polygon, or the refusal with its message and required_m."""
+    try:
+        return fn(C)
+    except PrecisionExhausted as exc:
+        return ("PrecisionExhausted", str(exc), exc.required_m)
+
+
+# ring name -> (p, a); Z/p^m is the ModulusRing, the others Witt rings
+RINGS = {"Z/5^m": (5, 1), "W(F_9)/3^m": (3, 2), "W(F_27)/3^m": (3, 3)}
+
+
+def _ring(name, m):
+    p, a = RINGS[name]
+    return modulus_ring(p, m) if a == 1 else make_witt_ring(p, a, m)
+
+
+def _element(R, x):
+    """The ring element of an integer (a = 1) or integer coefficient tuple."""
+    return R.from_int(x) if R.a == 1 else tuple(c % R.q for c in x)
+
+
+def _random_entry(rng, p, a, zero_prob):
+    if rng.random() < zero_prob:
+        return 0 if a == 1 else (0,) * a
+    scale = p ** rng.randint(0, 2)
+    if a == 1:
+        return scale * rng.randrange(1, p**8)
+    return tuple(scale * rng.randrange(p**8) for _ in range(a))
+
+
+def _block_triangular(rng, p, a, n):
+    """Integer entries of a random block upper-triangular n x n matrix:
+    diagonal blocks of size 1-3 with entries of valuation 0..2 and some
+    zeros (a 1x1 block is never 0), half-empty blocks above them, zeros
+    below."""
+    sizes = []
+    while sum(sizes) < n:
+        sizes.append(rng.randint(1, min(3, n - sum(sizes))))
+    block_of = [b for b, t in enumerate(sizes) for _ in range(t)]
+    zero = 0 if a == 1 else (0,) * a
+
+    def entry(i, j):
+        bi, bj = block_of[i], block_of[j]
+        if bi > bj:
+            return zero
+        if bi < bj:
+            return _random_entry(rng, p, a, 0.5)
+        return _random_entry(rng, p, a, 0.0 if sizes[bi] == 1 else 0.25)
+
+    return [[entry(i, j) for j in range(n)] for i in range(n)]
+
+
+def _permuted(rng, rows):
+    """P A P^-1 for a random permutation matrix P: the entries relabelled."""
+    n = len(rows)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
+
+
+def _crystal(R, rows, shift=0, eff=None):
+    n = len(rows)
+    M = Matrix(R, n, n, [_element(R, x) for row in rows for x in row])
+    return Isocrystal(R, n, M, shift, R.m if eff is None else eff)
+
+
+# ---------------------------------------------------------------------------
+# the partition
+
+
+def _reach(succ, v):
+    seen, todo = {v}, [v]
+    while todo:
+        for w in succ[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
+
+
+def test_components_are_the_strongly_connected_ones_in_block_order():
+    rng = random.Random(11)
+    R = modulus_ring(3, 4)
+    for _ in range(200):
+        n = rng.randint(1, 9)
+        density = rng.choice((0.1, 0.2, 0.4, 1.0))
+        rows = [[rng.randrange(1, 81) if rng.random() < density else 0 for _ in range(n)]
+                for _ in range(n)]
+        comps = _strong_components(Matrix.from_rows(R, rows))
+        # the digraph j -> i over the nonzero rows[i][j]
+        succ = [[i for i in range(n) if rows[i][j]] for j in range(n)]
+        reach = [_reach(succ, v) for v in range(n)]
+        oracle = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+        assert {frozenset(S) for S in comps} == oracle
+        assert all(S == sorted(S) for S in comps)
+        position = {v: k for k, S in enumerate(comps) for v in S}
+        assert all(position[i] <= position[j] for i in range(n) for j in range(n) if rows[i][j])
+
+
+def test_components_of_a_long_cycle_need_no_recursion():
+    # a 3000-cycle is one component along a path far deeper than the
+    # interpreter's recursion limit
+    n = 3000
+    R = modulus_ring(3, 2)
+    E = [0] * (n * n)
+    for i in range(n):
+        E[((i + 1) % n) * n + i] = 1
+    assert _strong_components(Matrix(R, n, n, E)) == [list(range(n))]
+    E[0 * n + (n - 1)] = 0  # break the cycle: a path of singletons
+    assert _strong_components(Matrix(R, n, n, E)) == [[v] for v in range(n - 1, -1, -1)]
+
+
+# ---------------------------------------------------------------------------
+# the slopes
+
+
+@pytest.mark.parametrize("ring_name", list(RINGS))
+def test_block_route_matches_the_oracle_on_random_block_triangular_matrices(ring_name):
+    p, a = RINGS[ring_name]
+    rng = random.Random(f"block-slopes:{ring_name}")
+    R = _ring(ring_name, 40)
+    solved = 0
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        rows = _block_triangular(rng, p, a, n)
+        for variant in (rows, _permuted(rng, rows)):
+            C = _crystal(R, variant, shift=rng.randint(-1, 1))
+            want = _outcome(unsplit_slopes, C)
+            assert _outcome(slopes, C) == want
+            solved += isinstance(want, NewtonPolygon)
+    assert solved >= 50  # most inputs certify at m = 40, so slopes are compared
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_block_route_matches_the_oracle_on_standard_wedges(a):
+    for h in range(2, 7):
+        for dim in range(h + 1):
+            for r in range(1, h + 1):
+                R = make_witt_ring(3, a, slope_precision(h, dim, r, a))
+                W = wedge_isocrystal(make_standard(descriptor(h, dim), R), r)
+                got = slopes(W)
+                assert got == unsplit_slopes(W)
+                want = Fraction(r * (h - dim), h) - (r - 1)
+                assert got.segments == ((want, math.comb(h, r)),)
+
+
+# ---------------------------------------------------------------------------
+# the precision guard
+
+
+@pytest.mark.parametrize("ring_name", list(RINGS))
+def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_name):
+    p, a = RINGS[ring_name]
+    rng = random.Random(f"block-precision:{ring_name}")
+    for _ in range(6):
+        n = rng.randint(2, 4)
+        while True:  # an input that certifies at m = 40
+            rows = _permuted(rng, _block_triangular(rng, p, a, n))
+            if isinstance(_outcome(unsplit_slopes, _crystal(_ring(ring_name, 40), rows)), NewtonPolygon):
+                break
+        # every precision up to the certifying one, and one past it
+        certifying = None
+        for m in range(1, 42):
+            C = _crystal(_ring(ring_name, m), rows)
+            want = _outcome(unsplit_slopes, C)
+            assert _outcome(slopes, C) == want, m
+            if isinstance(want, NewtonPolygon):
+                if certifying is not None:
+                    break
+                certifying = m
+        assert n * a < certifying <= 40
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_standard_wedge_refusals_match_the_oracle(a):
+    h, dim, r = 4, 1, 2
+    need = slope_precision(h, dim, r, a)
+    for m in range(1, need + 1):
+        W = wedge_isocrystal(make_standard(descriptor(h, dim), make_witt_ring(3, a, m)), r)
+        assert _outcome(slopes, W) == _outcome(unsplit_slopes, W), m
+
+
+def test_guard_sums_the_block_det_valuations():
+    # diag(9, 9): each block's det has valuation 2 < 4, but det L = 3^4
+    # vanishes mod 3^4, and at eff_precision 4 over 3^10 it reaches eff
+    for C in (
+        _crystal(modulus_ring(3, 4), [[9, 0], [0, 9]]),
+        _crystal(make_witt_ring(3, 1, 10), [[9, 0], [0, 9]], eff=4),
+        _crystal(make_witt_ring(3, 2, 8), [[(9, 0), (1, 2)], [(0, 0), (0, 27)]], eff=7),
+    ):
+        for B in _strong_components(C.matrix):
+            block = Matrix(C.ring, 1, 1, [C.matrix[B[0], B[0]]])
+            assert slopes(Isocrystal(C.ring, 1, block, 0, C.eff_precision))
+        want = ("PrecisionExhausted",
+                "det of the twisted power vanishes at working precision",
+                C.eff_precision + 1)
+        assert _outcome(unsplit_slopes, C) == want
+        assert _outcome(slopes, C) == want
+
+
+# ---------------------------------------------------------------------------
+# the work done
+
+
+def _recording_charpoly(monkeypatch):
+    calls = []
+
+    def recorded(A):
+        calls.append(A)
+        return charpoly(A)
+
+    monkeypatch.setattr(dieudonne, "charpoly", recorded)
+    return calls
+
+
+def test_standard_wedge_runs_charpoly_on_small_blocks_only(monkeypatch):
+    h, r = 10, 5
+    R = make_witt_ring(3, 1, slope_precision(h, 1, r, 1))
+    W = wedge_isocrystal(make_standard(descriptor(h, 1), R), r)
+    calls = _recording_charpoly(monkeypatch)
+    assert slopes(W).segments == ((Fraction(1, 2), 252),)
+    assert calls and max(A.rows for A in calls) <= h
+    assert sum(A.rows for A in calls) == 252
+
+
+def test_one_component_reaches_charpoly_with_its_own_matrix(monkeypatch):
+    rng = random.Random(5)
+    R = modulus_ring(3, 30)
+    n = 6
+    C = _crystal(R, [[rng.randrange(1, 3**30) for _ in range(n)] for _ in range(n)])
+    assert len(_strong_components(C.matrix)) == 1
+    calls = _recording_charpoly(monkeypatch)
+    got = slopes(C)
+    assert len(calls) == 1 and calls[0] is C.matrix
+    assert got == unsplit_slopes(C)

@@ -23,7 +23,7 @@ from wedgecrys.dieudonne import (
     slopes,
     verify_axioms,
 )
-from wedgecrys.errors import BadDescriptor, PrecisionExhausted
+from wedgecrys.errors import BadDescriptor, PrecisionExhausted, RingMismatch
 from wedgecrys.matrices import Matrix, det
 from wedgecrys.rings import make_witt_ring
 
@@ -228,6 +228,27 @@ def test_eigenspace_vectors_satisfy_the_relation():
                 for wx, vx in zip(w, vec):
                     assert all((a - pc * b) % q_out == 0 for a, b in zip(wx, vx))
             assert eb.rank == (k if c == 0 else l)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_eigenspace_ring_vectors_feed_back_to_apply_f(a):
+    # F(v) = p^c v mod p^precision for each basis vector as ring elements:
+    # ints at a = 1, a-tuples at a >= 2
+    R = make_witt_ring(3, a, 8)
+    mu, qz = make_standard(descriptor("mu"), R), make_standard(descriptor("QpZp"), R)
+    for D, c in ((mu, 0), (qz, 1), (direct_sum(mu, qz), 0), (direct_sum(qz, direct_sum(mu, qz)), 1)):
+        eb = eigenspace(D, c)
+        vecs = eb.ring_vectors(R)
+        assert len(vecs) == eb.rank >= 1
+        q_out = 3**eb.precision
+        for vec, row in zip(vecs, eb.vectors):
+            assert all(isinstance(x, int if a == 1 else tuple) for x in vec)
+            assert [x if a > 1 else (x,) for x in vec] == list(row)
+            for fx, x in zip(apply_F(D, vec), vec):
+                fx, x = (fx, x) if a > 1 else ((fx,), (x,))
+                assert all((u - 3**c * w) % q_out == 0 for u, w in zip(fx, x))
+    with pytest.raises(RingMismatch):
+        eigenspace(mu, 0).ring_vectors(make_witt_ring(3, a + 1, 8))
 
 
 def test_eigenspace_accepts_a_negative_slope():
