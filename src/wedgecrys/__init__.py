@@ -82,6 +82,7 @@ from .wedge import (
     graded_vector,
     graded_wedge,
     lambda_r_sections,
+    min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
     slope_precision,

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
 from .rings import DEGREE_LIMIT, PRECISION_LIMIT
-from .wedge import slope_precision, wedge_report
+from .wedge import min_wedge_precision, wedge_report
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
             try:
                 report = wedge_report(desc, args.r, p, args.a, m=args.m)
             except PrecisionExhausted:
-                need = slope_precision(args.h, args.dim, args.r, args.a)
+                need = min_wedge_precision(args.h, args.dim, args.r, args.a)
                 sys.stderr.write(f"precision exhausted; required minimum m: {need}\n")
                 return EXIT_PRECISION
             _emit(report)

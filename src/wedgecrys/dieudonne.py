@@ -338,11 +338,13 @@ def twisted_power_matrix(C: Isocrystal) -> Matrix:
     return L
 
 
-def _strong_components(M: Matrix) -> list:
+def _strong_components(M: Matrix, nonzeros: list | None = None) -> list:
     """The strongly connected components of the digraph j -> i over the
     nonzero entries M[i, j], each an increasing list of indices, in an order
     that makes M block upper triangular: a nonzero M[i, j] has the component
-    of i at or before that of j.
+    of i at or before that of j.  If `nonzeros` is a list, the number of
+    nonzero entries of each component's diagonal block is appended to it,
+    in the same order, counted from the successor lists.
 
     Tarjan (1972), run with an explicit stack since a path may be as long as
     the matrix.  Row i lists the columns of its nonzero entries, the edges
@@ -355,6 +357,8 @@ def _strong_components(M: Matrix) -> list:
     """
     n, E, zero = M.rows, M.entries, M.ring.zero
     if zero not in E:
+        if nonzeros is not None:
+            nonzeros.append(n * n)
         return [list(range(n))]
     succ = [[j for j, x in enumerate(E[i * n : (i + 1) * n]) if x != zero] for i in range(n)]
     index = [-1] * n
@@ -397,6 +401,15 @@ def _strong_components(M: Matrix) -> list:
                             break
                     comps.append(sorted(comp))
     comps.reverse()
+    if nonzeros is not None:
+        if len(comps) == 1:
+            nonzeros.append(sum(map(len, succ)))
+        else:
+            where = [0] * n
+            for c, S in enumerate(comps):
+                for i in S:
+                    where[i] = c
+            nonzeros.extend(sum(where[j] == c for i in S for j in succ[i]) for c, S in enumerate(comps))
     return comps
 
 
@@ -415,8 +428,17 @@ def slopes(X) -> NewtonPolygon:
     its diagonal blocks are the twisted powers of M's diagonal blocks, and
     det(T I - L) is the product of theirs, so the Newton polygon is the
     union of the blocks' slope multisets (Katz, "Slope filtrations of
-    F-crystals", 1979) and no polynomial product is formed.  A crystal with
-    one component, such as a dense one, runs on its own matrix.
+    F-crystals", 1979) and no polynomial product is formed.
+
+    A strongly connected block of size k with exactly k nonzero entries is
+    one k-cycle, and needs no charpoly: if its entries have valuations
+    summing to v, then F^k e = u p^v e for a unit u, so the block is
+    isoclinic of slope v/k (Dieudonne-Manin).  Its twisted power has
+    determinant valuation a*v, and its charpoly's lower hull is the segment
+    from (0, a*v) to (k, 0), even when gcd(k, a) > 1 splits the twisted
+    power into sub-cycles, since each has the same average valuation.
+    Every other block runs the twisted power, charpoly and hull; a crystal
+    that is one such component, such as a dense one, runs on its own matrix.
 
     Raises PrecisionExhausted when eff_precision <= rank * a, or when det L
     vanishes at working precision (then the polygon's left vertex is
@@ -431,32 +453,41 @@ def slopes(X) -> NewtonPolygon:
         raise PrecisionExhausted(
             f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
         )
-    comps = _strong_components(C.matrix)
-    blocks = [C]
-    if len(comps) > 1:
-        E = C.matrix.entries
-        blocks = []
-        for S in comps:
-            k = len(S)
-            sub = Matrix(R, k, k, [E[i * n + j] for i in S for j in S])
-            blocks.append(Isocrystal(R, k, sub, C.shift, eff))
+    nonzeros = []
+    comps = _strong_components(C.matrix, nonzeros)
+    E, zero = C.matrix.entries, R.zero
     # det L is 0 mod p^m once the block valuations sum to m
     cap = min(eff, R.m)
     det_val = 0
     out = []
-    for B in blocks:
-        vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
-        if vals[0] is BOTTOM or det_val + vals[0] >= cap:
+    for S, nnz in zip(comps, nonzeros):
+        k = len(S)
+        if nnz == k:
+            # one k-cycle, entry valuations summing to v: slope v/k
+            v = sum(R.valuation(x) for i in S for j in S if (x := E[i * n + j]) != zero)
+            block_val, block = a * v, [Fraction(v, k) - C.shift] * k
+        else:
+            B = C
+            if len(comps) > 1:
+                sub = Matrix(R, k, k, [E[i * n + j] for i in S for j in S])
+                B = Isocrystal(R, k, sub, C.shift, eff)
+            vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
+            block_val = vals[0]
+            # all true polygon vertices have valuation <= vals[0] < cap, so
+            # points of valuation BOTTOM or >= cap lie strictly above the hull
+            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM and v < cap])
+            block = [
+                Fraction(y1 - y2, x2 - x1) / a - C.shift
+                for (x1, y1), (x2, y2) in zip(hull, hull[1:])
+                for _ in range(x2 - x1)
+            ]
+        if block_val is BOTTOM or det_val + block_val >= cap:
             raise PrecisionExhausted(
                 "det of the twisted power vanishes at working precision",
                 required_m=eff + 1,
             )
-        det_val += vals[0]
-        # all true polygon vertices have valuation <= vals[0] < cap, so points
-        # of valuation BOTTOM or >= cap lie strictly above the hull
-        hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM and v < cap])
-        for (x1, y1), (x2, y2) in zip(hull, hull[1:]):
-            out.extend([Fraction(y1 - y2, x2 - x1) / a - C.shift] * (x2 - x1))
+        det_val += block_val
+        out.extend(block)
     return NewtonPolygon.from_multiset(out)
 
 

@@ -281,6 +281,14 @@ def slope_precision(h: int, dim: int, r: int, a: int) -> int:
     return max(a * math.comb(h - 1, r - 1) * (h - dim) + 2, math.comb(h, r) * a + 1, h * a + 2)
 
 
+def min_wedge_precision(h: int, dim: int, r: int, a: int) -> int:
+    """The least working precision at which `wedge_report` succeeds: the
+    twisted-power determinant valuation a*C(h-1,r-1)*(h-dim) lies below m,
+    `slopes` needs m > rank*a = C(h,r)*a, and v_p(det MF) = h-dim lies
+    below m.  `slope_precision` is at least this."""
+    return max(a * math.comb(h - 1, r - 1) * (h - dim) + 1, math.comb(h, r) * a + 1, h - dim + 1)
+
+
 def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = None) -> dict:
     """The CLI-facing wedge summary: height, dim, slopes, mu check."""
     h = desc.h

@@ -1,11 +1,12 @@
 """Block-triangular slopes against the unsplit oracle.
 
 `slopes` splits a crystal along the strongly connected components of its
-nonzero pattern and runs the twisted power, charpoly and lower hull per
-block.  `unsplit_slopes` below is the route it replaced: one charpoly of the
-whole twisted power.  It shares the charpoly and hull with `slopes` but no
-splitting, so it pins the partition, the block extraction and the summed
-precision guard.
+nonzero pattern, reads a block that is one cycle off its entry valuations,
+and runs the twisted power, charpoly and lower hull on every other block.
+`unsplit_slopes` below is the route it replaced: one charpoly of the whole
+twisted power.  It shares the charpoly and hull with `slopes` but no
+splitting and no cycle rule, so it pins the partition, the block
+extraction, the cycle rule and the summed precision guard.
 """
 import math
 import random
@@ -121,6 +122,44 @@ def _permuted(rng, rows):
     return [[rows[perm[i]][perm[j]] for j in range(n)] for i in range(n)]
 
 
+def _cycles(rng, p, a, n_max=8):
+    """Integer entries of a random crystal whose diagonal blocks are cycles
+    of length 1-6 with entries unit * p^v, v in 0..3, or (sometimes) a 1x1
+    zero block, with nonzeros above the diagonal blocks.  Also returns the
+    summed valuation of the cycle entries, whether a zero block is present,
+    and the cycle lengths."""
+    zero = 0 if a == 1 else (0,) * a
+
+    def unit_times(v):
+        if a == 1:
+            return p**v * rng.choice([u for u in range(1, 4 * p) if u % p])
+        unit = (rng.randrange(1, p),) + tuple(rng.randrange(p**3) for _ in range(a - 1))
+        return tuple(p**v * c for c in unit)
+
+    sizes, n = [], 0
+    while n < n_max:
+        k = 0 if rng.random() < 0.1 else rng.randint(1, min(6, n_max - n))
+        sizes.append(k)
+        n += max(k, 1)
+        if rng.random() < 0.3:
+            break
+    rows = [[zero] * n for _ in range(n)]
+    total, start, starts = 0, 0, []
+    for k in sizes:
+        starts.append(start)
+        for t in range(k):
+            v = rng.choice((0, 0, 1, 1, 2, 3))
+            total += v
+            rows[start + (t + 1) % k][start + t] = unit_times(v)
+        start += max(k, 1)
+    for b, i0 in enumerate(starts):
+        for i in range(i0, i0 + max(sizes[b], 1)):
+            for j in range(starts[b + 1] if b + 1 < len(sizes) else n, n):
+                if rng.random() < 0.2:
+                    rows[i][j] = unit_times(rng.randint(0, 2))
+    return rows, total, 0 in sizes, [k for k in sizes if k]
+
+
 def _crystal(R, rows, shift=0, eff=None):
     n = len(rows)
     M = Matrix(R, n, n, [_element(R, x) for row in rows for x in row])
@@ -234,6 +273,31 @@ def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_na
         assert n * a < certifying <= 40
 
 
+@pytest.mark.parametrize("ring_name", list(RINGS))
+def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
+    # a product of cycles with entry valuations summing to v has det of
+    # valuation v, so the oracle certifies exactly at max(n*a, a*v) + 1
+    # unless a 1x1 zero block makes the det 0
+    p, a = RINGS[ring_name]
+    rng = random.Random(f"cycle-slopes:{ring_name}")
+    lengths, solved = set(), 0
+    for _ in range(24):
+        rows, v, singular, ks = _cycles(rng, p, a)
+        lengths.update(ks)
+        rows = _permuted(rng, rows)
+        n = len(rows)
+        certifying = max(n * a, a * v) + 1
+        shift = rng.randint(-1, 1)
+        for m in range(n * a, certifying + 1):
+            C = _crystal(_ring(ring_name, m), rows, shift=shift)
+            want = _outcome(unsplit_slopes, C)
+            assert _outcome(slopes, C) == want, m
+            assert isinstance(want, NewtonPolygon) == (not singular and m == certifying), m
+            solved += isinstance(want, NewtonPolygon)
+    assert lengths == set(range(1, 7)) and solved >= 10
+    assert a == 1 or any(math.gcd(k, a) > 1 for k in lengths)
+
+
 @pytest.mark.parametrize("a", [1, 2])
 def test_standard_wedge_refusals_match_the_oracle(a):
     h, dim, r = 4, 1, 2
@@ -276,14 +340,56 @@ def _recording_charpoly(monkeypatch):
     return calls
 
 
-def test_standard_wedge_runs_charpoly_on_small_blocks_only(monkeypatch):
+def _recording_twisted_power(monkeypatch):
+    calls = []
+
+    def recorded(C):
+        calls.append(C)
+        return twisted_power_matrix(C)
+
+    monkeypatch.setattr(dieudonne, "twisted_power_matrix", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("a", [1, 3])
+def test_standard_wedge_runs_no_charpoly(monkeypatch, a):
+    # the wedge of a standard module has a monomial Frobenius, so every
+    # block is one cycle
     h, r = 10, 5
-    R = make_witt_ring(3, 1, slope_precision(h, 1, r, 1))
+    R = make_witt_ring(3, a, slope_precision(h, 1, r, a))
     W = wedge_isocrystal(make_standard(descriptor(h, 1), R), r)
     calls = _recording_charpoly(monkeypatch)
+    powers = _recording_twisted_power(monkeypatch)
     assert slopes(W).segments == ((Fraction(1, 2), 252),)
-    assert calls and max(A.rows for A in calls) <= h
-    assert sum(A.rows for A in calls) == 252
+    assert calls == [] and powers == []
+
+
+def test_mixed_crystal_runs_charpoly_on_the_non_cycle_block_only(monkeypatch):
+    # blocks {0, 1, 2}: a 3-cycle of valuation 1; {3, 4}: a dense 2 x 2;
+    # {5}: a 1-cycle of valuation 2; {6, 7}: a 2-cycle of valuation 3; and
+    # nonzeros above the diagonal blocks
+    for name in RINGS:
+        p, a = RINGS[name]
+        R = _ring(name, 30)
+
+        def power(e):
+            return p**e if a == 1 else (p**e,) * a
+
+        x = [[0 if a == 1 else (0,) * a] * 8 for _ in range(8)]
+        x[1][0], x[2][1], x[0][2] = power(1), power(0), power(0)
+        x[3][3], x[3][4], x[4][3], x[4][4] = power(0), power(1), power(1), power(0)
+        x[5][5] = power(2)
+        x[7][6], x[6][7] = power(0), power(3)
+        x[0][5], x[3][7], x[1][4] = power(0), power(2), power(0)
+        C = _crystal(R, x, shift=1)
+        block = Matrix(R, 2, 2, [C.matrix[i, j] for i in (3, 4) for j in (3, 4)])
+        calls = _recording_charpoly(monkeypatch)
+        got = slopes(C)
+        assert [A.rows for A in calls] == [2]
+        assert calls[0] == twisted_power_matrix(Isocrystal(R, 2, block, 1, 30))
+        monkeypatch.undo()
+        assert got == unsplit_slopes(C)
+        assert {Fraction(1, 3) - 1, Fraction(2) - 1, Fraction(3, 2) - 1} <= set(dict(got.segments))
 
 
 def test_one_component_reaches_charpoly_with_its_own_matrix(monkeypatch):

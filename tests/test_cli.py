@@ -134,7 +134,9 @@ def test_wedge_r1_echoes_source(capsys):
 def test_wedge_insufficient_precision_exit_4(capsys):
     assert main(["wedge", "--h", "5", "--dim", "1", "--r", "2", "--p", "3", "--a", "1", "--m", "4"]) == 4
     err = capsys.readouterr().err
-    assert "required minimum m" in err and "18" in err
+    assert "required minimum m: 17" in err
+    # the printed minimum succeeds
+    assert main(["wedge", "--h", "5", "--dim", "1", "--r", "2", "--p", "3", "--a", "1", "--m", "17"]) == 0
 
 
 def test_default_prime_env_override():

@@ -12,7 +12,7 @@ from wedgecrys.dieudonne import (
     semilinear_conjugate,
     slopes,
 )
-from wedgecrys.errors import DegreeViolation, DimensionMismatch
+from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted
 from wedgecrys.matrices import Matrix, compound, det, invert_unimodular
 from wedgecrys.rings import BOTTOM, make_witt_ring
 from wedgecrys.wedge import (
@@ -20,6 +20,7 @@ from wedgecrys.wedge import (
     graded_vector,
     graded_wedge,
     lambda_r_sections,
+    min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
     slope_precision,
@@ -196,6 +197,20 @@ def test_slope_commutation_small_battery():
                         slopes(wedge_isocrystal(C, r)).segments
                         == slope_transform(slopes(C), r).segments
                     )
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_min_wedge_precision_is_the_least_that_succeeds(p):
+    for h in range(1, 7):
+        for dim in (0, 1):
+            for r in range(1, h + 1):
+                for a in (1, 2, 3):
+                    m = min_wedge_precision(h, dim, r, a)
+                    assert m <= slope_precision(h, dim, r, a)
+                    rep = wedge_report(descriptor(h, dim), r, p, a, m=m)
+                    assert rep["source"]["m"] == m
+                    with pytest.raises(PrecisionExhausted):
+                        wedge_report(descriptor(h, dim), r, p, a, m=m - 1)
 
 
 def test_mu_identification_battery():
