@@ -169,14 +169,14 @@ def make_standard(desc: GroupDescriptor, ring: WittRing) -> DieudonneModule:
 def matrix_phi(M: Matrix, k: int = 1) -> Matrix:
     """Entrywise Frobenius power phi^k of a matrix over a Witt ring.
 
-    phi fixes 0 and phi^a = id, so zero entries are kept as they are and M
-    itself is returned when a divides k.
+    phi fixes 0 and phi^a = id, so only the nonzero entries are mapped and
+    M itself is returned when a divides k.
     """
     R = M.ring
     if k % R.a == 0:
         return M
-    phi, is_zero = R.frobenius_pow, R.is_zero
-    return M.map_entries(lambda x: x if is_zero(x) else phi(x, k))
+    phi = R.frobenius_pow
+    return M.map_entries(lambda x: phi(x, k))
 
 
 def vector_phi(ring: WittRing, v, k: int = 1):
@@ -338,29 +338,23 @@ def twisted_power_matrix(C: Isocrystal) -> Matrix:
     return L
 
 
-def _strong_components(M: Matrix, nonzeros: list | None = None) -> list:
+def _strong_components(M: Matrix) -> list:
     """The strongly connected components of the digraph j -> i over the
     nonzero entries M[i, j], each an increasing list of indices, in an order
     that makes M block upper triangular: a nonzero M[i, j] has the component
-    of i at or before that of j.  If `nonzeros` is a list, the number of
-    nonzero entries of each component's diagonal block is appended to it,
-    in the same order, counted from the successor lists.
+    of i at or before that of j.
 
     Tarjan (1972), run with an explicit stack since a path may be as long as
     the matrix.  Row i lists the columns of its nonzero entries, the edges
     i -> j of the reversed digraph, which has the same components; Tarjan
     closes a component only after every component it reaches, so the
-    closing order, reversed, is the block order.  Ring elements are
-    canonical, so an entry is zero exactly when it equals `ring.zero`, and
-    a matrix with no zero entry, such as a dense one, is one component
-    without a scan.
+    closing order, reversed, is the block order.  A matrix with no zero
+    entry, such as a dense one, is one component without a search.
     """
-    n, E, zero = M.rows, M.entries, M.ring.zero
-    if zero not in E:
-        if nonzeros is not None:
-            nonzeros.append(n * n)
+    n, rows = M.rows, M.nonzero_rows
+    if all(len(nz) == n for nz in rows):
         return [list(range(n))]
-    succ = [[j for j, x in enumerate(E[i * n : (i + 1) * n]) if x != zero] for i in range(n)]
+    succ = [[j for j, _ in nz] for nz in rows]
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -401,15 +395,6 @@ def _strong_components(M: Matrix, nonzeros: list | None = None) -> list:
                             break
                     comps.append(sorted(comp))
     comps.reverse()
-    if nonzeros is not None:
-        if len(comps) == 1:
-            nonzeros.append(sum(map(len, succ)))
-        else:
-            where = [0] * n
-            for c, S in enumerate(comps):
-                for i in S:
-                    where[i] = c
-            nonzeros.extend(sum(where[j] == c for i in S for j in succ[i]) for c, S in enumerate(comps))
     return comps
 
 
@@ -453,24 +438,25 @@ def slopes(X) -> NewtonPolygon:
         raise PrecisionExhausted(
             f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
         )
-    nonzeros = []
-    comps = _strong_components(C.matrix, nonzeros)
-    E, zero = C.matrix.entries, R.zero
+    comps = _strong_components(C.matrix)
+    rows = C.matrix.nonzero_rows
     # det L is 0 mod p^m once the block valuations sum to m
     cap = min(eff, R.m)
     det_val = 0
     out = []
-    for S, nnz in zip(comps, nonzeros):
+    for S in comps:
         k = len(S)
-        if nnz == k:
+        sub = rows
+        if len(comps) > 1:
+            # the rows of the principal block on S, read off the rows of S
+            pos = {i: t for t, i in enumerate(S)}
+            sub = [[(pos[j], x) for j, x in rows[i] if j in pos] for i in S]
+        if sum(map(len, sub)) == k:
             # one k-cycle, entry valuations summing to v: slope v/k
-            v = sum(R.valuation(x) for i in S for j in S if (x := E[i * n + j]) != zero)
+            v = sum(R.valuation(x) for nz in sub for _, x in nz)
             block_val, block = a * v, [Fraction(v, k) - C.shift] * k
         else:
-            B = C
-            if len(comps) > 1:
-                sub = Matrix(R, k, k, [E[i * n + j] for i in S for j in S])
-                B = Isocrystal(R, k, sub, C.shift, eff)
+            B = C if sub is rows else Isocrystal(R, k, Matrix.from_nonzero_rows(R, k, sub), C.shift, eff)
             vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
             block_val = vals[0]
             # all true polygon vertices have valuation <= vals[0] < cap, so
@@ -536,19 +522,15 @@ def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):
     a, h = R.a, C.rank
     q = R.p**precision
     N = a * h
-    phi_cols = R.frobenius_matrix()
-    cols = []
-    for k in range(h):
-        for j in range(a):
-            w = phi_cols[j]  # phi((x-gen)^j) as a Witt element
-            col = [0] * N
-            for i in range(h):
-                entry = R.mul(C.matrix[i, k], w)
+    phi_cols = R.frobenius_matrix()  # phi((x-gen)^j) as Witt elements
+    rows = [[0] * N for _ in range(N)]
+    for i, nz in enumerate(C.matrix.nonzero_rows):
+        for k, x in nz:
+            for j, w in enumerate(phi_cols):
+                entry = R.mul(x, w)
                 for jj, c in enumerate((entry,) if a == 1 else entry):
-                    col[i * a + jj] = c % q
-            cols.append(col)
+                    rows[i * a + jj][k * a + j] = c % q
     pe = R.p**exponent if exponent < precision else 0
-    rows = [[cols[j][i] % q for j in range(N)] for i in range(N)]
     if pe:
         for i in range(N):
             rows[i][i] = (rows[i][i] - pe) % q

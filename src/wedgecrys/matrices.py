@@ -1,4 +1,5 @@
-"""Dense matrices over the exact coefficient rings.
+"""Matrices over the exact coefficient rings, stored as the nonzeros of
+each row.
 
 Compound matrices, determinantal ideals and the unit-ideal/zero-ideal rank
 notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
@@ -8,14 +9,15 @@ on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
 the local test rings).  `charpoly` reduces to Hessenberg form by unimodular
 similarities with minimum-valuation pivots and runs the Hessenberg
 recurrence, so it needs the pivot protocol, and `det` is the sign-adjusted
-constant term of that polynomial.  Every minor of every order, in
-`compound`, `stack_minors` and `minor_ideal_status`, comes from one
-level-by-level Laplace build of the nonzero minors (`_nonzero_minors`), and
-products run row by row over the nonzero entries of both factors, so the
-monomial Frobenius matrices of the standard modules and their compounds
-cost work in proportion to their nonzeros, while a dense input takes the
-products it took before: those of a memoised expansion of every minor and
-of the row-by-column product.
+constant term of that polynomial; both, like Smith reduction, work on
+dense rows built on demand.  Every minor of every order, in `compound`,
+`stack_minors` and `minor_ideal_status`, comes from one level-by-level
+Laplace build of the nonzero minors (`_nonzero_minors`), `compound` stores
+only those, and products run row by row over the stored nonzeros of both
+factors, so the monomial Frobenius matrices of the standard modules and
+their compounds cost time and memory in proportion to their nonzeros,
+while a dense input takes the products it took before: those of a
+memoised expansion of every minor and of the row-by-column product.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -28,6 +30,7 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
 from .errors import (
     ArityMismatch,
@@ -40,6 +43,8 @@ from .errors import (
     WedgecrysError,
 )
 from .rings import RingHom, ring_from_descriptor, schema_int
+
+_column = itemgetter(0)
 
 
 @lru_cache(maxsize=None)
@@ -60,41 +65,61 @@ class IdealStatus(enum.Enum):
 
 
 class Matrix:
-    """Immutable dense matrix over a ring handle; entries row-major."""
+    """Immutable matrix over a ring handle, stored as the nonzeros of each row.
 
-    __slots__ = ("ring", "rows", "cols", "entries")
+    `nonzero_rows[i]` holds the pairs (j, x) of the nonzero entries
+    x = M[i, j] of row i, columns increasing; no zero is stored, so equal
+    matrices have equal storage.  Work in proportion to the nonzeros reads
+    these rows directly; the dense readers (the Hessenberg and Smith
+    reductions, `invert_unimodular`, the JSON codec) build dense rows on
+    demand through `entries`, `row` and `to_rows`.
+    """
+
+    __slots__ = ("ring", "rows", "cols", "nonzero_rows")
 
     def __init__(self, ring, rows: int, cols: int, entries):
+        """The matrix with the given row-major dense entries."""
         entries = tuple(entries)
         if len(entries) != rows * cols:
             raise DimensionMismatch(
                 f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(entries)}"
             )
-        object.__setattr__(self, "ring", ring)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
+        is_zero = ring.is_zero
+        self._store(ring, cols, tuple([
+            tuple([(j, x) for j, x in enumerate(entries[i * cols : (i + 1) * cols]) if not is_zero(x)])
+            for i in range(rows)
+        ]))
+
+    def _store(self, ring, cols, nonzero_rows):
+        for name, value in zip(self.__slots__, (ring, len(nonzero_rows), cols, nonzero_rows)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, *_):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
+    def from_nonzero_rows(cls, ring, cols: int, rows):
+        """The matrix whose row i has the nonzero entries rows[i], given as
+        (j, x) pairs with j increasing and no x zero."""
+        M = object.__new__(cls)
+        M._store(ring, cols, tuple(map(tuple, rows)))
+        return M
+
+    @classmethod
     def from_rows(cls, ring, rows):
         rows = [list(r) for r in rows]
-        n = len(rows)
         m = len(rows[0]) if rows else 0
         if any(len(r) != m for r in rows):
             raise DimensionMismatch("ragged rows")
-        return cls(ring, n, m, [x for r in rows for x in r])
+        return cls(ring, len(rows), m, [x for r in rows for x in r])
 
     @classmethod
     def identity(cls, ring, n: int):
-        z, o = ring.zero, ring.one
-        return cls(ring, n, n, [o if i == j else z for i in range(n) for j in range(n)])
+        return cls.from_nonzero_rows(ring, n, [((i, ring.one),) for i in range(n)])
 
     @classmethod
     def zeros(cls, ring, rows: int, cols: int):
-        return cls(ring, rows, cols, [ring.zero] * (rows * cols))
+        return cls.from_nonzero_rows(ring, cols, [()] * rows)
 
     @classmethod
     def from_int_rows(cls, ring, rows):
@@ -102,88 +127,88 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.entries[i * self.cols + j]
+        nz = self.nonzero_rows[i]
+        k = bisect_left(nz, j, key=_column)
+        return nz[k][1] if k < len(nz) and nz[k][0] == j else self.ring.zero
+
+    def _dense(self, nz):
+        out = [self.ring.zero] * self.cols
+        for j, x in nz:
+            out[j] = x
+        return out
 
     def row(self, i: int):
-        return self.entries[i * self.cols : (i + 1) * self.cols]
+        return tuple(self._dense(self.nonzero_rows[i]))
 
     def col(self, j: int):
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
+        return tuple(self[i, j] for i in range(self.rows))
 
     def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
+        return [self._dense(nz) for nz in self.nonzero_rows]
+
+    @property
+    def entries(self):
+        """The dense entries, row-major."""
+        return tuple(x for nz in self.nonzero_rows for x in self._dense(nz))
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def transpose(self):
-        return Matrix(
-            self.ring,
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
+        cols = [[] for _ in range(self.cols)]
+        for i, nz in enumerate(self.nonzero_rows):
+            for j, x in nz:
+                cols[j].append((i, x))
+        return Matrix.from_nonzero_rows(self.ring, self.rows, cols)
 
     def map_entries(self, fn, ring=None):
-        return Matrix(ring or self.ring, self.rows, self.cols, [fn(x) for x in self.entries])
+        """The entrywise image under fn, which must map zero to zero: fn
+        runs on the nonzero entries and zero images are dropped."""
+        ring = ring or self.ring
+        is_zero = ring.is_zero
+        return Matrix.from_nonzero_rows(
+            ring,
+            self.cols,
+            [[(j, y) for j, x in nz if not is_zero(y := fn(x))] for nz in self.nonzero_rows],
+        )
 
     def scale(self, c):
-        R = self.ring
-        return self.map_entries(lambda x: R.mul(c, x))
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        R = self.ring
-        return Matrix(
-            R, self.rows, self.cols, [R.add(x, y) for x, y in zip(self.entries, other.entries)]
-        )
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        R = self.ring
-        return Matrix(
-            R, self.rows, self.cols, [R.sub(x, y) for x, y in zip(self.entries, other.entries)]
-        )
-
-    def _check_same_shape(self, other):
-        if self.ring != other.ring:
-            raise RingMismatch("matrices over different rings")
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise DimensionMismatch("shape mismatch")
+        mul = self.ring.mul
+        return self.map_entries(lambda x: mul(c, x))
 
     def __matmul__(self, other):
         """The matrix product, by rows (Gustavson): row i accumulates
-        x . row_l(other) over the nonzero entries x = self[i, l], visiting
-        only the nonzeros of row_l(other)."""
+        x . row_l(other) over the stored nonzeros x = self[i, l], visiting
+        only the stored nonzeros of row_l(other), and keeps the sums that
+        do not vanish."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         R = self.ring
-        add, mul, zero = R.add, R.mul, R.zero
-        m = other.cols
-        brows = [_nonzero(R, other.row(l)) for l in range(other.rows)]
+        add, mul, is_zero = R.add, R.mul, R.is_zero
+        brows = other.nonzero_rows
         out = []
-        for i in range(self.rows):
-            acc = [zero] * m
-            for l, x in _nonzero(R, self.row(i)):
+        for nz in self.nonzero_rows:
+            acc = {}
+            for l, x in nz:
                 for j, y in brows[l]:
-                    acc[j] = add(acc[j], mul(x, y))
-            out.extend(acc)
-        return Matrix(R, self.rows, m, out)
+                    t = mul(x, y)
+                    acc[j] = add(acc[j], t) if j in acc else t
+            out.append(sorted((j, v) for j, v in acc.items() if not is_zero(v)))
+        return Matrix.from_nonzero_rows(R, other.cols, out)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         R = self.ring
+        add, mul = R.add, R.mul
         out = []
-        for i in range(self.rows):
-            ri = self.row(i)
+        for nz in self.nonzero_rows:
             acc = R.zero
-            for k in range(self.cols):
-                if not R.is_zero(ri[k]):
-                    acc = R.add(acc, R.mul(ri[k], vec[k]))
+            for k, x in nz:
+                acc = add(acc, mul(x, vec[k]))
             out.append(acc)
         return tuple(out)
 
@@ -193,11 +218,11 @@ class Matrix:
             and self.ring == other.ring
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.entries == other.entries
+            and self.nonzero_rows == other.nonzero_rows
         )
 
     def __hash__(self):
-        return hash((self.ring, self.rows, self.cols, self.entries))
+        return hash((self.ring, self.rows, self.cols, self.nonzero_rows))
 
     def __repr__(self):
         body = "; ".join(
@@ -210,27 +235,15 @@ def block_diag(*matrices) -> Matrix:
     ring = matrices[0].ring
     if any(M.ring != ring for M in matrices):
         raise RingMismatch("blocks over different rings")
-    n = sum(M.rows for M in matrices)
-    c = sum(M.cols for M in matrices)
-    out = [[ring.zero] * c for _ in range(n)]
-    i0 = j0 = 0
+    rows, j0 = [], 0
     for M in matrices:
-        for i in range(M.rows):
-            for j in range(M.cols):
-                out[i0 + i][j0 + j] = M[i, j]
-        i0 += M.rows
+        rows.extend([(j0 + j, x) for j, x in nz] for nz in M.nonzero_rows)
         j0 += M.cols
-    return Matrix.from_rows(ring, out)
+    return Matrix.from_nonzero_rows(ring, j0, rows)
 
 
 # ---------------------------------------------------------------------------
 # determinants and characteristic polynomials (ring protocol)
-
-
-def _nonzero(R, row):
-    """(index, entry) pairs of the nonzero entries of a row."""
-    is_zero = R.is_zero
-    return [(l, u) for l, u in enumerate(row) if not is_zero(u)]
 
 
 def _hessenberg_charpoly(R, M):
@@ -269,7 +282,7 @@ def _hessenberg_charpoly(R, M):
                 row[bi], row[k] = row[k], row[bi]
         prow = M[k]
         w = R.inv(shift_down(prow[j], bv))
-        pnz = _nonzero(R, prow[k:])
+        pnz = [(l, y) for l, y in enumerate(prow[k:]) if not is_zero(y)]
         ops = []
         for i in range(k + 1, n):
             row = M[i]
@@ -332,8 +345,11 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
     if d == 0:
         return {((), ()): R.one}
     add, sub, mul, neg, is_zero = R.add, R.sub, R.mul, R.neg, R.is_zero
-    E, nc = A.entries, A.cols
-    colnz = [_nonzero(R, E[c::nc]) for c in range(nc)]
+    nc = A.cols
+    colnz = [[] for _ in range(nc)]
+    for r, nz in enumerate(A.nonzero_rows):
+        for c, x in nz:
+            colnz[c].append((r, x))
     level = {((r,), (c,)): x for c in range(d - 1, nc) for r, x in colnz[c]}
     for k in range(2, d + 1):
         nxt = {}
@@ -393,10 +409,12 @@ def compound(A: Matrix, d: int) -> Matrix:
     subsets = index_subsets(n, d)
     N = len(subsets)
     pos = {S: i for i, S in enumerate(subsets)}
-    ents = [A.ring.zero] * (N * N)
+    rows = [[] for _ in range(N)]
     for (S, T), v in _nonzero_minors(A, d).items():
-        ents[pos[S] * N + pos[T]] = v
-    return Matrix(A.ring, N, N, ents)
+        rows[pos[S]].append((pos[T], v))
+    for row in rows:
+        row.sort()
+    return Matrix.from_nonzero_rows(A.ring, N, rows)
 
 
 def stack_minors(A: Matrix, r: int):
@@ -612,7 +630,7 @@ def wedge_exact_sequence(A: Matrix, d: int) -> WedgeExactSequence:
     if any(v not in (0, cap) for v in vals):
         raise WedgecrysError("compound cokernel is not free; split exact sequence violated")
     free_rank = sum(1 for v in vals if v == cap)
-    want = _binom(n - 1, d - 1)
+    want = math.comb(n - 1, d - 1)
     if free_rank != want:
         raise WedgecrysError(
             f"compound cokernel rank {free_rank} != C({n - 1},{d - 1}) = {want}"
@@ -635,12 +653,8 @@ def rank_lemma_check(A: Matrix, d: int) -> RankLemmaCheck:
     if not 1 <= d <= n - 1:
         raise DimensionMismatch(f"d={d} outside 1..{n - 1}")
     lhs = rank(A).rank == n - 1
-    rhs = rank(compound(A, d)).rank == _binom(n - 1, d)
+    rhs = rank(compound(A, d)).rank == math.comb(n - 1, d)
     return RankLemmaCheck(lhs, rhs)
-
-
-def _binom(n: int, k: int) -> int:
-    return math.comb(n, k)
 
 
 # ---------------------------------------------------------------------------
@@ -671,7 +685,7 @@ def invert_unimodular(A: Matrix) -> Matrix:
         raise DimensionMismatch("square matrices only")
     R = A.ring
     n = A.rows
-    W = [list(A.row(i)) + [R.one if j == i else R.zero for j in range(n)] for i in range(n)]
+    W = [row + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(A.to_rows())]
     for col in range(n):
         piv = next((i for i in range(col, n) if R.is_unit(W[i][col])), None)
         if piv is None:
@@ -710,6 +724,9 @@ def matrix_from_json(obj) -> Matrix:
             raise SchemaError(f"matrix payload missing '{field}'")
     ring = ring_from_descriptor(obj["ring"])
     rows, cols = schema_int(obj["rows"], "rows", 0), schema_int(obj["cols"], "cols", 0)
+    if rows * cols == 0 and rows + cols:
+        # refused before a row is built: a matrix stores a row per index
+        raise DimensionMismatch(f"{rows}x{cols} matrix has no entries; only 0x0 may be empty")
     raw = obj["entries"]
     if not isinstance(raw, list) or len(raw) != rows * cols:
         raise SchemaError(f"expected {rows * cols} entries, got {len(raw) if isinstance(raw, list) else 'non-list'}")

@@ -22,6 +22,7 @@ from .dieudonne import (
     _as_crystal,
     apply_F,
     apply_V,
+    dimension,
     format_fraction,
     make_standard,
     matrix_phi,
@@ -32,7 +33,6 @@ from .errors import (
     BadDescriptor,
     DegreeViolation,
     DimensionMismatch,
-    PrecisionExhausted,
     RingMismatch,
 )
 from .matrices import Matrix, compound, det, index_subsets, stack_minors
@@ -192,17 +192,14 @@ def wedge_dim_height(D: DieudonneModule, r: int) -> WedgeDimHeight:
 
     det(compound(MF, r)) = det(MF)^C(h-1, r-1) exactly (Sylvester-Franke),
     so the wedge's Frobenius determinant valuation is assembled from the
-    honestly computed v_p(det MF) and the shift normalization; this stays
-    computable at the h*a+2 working precision where the raw compound
-    determinant would already be 0.
+    honestly computed v_p(det MF) = h - dimension(D) and the shift
+    normalization; this stays computable at the h*a+2 working precision
+    where the raw compound determinant would already be 0.
     """
-    R = D.ring
     h = D.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")
-    v = R.valuation(det(D.MF))
-    if v is BOTTOM:
-        raise PrecisionExhausted("v_p(det MF) below working precision", required_m=R.m + 1)
+    v = h - dimension(D)
     n_w = math.comb(h, r)
     v_w = math.comb(h - 1, r - 1) * v - n_w * (r - 1)
     return WedgeDimHeight(height=n_w, dim=n_w - v_w)
@@ -264,7 +261,7 @@ def wedge_integral_structure(D: DieudonneModule, r: int) -> WedgeIntegralStructu
     R = D.ring
     CF = compound(D.MF, r)
     CV = compound(D.MV, r)
-    minv = min(R.pivot_val(x) for x in CF.entries)
+    minv = min((R.pivot_val(x) for nz in CF.nonzero_rows for _, x in nz), default=R.val_cap)
     prI = Matrix.identity(R, CF.rows).scale(R.from_int(R.p**r))
     rel = (CF @ matrix_phi(CV)) == prI
     return WedgeIntegralStructure(

@@ -258,6 +258,20 @@ def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
     assert f"'{field}'" in _refused(capsys, [verb, "--in", json.dumps(payload)])
 
 
+@pytest.mark.parametrize("verb", [["rank"], ["compound", "--d", "1"]])
+@pytest.mark.parametrize("rows, cols", [(10**9, 0), (0, 10**9)])
+def test_empty_matrix_of_nonzero_shape_is_refused_before_it_is_built(capsys, verb, rows, cols):
+    # a matrix stores one row per index, so 10^9 empty rows would be built
+    payload = {**_MATRIX, "rows": rows, "cols": cols, "entries": []}
+    _refused(capsys, [*verb, "--in", json.dumps(payload)], code=3)
+
+
+def test_empty_zero_by_zero_matrix_is_accepted(capsys):
+    payload = {**_MATRIX, "rows": 0, "cols": 0, "entries": []}
+    assert main(["rank", "--in", json.dumps(payload)]) == 0
+    assert json.loads(capsys.readouterr().out)["rank"] == 0
+
+
 def test_prime_at_or_above_two_to_the_64_is_refused(capsys):
     payload = {**_MATRIX, "ring": {"kind": "Zpm", "p": 2**64 + 13, "m": 1}}  # a prime
     assert "2^64" in _refused(capsys, ["rank", "--in", json.dumps(payload)])

@@ -1,15 +1,17 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
 import wedgecrys
-from wedgecrys.dieudonne import descriptor, make_standard
+from wedgecrys.dieudonne import descriptor, make_standard, matrix_phi
 from wedgecrys.errors import ArityMismatch, DimensionMismatch, RankPrecondition, SchemaError
 from wedgecrys.matrices import (
     IdealStatus,
     Matrix,
     base_change_matrix,
+    block_diag,
     charpoly,
     cokernel_rank_check,
     compound,
@@ -230,6 +232,77 @@ def test_compound_and_product_work_follow_the_nonzeros():
     R, B = _counted(B8)
     assert (B @ B).entries == (B8 @ B8).entries
     assert R.calls["mul"] <= 70, R.calls
+
+
+def _assert_canonical(M):
+    """M stores each row as its nonzeros with columns increasing, so it
+    equals and hashes as the matrix rebuilt from its dense entries."""
+    rebuilt = Matrix(M.ring, M.rows, M.cols, M.entries)
+    assert M == rebuilt and hash(M) == hash(rebuilt)
+    assert len(M.nonzero_rows) == M.rows
+    for nz in M.nonzero_rows:
+        cols = [j for j, _ in nz]
+        assert cols == sorted(set(cols)) and all(0 <= j < M.cols for j in cols)
+        assert not any(M.ring.is_zero(x) for _, x in nz)
+
+
+def test_library_matrices_are_canonical():
+    rng = random.Random(12)
+    Z = modulus_ring(3, 4)
+    W = make_witt_ring(3, 2, 3)
+    F2 = finite_field(2)
+    for ring in (Z, W, F2, QQ):
+        for n in range(1, 6):
+            A = _random_matrix(ring, n, rng)
+            S = _sparse_matrix(ring, n, n, rng, 0.4)
+            for M in (A, S, A.transpose(), S.transpose(), A @ S, S @ A,
+                      Matrix.from_rows(ring, S.to_rows()), block_diag(A, S, A)):
+                _assert_canonical(M)
+            for d in range(1, n + 1):
+                _assert_canonical(compound(A, d))
+                _assert_canonical(compound(S, d))
+            _assert_canonical(matrix_from_json(matrix_to_json(S)))
+        _assert_canonical(Matrix.identity(ring, 4))
+        _assert_canonical(Matrix.zeros(ring, 3, 2))
+    # products whose sums cancel
+    one = Matrix.from_int_rows(Z, [[1, 1], [1, 2]])
+    kill = Matrix.from_int_rows(Z, [[1, -1], [-1, 1]])
+    assert one @ kill == Matrix.from_int_rows(Z, [[0, 0], [-1, 1]])
+    for M in (one @ kill, kill @ kill.transpose() @ Matrix.zeros(Z, 2, 2)):
+        _assert_canonical(M)
+    for _ in range(20):
+        A, B = _sparse_matrix(F2, 5, 5, rng, 0.6), _sparse_matrix(F2, 5, 5, rng, 0.6)
+        _assert_canonical(A @ B)
+    # images that vanish: p times a multiple of p^(m-1), reductions of
+    # multiples of p, and the entrywise Frobenius
+    P = Matrix.from_int_rows(Z, [[27, 1, 0], [54, 9, 3], [0, 0, 27]])
+    assert P.scale(Z.from_int(3)) == Matrix.from_int_rows(Z, [[0, 3, 0], [0, 27, 9], [0, 0, 0]])
+    _assert_canonical(P.scale(Z.from_int(3)))
+    for R in (Z, W):
+        M = Matrix.from_rows(R, [[R.from_int(x) for x in row] for row in P.to_rows()])
+        for hom in (precision_reduction(R, 2), precision_reduction(R, 1), residue_reduction(R)):
+            _assert_canonical(base_change_matrix(M, hom))
+    assert base_change_matrix(P, residue_reduction(Z)) == Matrix.from_int_rows(
+        finite_field(3), [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
+    )
+    for k in (1, 2):
+        _assert_canonical(matrix_phi(_random_matrix(W, 4, rng), k))
+    for h in range(1, 7):
+        _assert_canonical(_standard_mf(h))
+
+
+def test_compound_of_a_monomial_matrix_stores_its_nonzeros_only():
+    # compound(MF, 7) of the h = 14 standard module has 3432 nonzeros among
+    # 3432^2 entries: a dense store of them peaked at 181 MiB
+    MF = make_standard(descriptor(14, 1), make_witt_ring(3, 1, 64)).MF
+    tracemalloc.start()
+    try:
+        C = compound(MF, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(map(len, C.nonzero_rows)) == 3432
+    assert peak < 16 * 2**20, peak
 
 
 def test_active_lane_is_python():

@@ -177,6 +177,24 @@ def test_wedge_dim_height_matches_honest_compound_determinant():
         assert got.dim == n_w - (v_raw - n_w * (r - 1))
 
 
+def test_wedge_dim_height_refuses_where_det_mf_vanishes():
+    # v_p(det MF) = h - dim is read at working precision m: it is visible
+    # once m > h - dim, and below that the refusal asks for m + 1
+    for h, dim in ((4, 0), (5, 1), (3, 2)):
+        v = h - dim
+        for m in range(1, v + 2):
+            D = make_standard(descriptor(h, dim), make_witt_ring(3, 1, m))
+            if m > v:
+                n_w = math.comb(h, 2)
+                assert wedge_dim_height(D, 2).dim == n_w - ((h - 1) * v - n_w)
+            else:
+                with pytest.raises(PrecisionExhausted) as exc:
+                    wedge_dim_height(D, 2)
+                assert exc.value.required_m == m + 1
+        with pytest.raises(DimensionMismatch):
+            wedge_dim_height(D, h + 1)
+
+
 def test_slope_transform_examples():
     np1 = slopes(make_standard(descriptor("LT_2"), make_witt_ring(3, 1, 6)))
     assert slope_transform(np1, 1).segments == np1.segments
