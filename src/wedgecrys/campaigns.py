@@ -12,6 +12,7 @@ import itertools
 import random
 
 from .dieudonne import descriptor, make_standard, semilinear_conjugate, verify_axioms
+from .errors import WedgecrysError
 from .graded import (
     FreeGradedModule,
     GradedMultilinearMap,
@@ -239,6 +240,12 @@ def run_campaign(
     exhaustive_f2: bool = False,
     wrong_shift: bool = False,
 ) -> dict:
+    if name not in CAMPAIGNS:
+        raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
+    if exhaustive_f2 and (name != "rank-lemma" or trials is not None):
+        raise WedgecrysError("--exhaustive-f2 applies only to rank-lemma, and takes no --trials")
+    if wrong_shift and name != "compat":
+        raise WedgecrysError(f"--wrong-shift applies only to compat, not {name}")
     if name == "rank-lemma":
         if exhaustive_f2:
             return rank_lemma_exhaustive_f2()
@@ -249,6 +256,4 @@ def run_campaign(
         return axioms(seed, trials if trials is not None else 5)
     if name == "compat":
         return compat(seed, trials if trials is not None else 25, wrong_shift=wrong_shift)
-    if name == "adjunction":
-        return adjunction(seed, trials if trials is not None else 50)
-    raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
+    return adjunction(seed, trials if trials is not None else 50)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .campaigns import CAMPAIGNS, run_campaign
@@ -54,14 +53,6 @@ def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _default_p() -> int:
-    raw = os.environ.get("WEDGECRYS_DEFAULT_P", "3")
-    try:
-        return int(raw)
-    except ValueError:
-        raise WedgecrysError(f"WEDGECRYS_DEFAULT_P must be an integer, got {raw!r}") from None
-
-
 def _at_least_one(flag: str, value) -> None:
     if value is not None and value < 1:
         raise WedgecrysError(f"{flag} must be >= 1, got {value}")
@@ -96,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--h", dest="h", type=int, required=True)
     w.add_argument("--dim", type=int, required=True)
     w.add_argument("--r", dest="r", type=int, required=True)
-    w.add_argument("--p", type=int, default=None)
+    w.add_argument("--p", type=int, default=3)
     w.add_argument("--a", type=int, default=1)
     w.add_argument("--m", type=int, default=None, help="working precision (default: sufficient)")
 
@@ -141,7 +132,6 @@ def main(argv=None) -> int:
                 raise WedgecrysError(f"--a must be <= {DEGREE_LIMIT}, got {args.a}")
             if args.m is not None and args.m > PRECISION_LIMIT:
                 raise WedgecrysError(f"--m must be <= {PRECISION_LIMIT}, got {args.m}")
-            p = args.p if args.p is not None else _default_p()
             try:
                 desc = GroupDescriptor(args.h, args.dim)
                 if desc.dim > 1:
@@ -150,7 +140,7 @@ def main(argv=None) -> int:
                 sys.stderr.write(f"bad descriptor: {exc}\n")
                 return EXIT_SCHEMA
             try:
-                report = wedge_report(desc, args.r, p, args.a, m=args.m)
+                report = wedge_report(desc, args.r, args.p, args.a, m=args.m)
             except PrecisionExhausted:
                 need = min_wedge_precision(args.h, args.dim, args.r, args.a)
                 sys.stderr.write(f"precision exhausted; required minimum m: {need}\n")

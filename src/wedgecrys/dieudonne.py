@@ -99,31 +99,48 @@ def descriptor(name_or_h, dim: int | None = None) -> GroupDescriptor:
 
 @dataclass(frozen=True)
 class DieudonneModule:
-    ring: WittRing
-    h: int
+    """MF and MV over one Witt ring; the ring and the height h are theirs."""
+
     MF: Matrix
     MV: Matrix
 
     def __post_init__(self):
-        if self.MF.rows != self.h or not self.MF.is_square or self.MV.rows != self.h:
+        if not (self.MF.is_square and self.MV.is_square and self.MV.rows == self.MF.rows):
             raise DimensionMismatch("MF, MV must be h x h")
+        if self.MV.ring != self.MF.ring:
+            raise RingMismatch("MF and MV over different rings")
+
+    @property
+    def ring(self) -> WittRing:
+        return self.MF.ring
+
+    @property
+    def h(self) -> int:
+        return self.MF.rows
 
     def to_isocrystal(self) -> "Isocrystal":
         """Forget V: the isocrystal with the same Frobenius and shift 0."""
-        return Isocrystal(self.ring, self.h, self.MF, 0, self.ring.m)
+        return Isocrystal(self.MF, 0)
 
 
 @dataclass(frozen=True)
 class Isocrystal:
-    ring: WittRing
-    rank: int
-    matrix: Matrix  # integral; the Frobenius is p^{-shift} . matrix o phi
+    """F = p^{-shift} . matrix o phi; the ring and the rank are the matrix's."""
+
+    matrix: Matrix
     shift: int
-    eff_precision: int
 
     def __post_init__(self):
-        if self.matrix.rows != self.rank or not self.matrix.is_square:
+        if not self.matrix.is_square:
             raise DimensionMismatch("matrix must be rank x rank")
+
+    @property
+    def ring(self) -> WittRing:
+        return self.matrix.ring
+
+    @property
+    def rank(self) -> int:
+        return self.matrix.rows
 
 
 def _as_crystal(X) -> Isocrystal:
@@ -159,7 +176,7 @@ def make_standard(desc: GroupDescriptor, ring: WittRing) -> DieudonneModule:
     bf, bv = _standard_block(ring, t, s)
     MF = block_diag(*([bf] * g))
     MV = block_diag(*([bv] * g))
-    return DieudonneModule(ring, h, MF, MV)
+    return DieudonneModule(MF, MV)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +262,7 @@ def semilinear_conjugate(D: DieudonneModule, U: Matrix) -> DieudonneModule:
     U_inv = invert_unimodular(U)
     MF = U @ D.MF @ matrix_phi(U_inv)
     MV = U @ D.MV @ matrix_phi(U_inv, R.a - 1)
-    return DieudonneModule(R, D.h, MF, MV)
+    return DieudonneModule(MF, MV)
 
 
 # ---------------------------------------------------------------------------
@@ -269,9 +286,7 @@ def dimension(D: DieudonneModule) -> int:
 def direct_sum(D1: DieudonneModule, D2: DieudonneModule) -> DieudonneModule:
     if D1.ring != D2.ring:
         raise RingMismatch("summands over different rings")
-    return DieudonneModule(
-        D1.ring, D1.h + D2.h, block_diag(D1.MF, D2.MF), block_diag(D1.MV, D2.MV)
-    )
+    return DieudonneModule(block_diag(D1.MF, D2.MF), block_diag(D1.MV, D2.MV))
 
 
 # ---------------------------------------------------------------------------
@@ -425,23 +440,21 @@ def slopes(X) -> NewtonPolygon:
     Every other block runs the twisted power, charpoly and hull; a crystal
     that is one such component, such as a dense one, runs on its own matrix.
 
-    Raises PrecisionExhausted when eff_precision <= rank * a, or when det L
-    vanishes at working precision (then the polygon's left vertex is
+    Raises PrecisionExhausted when m <= rank * a, or when det L vanishes
+    at the ring's precision p^m (then the polygon's left vertex is
     unknowable): valuations add below p^m, so that is when the block
-    determinant valuations sum to eff_precision or more, or some block's
-    determinant is 0.
+    determinant valuations sum to m or more, or some block's determinant
+    is 0.
     """
     C = _as_crystal(X)
     R = C.ring
-    n, a, eff = C.rank, R.a, C.eff_precision
-    if eff <= n * a:
+    n, a, m = C.rank, R.a, R.m
+    if m <= n * a:
         raise PrecisionExhausted(
             f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
         )
     comps = _strong_components(C.matrix)
     rows = C.matrix.nonzero_rows
-    # det L is 0 mod p^m once the block valuations sum to m
-    cap = min(eff, R.m)
     det_val = 0
     out = []
     for S in comps:
@@ -456,21 +469,22 @@ def slopes(X) -> NewtonPolygon:
             v = sum(R.valuation(x) for nz in sub for _, x in nz)
             block_val, block = a * v, [Fraction(v, k) - C.shift] * k
         else:
-            B = C if sub is rows else Isocrystal(R, k, Matrix.from_nonzero_rows(R, k, sub), C.shift, eff)
+            B = C if sub is rows else Isocrystal(Matrix.from_nonzero_rows(R, k, sub), C.shift)
             vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
             block_val = vals[0]
-            # all true polygon vertices have valuation <= vals[0] < cap, so
-            # points of valuation BOTTOM or >= cap lie strictly above the hull
-            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM and v < cap])
+            # all true polygon vertices have valuation <= vals[0], so points
+            # of valuation BOTTOM lie strictly above the hull
+            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM])
             block = [
                 Fraction(y1 - y2, x2 - x1) / a - C.shift
                 for (x1, y1), (x2, y2) in zip(hull, hull[1:])
                 for _ in range(x2 - x1)
             ]
-        if block_val is BOTTOM or det_val + block_val >= cap:
+        # det L is 0 mod p^m once the block valuations sum to m
+        if block_val is BOTTOM or det_val + block_val >= m:
             raise PrecisionExhausted(
                 "det of the twisted power vanishes at working precision",
-                required_m=eff + 1,
+                required_m=m + 1,
             )
         det_val += block_val
         out.extend(block)
@@ -538,11 +552,11 @@ def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):
 
 
 def eigenspace(X, c: int) -> EigenBasis:
-    """Basis of {x : F(x) = p^c x} as a Z/p^{m'}-module, m' = eff - c - shift.
+    """Basis of {x : F(x) = p^c x} as a Z/p^{m'}-module, m' = m - c - shift.
 
-    The integral system (M o phi - p^{c+e}) x = 0 is solved at the crystal's
-    effective precision; the kernel is then reduced to precision m' (which
-    kills the torsion that only existed because p^{c+e} annihilates it) and
+    The integral system (M o phi - p^{c+e}) x = 0 is solved at the ring's
+    precision m; the kernel is then reduced to precision m' (which kills
+    the torsion that only existed because p^{c+e} annihilates it) and
     re-canonicalized in Howell form.
     """
     C = _as_crystal(X)
@@ -550,15 +564,14 @@ def eigenspace(X, c: int) -> EigenBasis:
     exponent = c + C.shift
     if exponent < 0:
         raise ValueError(f"c + shift must be >= 0, got c + shift = {exponent}")
-    m_eff = C.eff_precision
-    m_out = m_eff - exponent
+    m_out = R.m - exponent
     if m_out < 1:
         raise PrecisionExhausted(
             f"eigenspace needs eff_precision > c + shift = {exponent}",
             required_m=exponent + 1,
         )
-    rows = frobenius_linearization(C, exponent, m_eff)
-    gens = kernel_basis(rows, R.p, m_eff)
+    rows = frobenius_linearization(C, exponent, R.m)
+    gens = kernel_basis(rows, R.p, R.m)
     q_out = R.p**m_out
     reduced = [[x % q_out for x in g] for g in gens]
     basis = howell_form(reduced, R.a * C.rank, R.p, m_out)
@@ -608,7 +621,7 @@ def isocrystal_from_json(obj) -> Isocrystal:
         raise SchemaError("matrix ring does not match the isocrystal's p, a, m")
     if M.rows != rank:
         raise SchemaError("matrix size does not match 'rank'")
-    return Isocrystal(ring, rank, M, shift, m)
+    return Isocrystal(M, shift)
 
 
 def polygon_to_json(np: NewtonPolygon) -> dict:

@@ -46,13 +46,7 @@ def wedge_isocrystal(X, r: int) -> Isocrystal:
         raise DimensionMismatch(f"need 1 <= r <= {C.rank}, got {r}")
     if r == 1:
         return C
-    return Isocrystal(
-        C.ring,
-        math.comb(C.rank, r),
-        compound(C.matrix, r),
-        r * C.shift + (r - 1),
-        C.eff_precision,
-    )
+    return Isocrystal(compound(C.matrix, r), r * C.shift + (r - 1))
 
 
 def column_matrix(ring, columns) -> Matrix:
@@ -287,26 +281,23 @@ def min_wedge_precision(h: int, dim: int, r: int, a: int) -> int:
 
 
 def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = None) -> dict:
-    """The CLI-facing wedge summary: height, dim, slopes, mu check."""
+    """The CLI-facing wedge summary, read off one wedge W and its polygon:
+    the height is W's rank, the dimension is the height less the slope sum
+    (an integer, v_p(det M) - rank.shift), and at r = h the mu check asks
+    for the one slope 0."""
     h = desc.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")
     if m is None:
         m = slope_precision(h, desc.dim, r, a)
-    ring = make_witt_ring(p, a, m)
-    D = make_standard(desc, ring)
-    dims = wedge_dim_height(D, r)
-    W = wedge_isocrystal(D.to_isocrystal(), r)
+    W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
     np = slopes(W)
-    mu_check = None
-    if r == h:
-        mu_check = bool(mu_identification(D))
     return {
         "schema": "v1",
         "source": {"h": h, "dim": desc.dim, "p": p, "a": a, "m": m},
         "r": r,
-        "height": dims.height,
-        "dim": dims.dim,
+        "height": W.rank,
+        "dim": W.rank - int(np.weighted_sum),
         "slopes": [format_fraction(s) for s in np.expanded()],
-        "mu_check": mu_check,
+        "mu_check": np.segments == ((0, 1),) if r == h else None,
     }

@@ -36,8 +36,8 @@ def unsplit_slopes(X) -> NewtonPolygon:
     """Newton slopes from the charpoly of the whole a-fold twisted power."""
     C = _as_crystal(X)
     R = C.ring
-    n, a, eff = C.rank, R.a, C.eff_precision
-    if eff <= n * a:
+    n, a, m = C.rank, R.a, R.m
+    if m <= n * a:
         raise PrecisionExhausted(
             f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
         )
@@ -46,11 +46,11 @@ def unsplit_slopes(X) -> NewtonPolygon:
     vals = []
     for c in coeffs:
         v = R.valuation(c)
-        vals.append(BOTTOM if (v is BOTTOM or v >= eff) else v)
+        vals.append(BOTTOM if (v is BOTTOM or v >= m) else v)
     if vals[0] is BOTTOM:
         raise PrecisionExhausted(
             "det of the twisted power vanishes at working precision",
-            required_m=eff + 1,
+            required_m=m + 1,
         )
     points = [(i, v) for i, v in enumerate(vals) if v is not BOTTOM]
     hull = _lower_hull(points)
@@ -160,10 +160,9 @@ def _cycles(rng, p, a, n_max=8):
     return rows, total, 0 in sizes, [k for k in sizes if k]
 
 
-def _crystal(R, rows, shift=0, eff=None):
+def _crystal(R, rows, shift=0):
     n = len(rows)
-    M = Matrix(R, n, n, [_element(R, x) for row in rows for x in row])
-    return Isocrystal(R, n, M, shift, R.m if eff is None else eff)
+    return Isocrystal(Matrix(R, n, n, [_element(R, x) for row in rows for x in row]), shift)
 
 
 # ---------------------------------------------------------------------------
@@ -309,18 +308,18 @@ def test_standard_wedge_refusals_match_the_oracle(a):
 
 def test_guard_sums_the_block_det_valuations():
     # diag(9, 9): each block's det has valuation 2 < 4, but det L = 3^4
-    # vanishes mod 3^4, and at eff_precision 4 over 3^10 it reaches eff
+    # vanishes mod 3^4
     for C in (
         _crystal(modulus_ring(3, 4), [[9, 0], [0, 9]]),
-        _crystal(make_witt_ring(3, 1, 10), [[9, 0], [0, 9]], eff=4),
-        _crystal(make_witt_ring(3, 2, 8), [[(9, 0), (1, 2)], [(0, 0), (0, 27)]], eff=7),
+        _crystal(make_witt_ring(3, 1, 4), [[9, 0], [0, 9]]),
+        _crystal(make_witt_ring(3, 2, 7), [[(9, 0), (1, 2)], [(0, 0), (0, 27)]]),
     ):
         for B in _strong_components(C.matrix):
             block = Matrix(C.ring, 1, 1, [C.matrix[B[0], B[0]]])
-            assert slopes(Isocrystal(C.ring, 1, block, 0, C.eff_precision))
+            assert slopes(Isocrystal(block, 0))
         want = ("PrecisionExhausted",
                 "det of the twisted power vanishes at working precision",
-                C.eff_precision + 1)
+                C.ring.m + 1)
         assert _outcome(unsplit_slopes, C) == want
         assert _outcome(slopes, C) == want
 
@@ -386,7 +385,7 @@ def test_mixed_crystal_runs_charpoly_on_the_non_cycle_block_only(monkeypatch):
         calls = _recording_charpoly(monkeypatch)
         got = slopes(C)
         assert [A.rows for A in calls] == [2]
-        assert calls[0] == twisted_power_matrix(Isocrystal(R, 2, block, 1, 30))
+        assert calls[0] == twisted_power_matrix(Isocrystal(block, 1))
         monkeypatch.undo()
         assert got == unsplit_slopes(C)
         assert {Fraction(1, 3) - 1, Fraction(2) - 1, Fraction(3, 2) - 1} <= set(dict(got.segments))

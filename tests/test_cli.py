@@ -10,14 +10,12 @@ from wedgecrys.dieudonne import descriptor, isocrystal_to_json, make_standard
 from wedgecrys.rings import make_witt_ring
 
 
-def run_cli(args, env=None):
+def run_cli(args):
     cmd = [sys.executable, "-m", "wedgecrys.cli", *args]
-    base_env = {"PATH": "/usr/bin:/bin"}
+    env = {"PATH": "/usr/bin:/bin"}
     if "PYTHONPATH" in os.environ:
-        base_env["PYTHONPATH"] = os.environ["PYTHONPATH"]
-    if env:
-        base_env.update(env)
-    return subprocess.run(cmd, capture_output=True, text=True, env=base_env)
+        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 
 IDENTITY4 = json.dumps(
@@ -139,10 +137,9 @@ def test_wedge_insufficient_precision_exit_4(capsys):
     assert main(["wedge", "--h", "5", "--dim", "1", "--r", "2", "--p", "3", "--a", "1", "--m", "17"]) == 0
 
 
-def test_default_prime_env_override():
-    res = run_cli(["wedge", "--h", "2", "--dim", "1", "--r", "2"], env={"WEDGECRYS_DEFAULT_P": "5"})
-    assert res.returncode == 0
-    assert json.loads(res.stdout)["source"]["p"] == 5
+def test_wedge_default_prime_is_3(capsys):
+    assert main(["wedge", "--h", "2", "--dim", "1", "--r", "2"]) == 0
+    assert json.loads(capsys.readouterr().out)["source"]["p"] == 3
 
 
 def test_check_rank_lemma_exhaustive(capsys):
@@ -197,10 +194,18 @@ def _refused(capsys, argv, code=2):
     return captured.err
 
 
-def test_bad_default_prime_env_is_refused(capsys, monkeypatch):
-    monkeypatch.setenv("WEDGECRYS_DEFAULT_P", "abc")
-    err = _refused(capsys, ["wedge", "--h", "2", "--dim", "1", "--r", "2"])
-    assert "WEDGECRYS_DEFAULT_P" in err
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "axioms", "--exhaustive-f2"], "--exhaustive-f2"),
+        (["check", "compat", "--exhaustive-f2"], "--exhaustive-f2"),
+        (["check", "rank-lemma", "--exhaustive-f2", "--trials", "3"], "--trials"),
+        (["check", "cauchy-binet", "--wrong-shift"], "--wrong-shift"),
+        (["check", "rank-lemma", "--wrong-shift"], "--wrong-shift"),
+    ],
+)
+def test_check_refuses_a_flag_its_campaign_ignores(capsys, argv, flag):
+    assert flag in _refused(capsys, argv)
 
 
 def test_wedge_extension_degree_zero_is_refused(capsys):

@@ -23,7 +23,7 @@ from wedgecrys.dieudonne import (
     slopes,
     verify_axioms,
 )
-from wedgecrys.errors import BadDescriptor, PrecisionExhausted, RingMismatch
+from wedgecrys.errors import BadDescriptor, DimensionMismatch, PrecisionExhausted, RingMismatch
 from wedgecrys.matrices import Matrix, det
 from wedgecrys.rings import make_witt_ring
 
@@ -68,10 +68,33 @@ def test_verify_axioms_on_standard_battery():
 
 def test_verify_axioms_rejects_bad_pair():
     R = make_witt_ring(3, 1, 4)
-    bad = DieudonneModule(R, 1, Matrix.from_int_rows(R, [[1]]), Matrix.from_int_rows(R, [[1]]))
+    bad = DieudonneModule(Matrix.from_int_rows(R, [[1]]), Matrix.from_int_rows(R, [[1]]))
     report = verify_axioms(bad)
     assert not report
     assert report.failures
+
+
+def test_module_refuses_a_non_square_or_foreign_verschiebung():
+    R = make_witt_ring(3, 1, 4)
+    MF = Matrix.from_int_rows(R, [[0, 3], [1, 0]])
+    with pytest.raises(DimensionMismatch):
+        DieudonneModule(MF, Matrix.from_int_rows(R, [[0, 1, 0], [3, 0, 0]]))
+    with pytest.raises(DimensionMismatch):
+        DieudonneModule(MF, Matrix.from_int_rows(R, [[1]]))
+    S = make_witt_ring(3, 1, 5)
+    with pytest.raises(RingMismatch):
+        DieudonneModule(MF, Matrix.from_int_rows(S, [[0, 3], [1, 0]]))
+    D = DieudonneModule(MF, Matrix.from_int_rows(R, [[0, 3], [1, 0]]))
+    assert D.ring is R and D.h == 2 and verify_axioms(D)
+
+
+def test_crystal_ring_and_rank_are_its_matrix_s():
+    for R in (make_witt_ring(3, 1, 7), make_witt_ring(3, 2, 5)):
+        M = make_standard(descriptor("LT_3"), R).MF
+        C = Isocrystal(M, 1)
+        assert C.ring is M.ring and C.rank == M.rows == 3
+    with pytest.raises(DimensionMismatch):
+        Isocrystal(Matrix.from_int_rows(R, [[1, 0]]), 0)
 
 
 def test_axioms_survive_semilinear_conjugation():
@@ -254,7 +277,7 @@ def test_eigenspace_ring_vectors_feed_back_to_apply_f(a):
 def test_eigenspace_accepts_a_negative_slope():
     # shift 1, M = I: F = p^-1 phi has slope -1, so F = p^-1 x is solvable
     R = make_witt_ring(3, 1, 6)
-    C = Isocrystal(R, 2, Matrix.identity(R, 2), 1, R.m)
+    C = Isocrystal(Matrix.identity(R, 2), 1)
     assert slopes(C).expanded() == [Fraction(-1)] * 2
     eb = eigenspace(C, -1)
     assert eb.rank == 2 and eb.free_rank == 2 and eb.precision == 6
@@ -266,7 +289,7 @@ def test_eigenspace_accepts_a_negative_slope():
 def test_eigenspace_refuses_a_negative_exponent(c):
     # shift -2, M = I: c + shift < 0 is refused, not computed with p^(c + shift)
     R = make_witt_ring(3, 1, 6)
-    C = Isocrystal(R, 2, Matrix.identity(R, 2), -2, R.m)
+    C = Isocrystal(Matrix.identity(R, 2), -2)
     with pytest.raises(ValueError, match="c \\+ shift must be >= 0"):
         eigenspace(C, c)
     eb = eigenspace(C, 2)

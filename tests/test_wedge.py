@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from wedgecrys import dieudonne, matrices, wedge
 from wedgecrys.dieudonne import (
     descriptor,
     direct_sum,
@@ -282,6 +283,43 @@ def test_wedge_report_shape():
     assert rep["slopes"] == ["3/5"] * 10 and rep["mu_check"] is None
     rep = wedge_report(descriptor(3, 1), 1, 3, 1)
     assert rep["height"] == 3 and rep["dim"] == 1
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_wedge_report_matches_the_determinant_oracles(p):
+    # the report reads height, dim and mu_check off one polygon; the oracles
+    # read them off v_p(det MF) and a second top wedge
+    for h in range(1, 8):
+        for dim in (0, 1):
+            for r in range(1, h + 1):
+                for a in (1, 2, 3):
+                    for m in range(min_wedge_precision(h, dim, r, a), slope_precision(h, dim, r, a) + 1):
+                        rep = wedge_report(descriptor(h, dim), r, p, a, m=m)
+                        D = make_standard(descriptor(h, dim), make_witt_ring(p, a, m))
+                        want = wedge_dim_height(D, r)
+                        assert (rep["height"], rep["dim"]) == (want.height, want.dim), (h, dim, r, a, m)
+                        assert rep["mu_check"] is (bool(mu_identification(D)) if r == h else None)
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+@pytest.mark.parametrize("r", [2, 5])
+def test_wedge_report_runs_one_compound_and_no_det_or_charpoly(monkeypatch, a, r):
+    calls = dict.fromkeys(("det", "charpoly", "compound"), 0)
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls[name] += 1
+            return f(*args)
+
+        return wrapper
+
+    for module in (matrices, dieudonne, wedge):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rep = wedge_report(descriptor(5, 1), r, 3, a)
+    assert rep["height"] == math.comb(5, r)
+    assert calls == {"det": 0, "charpoly": 0, "compound": 1}
 
 
 def test_wedge_isocrystal_range_errors():
