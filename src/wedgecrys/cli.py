@@ -21,14 +21,19 @@ from .errors import (
     WedgecrysError,
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
-from .rings import DEGREE_LIMIT, PRECISION_LIMIT
-from .wedge import min_wedge_precision, wedge_report
+from .rings import DEGREE_LIMIT
+from .wedge import min_wedge_precision, slope_precision, wedge_report
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_PRECISION = 4
 EXIT_CHECK_FAILED = 5
+
+# The precision a wedge report runs at, given by --m or derived by
+# slope_precision.  h=18 r=9 derives 413,272 and finishes in about 15 s at
+# 1 GB; h=20 r=10 derives 1,755,184 and would run out of memory.
+WEDGE_PRECISION_LIMIT = 1 << 19
 
 
 def _read_payload(source: str):
@@ -130,8 +135,6 @@ def main(argv=None) -> int:
             _at_least_one("--m", args.m)
             if args.a > DEGREE_LIMIT:
                 raise WedgecrysError(f"--a must be <= {DEGREE_LIMIT}, got {args.a}")
-            if args.m is not None and args.m > PRECISION_LIMIT:
-                raise WedgecrysError(f"--m must be <= {PRECISION_LIMIT}, got {args.m}")
             try:
                 desc = GroupDescriptor(args.h, args.dim)
                 if desc.dim > 1:
@@ -139,8 +142,14 @@ def main(argv=None) -> int:
             except BadDescriptor as exc:
                 sys.stderr.write(f"bad descriptor: {exc}\n")
                 return EXIT_SCHEMA
+            m = args.m
+            if m is None and 1 <= args.r <= desc.h:  # wedge_report refuses any other r
+                m = slope_precision(desc.h, desc.dim, args.r, args.a)
+            if m is not None and m > WEDGE_PRECISION_LIMIT:
+                given = "--m" if args.m is not None else "the derived working precision"
+                raise WedgecrysError(f"{given} must be <= {WEDGE_PRECISION_LIMIT}, got m = {m}")
             try:
-                report = wedge_report(desc, args.r, args.p, args.a, m=args.m)
+                report = wedge_report(desc, args.r, args.p, args.a, m=m)
             except PrecisionExhausted:
                 need = min_wedge_precision(args.h, args.dim, args.r, args.a)
                 sys.stderr.write(f"precision exhausted; required minimum m: {need}\n")

@@ -439,6 +439,8 @@ def slopes(X) -> NewtonPolygon:
     power into sub-cycles, since each has the same average valuation.
     Every other block runs the twisted power, charpoly and hull; a crystal
     that is one such component, such as a dense one, runs on its own matrix.
+    Each cycle and each hull segment adds its slope with its multiplicity,
+    so the polygon costs one Fraction per segment, not one per slope.
 
     Raises PrecisionExhausted when m <= rank * a, or when det L vanishes
     at the ring's precision p^m (then the polygon's left vertex is
@@ -455,8 +457,9 @@ def slopes(X) -> NewtonPolygon:
         )
     comps = _strong_components(C.matrix)
     rows = C.matrix.nonzero_rows
+    e = C.shift
     det_val = 0
-    out = []
+    mults: dict = {}  # slope -> multiplicity, one entry per block segment
     for S in comps:
         k = len(S)
         sub = rows
@@ -467,7 +470,7 @@ def slopes(X) -> NewtonPolygon:
         if sum(map(len, sub)) == k:
             # one k-cycle, entry valuations summing to v: slope v/k
             v = sum(R.valuation(x) for nz in sub for _, x in nz)
-            block_val, block = a * v, [Fraction(v, k) - C.shift] * k
+            block_val, segments = a * v, [(Fraction(v - k * e, k), k)]
         else:
             B = C if sub is rows else Isocrystal(Matrix.from_nonzero_rows(R, k, sub), C.shift)
             vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
@@ -475,10 +478,10 @@ def slopes(X) -> NewtonPolygon:
             # all true polygon vertices have valuation <= vals[0], so points
             # of valuation BOTTOM lie strictly above the hull
             hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM])
-            block = [
-                Fraction(y1 - y2, x2 - x1) / a - C.shift
+            # a segment of width w and drop y: slope y/(a w) - e, w times
+            segments = [
+                (Fraction(y1 - y2 - a * e * (x2 - x1), a * (x2 - x1)), x2 - x1)
                 for (x1, y1), (x2, y2) in zip(hull, hull[1:])
-                for _ in range(x2 - x1)
             ]
         # det L is 0 mod p^m once the block valuations sum to m
         if block_val is BOTTOM or det_val + block_val >= m:
@@ -487,8 +490,9 @@ def slopes(X) -> NewtonPolygon:
                 required_m=m + 1,
             )
         det_val += block_val
-        out.extend(block)
-    return NewtonPolygon.from_multiset(out)
+        for slope, mult in segments:
+            mults[slope] = mults.get(slope, 0) + mult
+    return NewtonPolygon(tuple(sorted(mults.items())))
 
 
 # ---------------------------------------------------------------------------

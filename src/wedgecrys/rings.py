@@ -23,7 +23,7 @@ import itertools
 import operator
 import re
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import NonPrime, SchemaError, UnsupportedHom
 
@@ -203,6 +203,7 @@ def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
     that an a = 1 ring stores on itself.  `coefficient_lists` rings split
     entry strings on ',' and refuse more than one coefficient."""
     c = p**m
+    half = c >> 1
 
     def from_list(s: str):
         x, *rest = [_int_entry(u) % c for u in s.split(",")]
@@ -225,7 +226,7 @@ def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
         "is_zero": operator.not_,
         "is_unit": lambda x: x % p != 0,
         "inv": inv,
-        "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
+        "pivot_val": lambda x: 0 if x % p else _vp(x if x <= half else c - x, p, m),
         "shift_down": lambda x, v: x // p**v,
         "coeffs_mod": lambda x, n: x % n,
         "random_element": lambda rng: rng.randrange(c),
@@ -260,6 +261,7 @@ class _PolynomialQuotient:
         self.m = m
         self.fred = fred
         self._c = p**m
+        self._half = self._c >> 1
         self.val_cap = m
         if a == 1:
             self.zero, self.one = 0, 1
@@ -337,11 +339,19 @@ class _PolynomialQuotient:
         return BOTTOM if v >= self.m else v
 
     def pivot_val(self, x) -> int:
-        """Minimum p-adic valuation over the coefficients; m for zero."""
-        p, best = self.p, self.m
+        """Minimum p-adic valuation over the coefficients; m for zero.
+
+        A coefficient c in (0, q), q = p^m, has v(c) < m = v(q), so
+        v(q - c) = v(c): the valuation is read off the nearer residue
+        min(c, q - c), and a negated small value q - p^k u costs a
+        valuation of p^k u, not of a full-size integer.  The nearer one is
+        chosen against q // 2, so q - c is formed only when it is the
+        smaller.  The a = 1 route (`_int_elements`) reads it the same way.
+        """
+        p, q, half, best = self.p, self._c, self._half, self.m
         for c in x:
             if c:
-                best = _vp(c, p, best)
+                best = _vp(c if c <= half else q - c, p, best)
                 if best == 0:
                     break
         return best
@@ -417,8 +427,13 @@ class WittRing(_PolynomialQuotient):
     defining polynomial of F_{p^a}.
 
     The lifted Frobenius fixes f_hat's distinguished root: phi(xbar) is the
-    Hensel lift of xbar^p, computed once at construction, so phi is a ring
-    endomorphism with phi^a = id and phi = (p-power map) mod p.
+    Hensel lift of xbar^p, so phi is a ring endomorphism with phi^a = id and
+    phi = (p-power map) mod p.  The lift and the matrices of the powers of
+    phi are computed on first use (`frobenius`, `frobenius_pow`,
+    `frobenius_matrix`, `frobenius_root`) and kept on the instance: a ring
+    whose Frobenius is never applied never pays for the lift.  Both are
+    functions of (p, a, m) alone, so a first use racing another computes
+    the same values.
     """
 
     kind = "witt"
@@ -428,13 +443,22 @@ class WittRing(_PolynomialQuotient):
         super().__init__(p, a, m, defining_polynomial(p, a))
         self.q = self._c
         self.residue_field = finite_field(p, a)
-        self.frobenius_root = root = self._hensel_frobenius_root()
-        # all Frobenius powers cached up front: the ring stays immutable
+
+    @cached_property
+    def frobenius_root(self):
+        """phi(x) for the generator x: the Hensel-lifted root of f_hat."""
+        return self._hensel_frobenius_root()
+
+    @cached_property
+    def _phi_mats(self):
+        """The columns of phi^k, keyed by k = 1, ..., max(1, a - 1)."""
+        root = self.frobenius_root
         first = self._phi_matrix(root)
-        self._phi_mats = {1: first}
-        for k in range(2, a):
+        mats = {1: first}
+        for k in range(2, self.a):
             root = self._apply_mat(first, root)
-            self._phi_mats[k] = self._phi_matrix(root)
+            mats[k] = self._phi_matrix(root)
+        return mats
 
     # -- construction helpers ------------------------------------------------
 
@@ -720,7 +744,8 @@ def finite_field(p: int, a: int = 1) -> FiniteField:
 
 @lru_cache(maxsize=None)
 def make_witt_ring(p: int, a: int, m: int) -> WittRing:
-    """Truncated unramified Witt ring W(F_{p^a})/p^m with cached Frobenius."""
+    """Truncated unramified Witt ring W(F_{p^a})/p^m; its Frobenius is built
+    on first use and kept on the ring."""
     return WittRing(p, a, m)
 
 

@@ -292,12 +292,16 @@ def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = 
         m = slope_precision(h, desc.dim, r, a)
     W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
     np = slopes(W)
+    # each segment's slope is formatted once
+    slope_strs = []
+    for s, mult in np.segments:
+        slope_strs += [format_fraction(s)] * mult
     return {
         "schema": "v1",
         "source": {"h": h, "dim": desc.dim, "p": p, "a": a, "m": m},
         "r": r,
         "height": W.rank,
         "dim": W.rank - int(np.weighted_sum),
-        "slopes": [format_fraction(s) for s in np.expanded()],
+        "slopes": slope_strs,
         "mu_check": np.segments == ((0, 1),) if r == h else None,
     }

@@ -306,6 +306,59 @@ def test_standard_wedge_refusals_match_the_oracle(a):
         assert _outcome(slopes, W) == _outcome(unsplit_slopes, W), m
 
 
+def _multiset_polygon(np):
+    """The polygon `from_multiset` builds from np's slopes one at a time."""
+    return NewtonPolygon.from_multiset(np.expanded())
+
+
+@pytest.mark.parametrize("ring_name", list(RINGS))
+def test_segments_are_the_multiset_polygon_of_the_oracle(ring_name):
+    # slopes adds (slope, multiplicity) one block segment at a time; the
+    # result must be the polygon from_multiset makes of the unsplit
+    # oracle's slopes: Fraction slopes, strictly ascending, each once
+    p, a = RINGS[ring_name]
+    rng = random.Random(f"segments:{ring_name}")
+    kinds = {"cyclic": [], "charpoly": [], "mixed": []}
+    for _ in range(12):
+        rows, v, singular, _ = _cycles(rng, p, a)
+        if not singular:
+            m = max(len(rows) * a, a * v) + 1
+            kinds["cyclic"].append(_crystal(_ring(ring_name, m), _permuted(rng, rows), rng.randint(-1, 1)))
+        n = rng.randint(2, 5)
+        dense = [[_random_entry(rng, p, a, 0.0) for _ in range(n)] for _ in range(n)]
+        kinds["charpoly"].append(_crystal(_ring(ring_name, 40), dense, rng.randint(-1, 1)))
+        mixed = _block_triangular(rng, p, a, rng.randint(3, 7))
+        kinds["mixed"].append(_crystal(_ring(ring_name, 40), mixed, rng.randint(-1, 1)))
+    # equal slopes from a 1x1 block, a 2-cycle and a dense 2x2 block merge
+    # into one segment of multiplicity 5
+    def scalar(c):
+        return c if a == 1 else (c,) + (0,) * (a - 1)
+
+    zero, pu = scalar(0), scalar(p)
+    merged = [
+        [pu, zero, zero, zero, zero],
+        [zero, zero, pu, zero, zero],
+        [zero, pu, zero, zero, zero],
+        [zero, zero, zero, pu, pu],
+        [zero, zero, zero, pu, scalar(2 * p)],
+    ]
+    kinds["mixed"].append(_crystal(_ring(ring_name, 40), merged, 1))
+    for kind, crystals in kinds.items():
+        solved = 0
+        for C in crystals:
+            want = _outcome(unsplit_slopes, C)
+            got = _outcome(slopes, C)
+            if not isinstance(want, NewtonPolygon):
+                assert got == want, kind
+                continue
+            assert got.segments == _multiset_polygon(want).segments, kind
+            assert all(type(s) is Fraction and k > 0 for s, k in got.segments), kind
+            assert [s for s, _ in got.segments] == sorted({s for s, _ in got.segments}), kind
+            solved += 1
+        assert solved >= 5, kind
+    assert slopes(kinds["mixed"][-1]).segments == ((Fraction(0), 5),)
+
+
 def test_guard_sums_the_block_det_valuations():
     # diag(9, 9): each block's det has valuation 2 < 4, but det L = 3^4
     # vanishes mod 3^4

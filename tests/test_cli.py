@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from wedgecrys import wedge
 from wedgecrys.cli import main
 from wedgecrys.dieudonne import descriptor, isocrystal_to_json, make_standard
 from wedgecrys.rings import make_witt_ring
@@ -289,7 +290,24 @@ def test_precision_cap_is_inclusive(capsys):
 
 
 def test_wedge_precision_above_cap_is_refused(capsys):
-    assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", str(2**16 + 1)])
+    assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", str(2**19 + 1)])
+
+
+@pytest.mark.parametrize("m", [96527, 2**19])
+def test_wedge_precision_cap_is_inclusive_and_above_the_payload_cap(capsys, m):
+    # 96,527 is the precision --h 16 --r 8 derives
+    assert main(WEDGE_H3 + ["--m", str(m)]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["source"]["m"] == m and out["slopes"] == ["1/3"] * 3
+
+
+def test_wedge_derived_precision_above_cap_is_refused_before_any_ring(capsys, monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(wedge, "make_witt_ring", no_ring)
+    err = _refused(capsys, ["wedge", "--h", "20", "--dim", "1", "--r", "10", "--p", "3"])
+    assert "1755184" in err and "524288" in err
 
 
 def test_wedge_extension_degree_above_cap_is_refused(capsys):

@@ -428,3 +428,93 @@ def test_frobenius_root_matches_the_lift_with_full_inverses(p, a):
         R = WittRing(p, a, m)
         assert R.frobenius_root == _frobenius_root_by_full_inverses(R), m
         assert R._eval_fhat(R.frobenius_root)[0] == R.zero
+
+
+# the four uses that build the Frobenius root
+FROBENIUS_USES = {
+    "frobenius": lambda R: R.frobenius(R.gen()),
+    "frobenius_pow": lambda R: R.frobenius_pow(R.gen(), R.a - 1),
+    "frobenius_matrix": lambda R: R.frobenius_matrix(),
+    "frobenius_root": lambda R: R.frobenius_root,
+}
+
+
+@pytest.mark.parametrize("use", list(FROBENIUS_USES))
+@pytest.mark.parametrize("a", [2, 3])
+def test_frobenius_root_is_built_on_first_use_and_kept_on_the_ring(a, use):
+    for m in (1, 2, 7, 64):
+        R = WittRing(3, a, m)
+        assert "frobenius_root" not in vars(R) and "_phi_mats" not in vars(R)
+        FROBENIUS_USES[use](R)
+        assert "frobenius_root" in vars(R), m
+        assert R.frobenius_root == _frobenius_root_by_full_inverses(R), m
+        # phi^a = id, and phi^k is phi applied k times
+        x = R.random_element(random.Random(m))
+        y = x
+        for k in range(1, a + 1):
+            y = R.frobenius(y)
+            assert y == R.frobenius_pow(x, k), (m, k)
+        assert y == x
+
+
+@pytest.mark.parametrize("a", [2, 3])
+def test_rings_of_different_precision_never_share_a_root(a):
+    # first uses in rising and then falling precision, each on a new ring:
+    # a root kept anywhere but on its own ring reaches a ring of another m
+    for ms in ((2, 5, 11, 40), (40, 11, 5, 2)):
+        for m in ms:
+            R = WittRing(5, a, m)
+            r = R.frobenius(R.gen())
+            assert r == R.frobenius_root == _frobenius_root_by_full_inverses(R), m
+            assert R._eval_fhat(r)[0] == R.zero, m
+
+
+def _naive_valuation(R, x):
+    """min over the coefficients of x of the p-adic valuation, by dividing
+    by p one step at a time; m for zero."""
+    best = R.m
+    for c in (x,) if R.a == 1 else x:
+        v = 0
+        while c and c % R.p == 0:
+            c //= R.p
+            v += 1
+        if c:
+            best = min(best, v)
+    return best
+
+
+def _adversarial_coefficients(rng, p, m):
+    """Values in [0, p^m) whose valuation is easy to misread: the negated
+    p^k u = q - p^k u for k up to m - 1 and u a unit or not, q - 1,
+    p^(m-1), 0 and random values."""
+    q = p**m
+    ks = sorted({0, 1, m // 2, m - 2, m - 1} & set(range(m)))
+    out = [0, q - 1, p ** (m - 1), rng.randrange(q), rng.randrange(q)]
+    for k in ks:
+        top = p ** (m - k)
+        for u in {1, top - 1, rng.randrange(1, top), p * rng.randrange(top // p) or 1}:
+            out += [p**k * u % q, (q - p**k * u) % q]
+    return out
+
+
+@pytest.mark.parametrize("m", [1, 2, 64, 5000])
+@pytest.mark.parametrize("kind, p, a", [("Zpm", 3, 1), ("witt", 5, 1), ("witt", 3, 2), ("witt", 3, 3)])
+def test_valuations_match_a_divide_by_p_loop(kind, p, a, m):
+    R = modulus_ring(p, m) if kind == "Zpm" else make_witt_ring(p, a, m)
+    rng = random.Random(f"valuation:{kind}:{p}:{a}:{m}")
+    coeffs = _adversarial_coefficients(rng, p, m)
+    if a == 1:
+        elements = coeffs + [R.random_element(rng) for _ in range(20)]
+    else:
+        # one adversarial coefficient per element, and pairs of them, with
+        # the other coefficients zero or random
+        elements = [R.random_element(rng) for _ in range(20)]
+        for c in coeffs:
+            for i in range(a):
+                elements.append(tuple(c if j == i else 0 for j in range(a)))
+                elements.append(tuple(c if j == i else rng.choice(coeffs) for j in range(a)))
+    for x in elements:
+        want = _naive_valuation(R, x)
+        assert R.pivot_val(x) == want, x
+        assert R.valuation(x) == (BOTTOM if want >= m else want), x
+        assert valuation(R, x) == R.valuation(x)

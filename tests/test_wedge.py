@@ -322,6 +322,19 @@ def test_wedge_report_runs_one_compound_and_no_det_or_charpoly(monkeypatch, a, r
     assert calls == {"det": 0, "charpoly": 0, "compound": 1}
 
 
+@pytest.mark.parametrize("a", [2, 3])
+def test_wedge_report_leaves_the_frobenius_root_unbuilt(a):
+    # slopes read every block of a standard wedge off its entry valuations,
+    # so the report never applies the Frobenius; a cached ring that an
+    # earlier test used might hold a root, so the cache starts empty
+    make_witt_ring.cache_clear()
+    h, dim, r, p = 6, 1, 3, 3
+    rep = wedge_report(descriptor(h, dim), r, p, a)
+    R = make_witt_ring(p, a, rep["source"]["m"])
+    assert "frobenius_root" not in vars(R) and "_phi_mats" not in vars(R)
+    assert rep["slopes"] == ["1/2"] * 20
+
+
 def test_wedge_isocrystal_range_errors():
     R = make_witt_ring(3, 1, 6)
     C = make_standard(descriptor("LT_2"), R).to_isocrystal()
