@@ -15,9 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, GradeMismatch, NotGraded, WedgecrysError
+from .rings import ElementAccumulator
 
 
-class GradedRing:
+class GradedRing(ElementAccumulator):
     """k[x_1..x_v] with positive integer variable weights.
 
     Carries enough of the ring protocol for matrices (with no unit-ideal
@@ -82,21 +83,16 @@ class GradedRing:
         return {e: F.neg(c) for e, c in f.items()}
 
     def mul(self, f, g):
+        """Each coefficient starts as its first product, takes any further
+        ones in the field's accumulator and is reduced once."""
         F = self.field
+        mul, mac, reduce, is_zero = F.mul, F.mac, F.reduce, F.is_zero
         out: dict = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                c = F.mul(c1, c2)
-                if e in out:
-                    s = F.add(out[e], c)
-                    if F.is_zero(s):
-                        del out[e]
-                    else:
-                        out[e] = s
-                elif not F.is_zero(c):
-                    out[e] = c
-        return out
+                out[e] = mac(out[e], c1, c2) if e in out else mul(c1, c2)
+        return {e: c for e, t in out.items() if not is_zero(c := reduce(t))}
 
     def scale(self, c, f):
         F = self.field

@@ -181,35 +181,35 @@ class Matrix:
         """The matrix product, by rows (Gustavson): row i accumulates
         x . row_l(other) over the stored nonzeros x = self[i, l], visiting
         only the stored nonzeros of row_l(other), and keeps the sums that
-        do not vanish."""
+        do not vanish.  Each entry starts as its first product, takes any
+        further ones in the ring's accumulator and is reduced once."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         R = self.ring
-        add, mul, is_zero = R.add, R.mul, R.is_zero
+        mul, mac, reduce, is_zero = R.mul, R.mac, R.reduce, R.is_zero
         brows = other.nonzero_rows
         out = []
         for nz in self.nonzero_rows:
             acc = {}
             for l, x in nz:
                 for j, y in brows[l]:
-                    t = mul(x, y)
-                    acc[j] = add(acc[j], t) if j in acc else t
-            out.append(sorted((j, v) for j, v in acc.items() if not is_zero(v)))
+                    acc[j] = mac(acc[j], x, y) if j in acc else mul(x, y)
+            out.append(sorted((j, v) for j, t in acc.items() if not is_zero(v := reduce(t))))
         return Matrix.from_nonzero_rows(R, other.cols, out)
 
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise DimensionMismatch("vector length mismatch")
         R = self.ring
-        add, mul = R.add, R.mul
+        mac, reduce = R.mac, R.reduce
         out = []
         for nz in self.nonzero_rows:
-            acc = R.zero
+            acc = R.acc0
             for k, x in nz:
-                acc = add(acc, mul(x, vec[k]))
-            out.append(acc)
+                acc = mac(acc, x, vec[k])
+            out.append(reduce(acc))
         return tuple(out)
 
     def __eq__(self, other):
@@ -257,11 +257,14 @@ def _hessenberg_charpoly(R, M):
     operation follows, so every step is a unimodular similarity and the
     result is exact at the ring's precision.  The division-free Hessenberg
     recurrence (Cohen, Alg. 2.2.9) then builds the charpoly of each leading
-    principal block from the smaller ones.
+    principal block from the smaller ones.  Every sum of products, an entry
+    of a row or column operation or a coefficient of the recurrence, runs
+    in the ring's accumulator and is reduced once.
     """
     if not hasattr(R, "pivot_val"):
         raise UnsupportedRing(f"{R!r} has no valuation-pivot structure")
-    add, sub, mul, is_zero = R.add, R.sub, R.mul, R.is_zero
+    mul, is_zero = R.mul, R.is_zero
+    mac, msub, reduce = R.mac, R.msub, R.reduce
     pivot_val, shift_down = R.pivot_val, R.shift_down
     zero, one, cap = R.zero, R.one, R.val_cap
     n = len(M)
@@ -292,7 +295,7 @@ def _hessenberg_charpoly(R, M):
             u = mul(shift_down(x, bv), w)
             row[j] = zero
             for l, y in pnz:
-                row[k + l] = sub(row[k + l], mul(u, y))
+                row[k + l] = reduce(msub(row[k + l], u, y))
             ops.append((i, u))
         # the inverse column operations: column k gains u times column i
         if ops:
@@ -301,8 +304,8 @@ def _hessenberg_charpoly(R, M):
                 for i, u in ops:
                     y = row[i]
                     if not is_zero(y):
-                        acc = add(acc, mul(u, y))
-                row[k] = acc
+                        acc = mac(acc, u, y)
+                row[k] = reduce(acc)
     polys = [[one]]
     for c in range(n):
         prev = polys[-1]
@@ -310,7 +313,7 @@ def _hessenberg_charpoly(R, M):
         h = M[c][c]
         if not is_zero(h):
             for l, y in enumerate(prev):
-                new[l] = sub(new[l], mul(h, y))
+                new[l] = msub(new[l], h, y)
         t = one
         for i in range(c - 1, -1, -1):
             t = mul(t, M[i + 1][i])
@@ -322,8 +325,8 @@ def _hessenberg_charpoly(R, M):
             s = mul(s, t)
             for l, y in enumerate(polys[i]):
                 if not is_zero(y):
-                    new[l] = sub(new[l], mul(s, y))
-        polys.append(new)
+                    new[l] = msub(new[l], s, y)
+        polys.append([reduce(v) for v in new])
     return polys[n]
 
 
@@ -338,13 +341,20 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
     reaches a d-minor only by gaining d - k columns before its first, so
     c0 >= d - k: a dense A costs the products of a memoised expansion of
     every d-minor, and a monomial A, with one nonzero minor per row subset,
-    costs O(C(n, d) d).  Sums that vanish are dropped at each level, and a
-    level is freed once the next is built.
+    costs O(C(n, d) d).  A minor starts as its first term, an element: the
+    plain product, or `msub` from `acc0` reduced at once when the sign is
+    -, since an unreduced -x . minor of a negative minor is a full-size
+    integer held to the end of the level.  Further terms take the ring's
+    accumulator, the sign riding in `mac` or `msub`, and the level is
+    reduced once; a level of one-term minors needs no reduction.  Sums
+    that vanish are dropped at each level, and a level is freed once the
+    next is built.
     """
     R = A.ring
     if d == 0:
         return {((), ()): R.one}
-    add, sub, mul, neg, is_zero = R.add, R.sub, R.mul, R.neg, R.is_zero
+    mul, mac, msub, reduce, is_zero = R.mul, R.mac, R.msub, R.reduce, R.is_zero
+    acc0 = R.acc0
     nc = A.cols
     colnz = [[] for _ in range(nc)]
     for r, nz in enumerate(A.nonzero_rows):
@@ -352,7 +362,7 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
             colnz[c].append((r, x))
     level = {((r,), (c,)): x for c in range(d - 1, nc) for r, x in colnz[c]}
     for k in range(2, d + 1):
-        nxt = {}
+        nxt, summed = {}, False
         for (S, T), minor in level.items():
             for c0 in range(d - k, T[0]):
                 cols = (c0,) + T
@@ -361,13 +371,15 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
                     if idx < len(S) and S[idx] == r:
                         continue
                     key = (S[:idx] + (r,) + S[idx:], cols)
-                    term = mul(x, minor)
                     acc = nxt.get(key)
                     if acc is None:
-                        nxt[key] = neg(term) if idx % 2 else term
+                        nxt[key] = reduce(msub(acc0, x, minor)) if idx % 2 else mul(x, minor)
                     else:
-                        nxt[key] = sub(acc, term) if idx % 2 else add(acc, term)
-        level = {key: v for key, v in nxt.items() if not is_zero(v)}
+                        nxt[key] = msub(acc, x, minor) if idx % 2 else mac(acc, x, minor)
+                        summed = True
+        level = {
+            key: v for key, t in nxt.items() if not is_zero(v := reduce(t) if summed else t)
+        }
     return level
 
 
@@ -449,7 +461,8 @@ def smith_valuations(A: Matrix) -> list:
     ring = A.ring
     if not hasattr(ring, "pivot_val"):
         raise UnsupportedRing(f"{ring!r} has no valuation-pivot structure")
-    pivot_val, sub, mul, is_zero = ring.pivot_val, ring.sub, ring.mul, ring.is_zero
+    pivot_val, mul, is_zero = ring.pivot_val, ring.mul, ring.is_zero
+    msub, reduce = ring.msub, ring.reduce
     cap = ring.val_cap
     M = A.to_rows()
     nr, nc = A.rows, A.cols
@@ -484,7 +497,7 @@ def smith_valuations(A: Matrix) -> list:
             if not is_zero(x):
                 lam = mul(ring.shift_down(x, bv), om_inv)
                 for j, u in pnz:
-                    row[j] = sub(row[j], mul(lam, u))
+                    row[j] = reduce(msub(row[j], lam, u))
         # the implied column operations only touch the pivot row now
         for j in range(step + 1, nc):
             prow[j] = ring.zero

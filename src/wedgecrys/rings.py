@@ -9,6 +9,16 @@ All rings here share one informal protocol used by the matrix layer:
 Local rings additionally expose the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
 
+Every ring also carries an unreduced accumulator for sums of products:
+`acc0` (the empty sum), `mac(t, x, y) = t + x y`, `msub(t, x, y) = t - x y`
+and `reduce(t)`, the element a sum stands for.  Every element is also an
+accumulator and is its own reduction, so a sum may start from a plain
+product.  `mac` and `msub` may update t in place, so a caller keeps only
+what they return.  On Z/p^m the accumulator is an int reduced once, at the
+end; at a >= 2 it is the list of the 2a - 1 convolution coefficients,
+folded by f only in `reduce`.  Signs ride in the accumulator: `msub`
+subtracts the product, and no negated element p^m - x is formed on the way.
+
 One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
 Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  At a = 1 its
 elements are ints in [0, p^m), with int arithmetic chosen at construction
@@ -223,6 +233,11 @@ def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
         "neg": lambda x: -x % c,
         "mul": lambda x, y: x * y % c,
         "pow": lambda x, e: pow(x, e, c),
+        "acc0": 0,
+        "mac": lambda t, x, y: t + x * y,
+        "msub": lambda t, x, y: t - x * y,
+        # an element is returned as it is: `%` would copy a residue near c
+        "reduce": lambda t: t if 0 <= t < c else t % c,
         "is_zero": operator.not_,
         "is_unit": lambda x: x % p != 0,
         "inv": inv,
@@ -269,6 +284,7 @@ class _PolynomialQuotient:
         else:
             self.zero = (0,) * a
             self.one = (1,) + (0,) * (a - 1)
+            self.acc0 = (0,) * (2 * a - 1)
 
     def __eq__(self, other):
         return type(other) is type(self) and (self.p, self.a, self.m) == (other.p, other.a, other.m)
@@ -297,13 +313,39 @@ class _PolynomialQuotient:
         return tuple([-u % c for u in x])
 
     def mul(self, x, y):
-        a, c = self.a, self._c
-        t = [0] * (2 * a - 1)
+        return self.reduce(self.mac(self.acc0, x, y))
+
+    def mac(self, t, x, y):
+        """The 2a - 1 coefficients of t + x y, none reduced.  t is an
+        element, `acc0` or a list that an earlier `mac` or `msub` returned,
+        which is updated in place."""
+        if type(t) is not list:
+            t = [*t, *self.acc0[len(t):]]
         for i, u in enumerate(x):
             if u:
-                for j, v in enumerate(y):
-                    t[i + j] += u * v
-        for k in range(2 * a - 2, a - 1, -1):
+                for j, v in enumerate(y, i):
+                    t[j] += u * v
+        return t
+
+    def msub(self, t, x, y):
+        """t - x y, as `mac` builds t + x y."""
+        if type(t) is not list:
+            t = [*t, *self.acc0[len(t):]]
+        for i, u in enumerate(x):
+            if u:
+                for j, v in enumerate(y, i):
+                    t[j] -= u * v
+        return t
+
+    def reduce(self, t):
+        """The element the accumulator t stands for: each coefficient of
+        x^k, k = 2a - 2 down to a, is folded by x^a = -(fred) into the
+        coefficients below it, then every coefficient is reduced mod p^m.
+        A list t is overwritten; an element is its own reduction."""
+        a, c = self.a, self._c
+        if len(t) == a:
+            return t
+        for k in range(len(t) - 1, a - 1, -1):
             top = t[k] % c
             if top:
                 for i, f in enumerate(self.fred, k - a):
@@ -552,7 +594,25 @@ class WittRing(_PolynomialQuotient):
         raise AssertionError("Teichmueller iteration did not stabilize")
 
 
-class RationalField:
+class ElementAccumulator:
+    """The accumulator protocol of a ring whose own add, sub and mul serve
+    as they are: the accumulator is the element and `reduce` the identity."""
+
+    @property
+    def acc0(self):
+        return self.zero
+
+    def mac(self, t, x, y):
+        return self.add(t, self.mul(x, y))
+
+    def msub(self, t, x, y):
+        return self.sub(t, self.mul(x, y))
+
+    def reduce(self, t):
+        return t
+
+
+class RationalField(ElementAccumulator):
     """Q with Fraction elements; the 'generic fibre' test ring."""
 
     kind = "Q"
@@ -624,7 +684,7 @@ class RationalField:
         return {"kind": "Q"}
 
 
-class TruncatedPolynomialRing:
+class TruncatedPolynomialRing(ElementAccumulator):
     """F_q[t]/(t^e): the polynomial-flavoured local test ring.
 
     An element is a length-e tuple of F_q elements (coefficients of t^i);

@@ -61,6 +61,8 @@ RINGS = {
     "F_4": (finite_field(2, 2), None),
     "F_9": (finite_field(3, 2), None),
     "W(F_9)/3^3": (make_witt_ring(3, 2, 3), 3),
+    "W(F_27)/3^5": (make_witt_ring(3, 3, 5), 3),
+    "W(F_9)/3^200": (make_witt_ring(3, 2, 200), 3),
     "W(F_5)/5^40": (make_witt_ring(5, 1, 40), 5),
     "Q": (QQ, 3),
     "F_3[t]/(t^2)": (local_test_ring(3, 1, 2), "t"),

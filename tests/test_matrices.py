@@ -143,6 +143,8 @@ def _permuted_standard_mf(rng):
     "make",
     [
         lambda rng: _random_matrix(make_witt_ring(3, 2, 3), 6, rng),
+        lambda rng: _random_matrix(make_witt_ring(3, 3, 4), 6, rng),
+        lambda rng: _random_matrix(modulus_ring(3, 300), 6, rng),
         lambda rng: _random_matrix(finite_field(5), 6, rng),
         lambda rng: _random_matrix(finite_field(3, 2), 6, rng),
         lambda rng: _random_matrix(QQ, 6, rng),
@@ -154,8 +156,8 @@ def _permuted_standard_mf(rng):
         _p_cubed_entries,
         _permuted_standard_mf,
     ],
-    ids=["witt-3-2-3", "F5", "F9", "Q", "tpoly-3-1-2", "standard-MF-h6",
-         "sparse-Z243", "sparse-F9", "equal-rows-Z243", "p3-entries-Z243",
+    ids=["witt-3-2-3", "witt-3-3-4", "Z-3-300", "F5", "F9", "Q", "tpoly-3-1-2",
+         "standard-MF-h6", "sparse-Z243", "sparse-F9", "equal-rows-Z243", "p3-entries-Z243",
          "permuted-standard-MF-h6"],
 )
 def test_compound_order_five_against_leibniz(make):
@@ -182,14 +184,32 @@ def test_stack_minors_of_sparse_stacks_against_leibniz():
                 assert stack_minors(A, r) == want
 
 
+def test_products_with_vectors_match_the_fold_of_add_and_mul():
+    rng = random.Random(41)
+    for ring in (modulus_ring(3, 5), modulus_ring(3, 300), make_witt_ring(3, 3, 4),
+                 finite_field(2, 2), QQ, local_test_ring(3, 1, 2)):
+        for density in (1.0, 0.4, 0.0):
+            A = _sparse_matrix(ring, 5, 4, rng, density)
+            v = [ring.random_element(rng) for _ in range(4)]
+            want = []
+            for row in A.to_rows():
+                acc = ring.zero
+                for x, y in zip(row, v):
+                    acc = ring.add(acc, ring.mul(x, y))
+                want.append(acc)
+            assert A.mul_vector(v) == tuple(want)
+
+
 class _CountingRing:
-    """A ring that counts its additive and multiplicative calls and
-    otherwise behaves as the ring it wraps."""
+    """A ring that counts its additive, multiplicative and accumulator calls
+    and otherwise behaves as the ring it wraps."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.zero, self.one = inner.zero, inner.one
-        self.calls = dict.fromkeys(("add", "sub", "mul", "neg", "is_zero"), 0)
+        self.zero, self.one, self.acc0 = inner.zero, inner.one, inner.acc0
+        self.calls = dict.fromkeys(
+            ("add", "sub", "mul", "neg", "is_zero", "mac", "msub", "reduce"), 0
+        )
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
@@ -213,6 +233,19 @@ class _CountingRing:
     def is_zero(self, x):
         return self._count("is_zero")(x)
 
+    def mac(self, t, x, y):
+        return self._count("mac")(t, x, y)
+
+    def msub(self, t, x, y):
+        return self._count("msub")(t, x, y)
+
+    def reduce(self, t):
+        return self._count("reduce")(t)
+
+    def products(self):
+        """mul calls, and mac and msub calls, each of which takes one product."""
+        return self.calls["mul"] + self.calls["mac"] + self.calls["msub"]
+
 
 def _counted(A):
     R = _CountingRing(A.ring)
@@ -226,12 +259,13 @@ def test_compound_and_product_work_follow_the_nonzeros():
     R, A = _counted(MF)
     C = compound(A, 5)
     assert sum(R.calls.values()) <= 2000, R.calls
+    assert R.calls["msub"] and R.calls["reduce"], R.calls  # the accumulator is counted
     assert C.entries == compound(MF, 5).entries
 
     B8 = compound(_standard_mf(8), 4)
     R, B = _counted(B8)
     assert (B @ B).entries == (B8 @ B8).entries
-    assert R.calls["mul"] <= 70, R.calls
+    assert R.products() <= 70, R.calls
 
 
 def _assert_canonical(M):

@@ -6,8 +6,10 @@ import time
 import pytest
 
 from wedgecrys.errors import NonPrime
+from wedgecrys.graded import GradedRing
 from wedgecrys.rings import (
     BOTTOM,
+    QQ,
     _vp,
     CONWAY,
     FiniteField,
@@ -518,3 +520,109 @@ def test_valuations_match_a_divide_by_p_loop(kind, p, a, m):
         assert R.pivot_val(x) == want, x
         assert R.valuation(x) == (BOTTOM if want >= m else want), x
         assert valuation(R, x) == R.valuation(x)
+
+
+# ---------------------------------------------------------------------------
+# the unreduced accumulator: acc0, mac, msub, reduce
+
+
+def _graded(F):
+    return GradedRing(F, ("x", "y"), (1, 2))
+
+
+ACCUMULATOR_RINGS = {
+    **{f"Z/3^{m}": modulus_ring(3, m) for m in (1, 64, 5000)},
+    **{f"W(F_9)/3^{m}": make_witt_ring(3, 2, m) for m in (1, 64, 5000)},
+    **{f"W(F_27)/3^{m}": make_witt_ring(3, 3, m) for m in (1, 64, 5000)},
+    "F_2": finite_field(2),
+    "F_4": finite_field(2, 2),
+    "F_9": finite_field(3, 2),
+    "Q": QQ,
+    "F_3[t]/(t^2)": local_test_ring(3, 1, 2),
+    "F_5[x,y]": _graded(finite_field(5)),
+    "Q[x,y]": _graded(QQ),
+}
+
+
+def _from_int(R, k):
+    # the integer k as an element; a graded ring takes it as a constant
+    return R.from_int(k) if not isinstance(R, GradedRing) else R.from_coeff(R.field.from_int(k))
+
+
+def _random(R, rng):
+    if not isinstance(R, GradedRing):
+        return R.random_element(rng)
+    f = R.zero
+    for _ in range(rng.randrange(4)):
+        f = R.add(f, R.monomial((rng.randrange(3), rng.randrange(3)), R.field.random_element(rng)))
+    return f
+
+
+def _accumulator_inputs(R, rng):
+    """Random elements, 0, -1 (q - 1) and -p^k u (q - p^k u) for units u,
+    and at a >= 2 elements whose every coefficient is near q."""
+    p = getattr(R, "p", 3)
+    m = getattr(R, "m", 1)
+    out = [R.zero, _from_int(R, -1)]
+    for k in {0, 1, m // 2, m - 1}:
+        out.append(_from_int(R, -(p**k) * rng.choice((1, 2, 4, 5))))
+    if getattr(R, "a", 1) >= 2:
+        q = p**m
+        out.append(tuple(q - rng.randrange(1, 4) for _ in range(R.a)))
+        out.append(tuple(q - p**rng.randrange(m) for _ in range(R.a)))
+    out.extend(_random(R, rng) for _ in range(12))
+    return out
+
+
+@pytest.mark.parametrize("name", ACCUMULATOR_RINGS)
+def test_accumulator_chains_match_the_fold_of_add_sub_and_mul(name):
+    R = ACCUMULATOR_RINGS[name]
+    rng = random.Random(f"accumulator/{name}")
+    pool = _accumulator_inputs(R, rng)
+    assert R.reduce(R.acc0) == R.zero
+    for trial in range(30):
+        # a chain starts from the empty sum or from an element
+        start = None if trial % 3 else rng.choice(pool)
+        acc = R.acc0 if start is None else start
+        want = R.zero if start is None else start
+        for _ in range(rng.randrange(41)):
+            x, y = rng.choice(pool), rng.choice(pool)
+            if rng.random() < 0.5:
+                acc, want = R.mac(acc, x, y), R.add(want, R.mul(x, y))
+            else:
+                acc, want = R.msub(acc, x, y), R.sub(want, R.mul(x, y))
+        assert R.reduce(acc) == want
+    for x in pool:
+        assert R.reduce(x) == x  # an element is its own reduction
+
+
+def _mul_by_shifts(R, x, y):
+    """x y in (Z/p^m)[X]/(f) as the sum of x_i X^i y, each X^i y built from
+    the last by one shift that rewrites X^a as -(fred), reducing as it goes:
+    no convolution and no fold of high coefficients."""
+    q, acc, z = R.p**R.m, [0] * R.a, list(y)
+    for u in x:
+        acc = [(s + u * t) % q for s, t in zip(acc, z)]
+        top, z = z[-1], [0] + z[:-1]
+        z = [(t - top * f) % q for t, f in zip(z, R.fred)]
+    return tuple(acc)
+
+
+@pytest.mark.parametrize("a, m", [(2, 1), (2, 64), (3, 1), (3, 5), (3, 300), (4, 40)])
+def test_coefficient_tuple_products_match_products_by_shifts(a, m):
+    # the fold in `reduce` against an independent product: at a = 3 the
+    # coefficients of X^4 and X^3 are both folded, the second after the first
+    R = make_witt_ring(3, a, m) if m > 1 else finite_field(3, a)
+    rng = random.Random(f"shifts/{a}/{m}")
+    pool = _accumulator_inputs(R, rng)
+    for x in pool:
+        for y in pool:
+            want = _mul_by_shifts(R, x, y)
+            assert R.mul(x, y) == want
+            assert R.reduce(R.msub(R.mac(R.acc0, x, y), y, x)) == R.zero
+    for _ in range(20):
+        terms = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(2, 9))]
+        acc, want = R.acc0, R.zero
+        for x, y in terms:
+            acc, want = R.mac(acc, x, y), R.add(want, _mul_by_shifts(R, x, y))
+        assert R.reduce(acc) == want
