@@ -528,9 +528,7 @@ class EigenBasis:
         ring: ints at a = 1 and a-tuples at a >= 2, ready for `apply_F`."""
         if any(len(x) != ring.a for v in self.vectors for x in v):
             raise RingMismatch(f"basis coordinates are not elements of {ring!r}")
-        if ring.a == 1:
-            return tuple(tuple(ring.from_int(x) for (x,) in v) for v in self.vectors)
-        return tuple(tuple(ring.coeffs_mod(x, ring.q) for x in v) for v in self.vectors)
+        return tuple(tuple(ring.balance(x[0] if ring.a == 1 else x) for x in v) for v in self.vectors)
 
 
 def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):

@@ -181,21 +181,21 @@ class Matrix:
         """The matrix product, by rows (Gustavson): row i accumulates
         x . row_l(other) over the stored nonzeros x = self[i, l], visiting
         only the stored nonzeros of row_l(other), and keeps the sums that
-        do not vanish.  Each entry starts as its first product, takes any
-        further ones in the ring's accumulator and is reduced once."""
+        do not vanish.  Each entry is a sum in the ring's accumulator from
+        `acc0`, reduced once."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         R = self.ring
-        mul, mac, reduce, is_zero = R.mul, R.mac, R.reduce, R.is_zero
+        mac, reduce, is_zero, acc0 = R.mac, R.reduce, R.is_zero, R.acc0
         brows = other.nonzero_rows
         out = []
         for nz in self.nonzero_rows:
             acc = {}
             for l, x in nz:
                 for j, y in brows[l]:
-                    acc[j] = mac(acc[j], x, y) if j in acc else mul(x, y)
+                    acc[j] = mac(acc.get(j, acc0), x, y)
             out.append(sorted((j, v) for j, t in acc.items() if not is_zero(v := reduce(t))))
         return Matrix.from_nonzero_rows(R, other.cols, out)
 
@@ -341,20 +341,16 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
     reaches a d-minor only by gaining d - k columns before its first, so
     c0 >= d - k: a dense A costs the products of a memoised expansion of
     every d-minor, and a monomial A, with one nonzero minor per row subset,
-    costs O(C(n, d) d).  A minor starts as its first term, an element: the
-    plain product, or `msub` from `acc0` reduced at once when the sign is
-    -, since an unreduced -x . minor of a negative minor is a full-size
-    integer held to the end of the level.  Further terms take the ring's
-    accumulator, the sign riding in `mac` or `msub`, and the level is
-    reduced once; a level of one-term minors needs no reduction.  Sums
-    that vanish are dropped at each level, and a level is freed once the
-    next is built.
+    costs O(C(n, d) d).  Every term goes into the ring's accumulator, the
+    sign riding in `mac` or `msub`, and each level is reduced once.  Ring
+    elements are balanced residues, so a negative term of small factors
+    stays small.  Sums that vanish are dropped at each level, and a level
+    is freed once the next is built.
     """
     R = A.ring
     if d == 0:
         return {((), ()): R.one}
-    mul, mac, msub, reduce, is_zero = R.mul, R.mac, R.msub, R.reduce, R.is_zero
-    acc0 = R.acc0
+    mac, msub, reduce, is_zero, acc0 = R.mac, R.msub, R.reduce, R.is_zero, R.acc0
     nc = A.cols
     colnz = [[] for _ in range(nc)]
     for r, nz in enumerate(A.nonzero_rows):
@@ -362,7 +358,7 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
             colnz[c].append((r, x))
     level = {((r,), (c,)): x for c in range(d - 1, nc) for r, x in colnz[c]}
     for k in range(2, d + 1):
-        nxt, summed = {}, False
+        nxt = {}
         for (S, T), minor in level.items():
             for c0 in range(d - k, T[0]):
                 cols = (c0,) + T
@@ -371,15 +367,9 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
                     if idx < len(S) and S[idx] == r:
                         continue
                     key = (S[:idx] + (r,) + S[idx:], cols)
-                    acc = nxt.get(key)
-                    if acc is None:
-                        nxt[key] = reduce(msub(acc0, x, minor)) if idx % 2 else mul(x, minor)
-                    else:
-                        nxt[key] = msub(acc, x, minor) if idx % 2 else mac(acc, x, minor)
-                        summed = True
-        level = {
-            key: v for key, t in nxt.items() if not is_zero(v := reduce(t) if summed else t)
-        }
+                    acc = nxt.get(key, acc0)
+                    nxt[key] = msub(acc, x, minor) if idx % 2 else mac(acc, x, minor)
+        level = {key: v for key, t in nxt.items() if not is_zero(v := reduce(t))}
     return level
 
 

@@ -16,12 +16,15 @@ accumulator and is its own reduction, so a sum may start from a plain
 product.  `mac` and `msub` may update t in place, so a caller keeps only
 what they return.  On Z/p^m the accumulator is an int reduced once, at the
 end; at a >= 2 it is the list of the 2a - 1 convolution coefficients,
-folded by f only in `reduce`.  Signs ride in the accumulator: `msub`
-subtracts the product, and no negated element p^m - x is formed on the way.
+folded by f only in `reduce`.
 
 One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
-Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  At a = 1 its
-elements are ints in [0, p^m), with int arithmetic chosen at construction
+Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  Every integer it
+stores (an a = 1 element, or a coefficient of an a >= 2 tuple) is the
+balanced residue in [lo, hi], hi = p^m // 2 and lo = hi - p^m + 1
+(`_balanced`): -x is as small as x, so a negated product or minor of small
+entries stays small, and `el_to_str` prints the residue in [0, p^m).  At
+a = 1 elements are ints, with int arithmetic chosen at construction
 (`_int_elements`); at a >= 2 they are tuples of a ints (ascending
 coefficients), and units are inverted mod p and lifted by Newton-Hensel
 steps (`_newton_inverse`).  Q has Fraction elements.  Elements are plain
@@ -208,15 +211,33 @@ def _newton_inverse(R, x, y, prec: int):
     return y
 
 
+def _balanced(c: int):
+    """The balanced residues mod c: the bounds lo, hi of [lo, hi], with
+    hi = c // 2 and lo = hi - c + 1 (so (-c/2, c/2] at even c); `bal`, the
+    residue of an int there; and `neg`, which is -t except that at even c
+    hi is its own negative.  `bal` returns an int in range as it is: `%` of
+    a small negative int would form the full-size c - |t|."""
+    hi = c >> 1
+    lo = hi - c + 1
+
+    def bal(t):
+        return t if lo <= t <= hi else (r - c if (r := t % c) > hi else r)
+
+    return lo, hi, bal, operator.neg if c & 1 else lambda t: t if t == hi else -t
+
+
 def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
-    """The element protocol of Z/p^m on ints in [0, p^m), as plain functions
-    that an a = 1 ring stores on itself.  `coefficient_lists` rings split
-    entry strings on ',' and refuse more than one coefficient."""
+    """The element protocol of Z/p^m on balanced ints (`_balanced`), as plain
+    functions that an a = 1 ring stores on itself.  `coefficient_lists`
+    rings split entry strings on ',' and refuse more than one coefficient.
+    `add`, `sub` and `mul` inline `bal` without its range test, which
+    costs more than it saves on small moduli; `reduce` keeps it, since the
+    sums it ends are often small and negative (a minor -p^k u)."""
     c = p**m
-    half = c >> 1
+    lo, hi, bal, neg = _balanced(c)
 
     def from_list(s: str):
-        x, *rest = [_int_entry(u) % c for u in s.split(",")]
+        x, *rest = [bal(_int_entry(u)) for u in s.split(",")]
         if rest:
             raise ValueError(f"expected 1 coefficients, got {1 + len(rest)}")
         return x
@@ -224,29 +245,28 @@ def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
     def inv(x):
         if x % p == 0:
             raise ZeroDivisionError("not a unit")
-        return pow(x, -1, c)
+        return bal(pow(x, -1, c))
 
     return {
-        "from_int": lambda k: k % c,
-        "add": lambda x, y: (x + y) % c,
-        "sub": lambda x, y: (x - y) % c,
-        "neg": lambda x: -x % c,
-        "mul": lambda x, y: x * y % c,
-        "pow": lambda x, e: pow(x, e, c),
+        "from_int": bal,
+        "balance": bal,
+        "add": lambda x, y: r - c if (r := (x + y) % c) > hi else r,
+        "sub": lambda x, y: r - c if (r := (x - y) % c) > hi else r,
+        "neg": neg,
+        "mul": lambda x, y: r - c if (r := x * y % c) > hi else r,
+        "pow": lambda x, e: r - c if (r := pow(x, e, c)) > hi else r,
         "acc0": 0,
         "mac": lambda t, x, y: t + x * y,
         "msub": lambda t, x, y: t - x * y,
-        # an element is returned as it is: `%` would copy a residue near c
-        "reduce": lambda t: t if 0 <= t < c else t % c,
+        "reduce": bal,
         "is_zero": operator.not_,
         "is_unit": lambda x: x % p != 0,
         "inv": inv,
-        "pivot_val": lambda x: 0 if x % p else _vp(x if x <= half else c - x, p, m),
+        "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
         "shift_down": lambda x, v: x // p**v,
-        "coeffs_mod": lambda x, n: x % n,
-        "random_element": lambda rng: rng.randrange(c),
-        "el_to_str": str,
-        "el_from_str": from_list if coefficient_lists else lambda s: _int_entry(s) % c,
+        "random_element": lambda rng: bal(rng.randrange(c)),
+        "el_to_str": lambda x: str(x % c),
+        "el_from_str": from_list if coefficient_lists else lambda s: bal(_int_entry(s)),
     }
 
 
@@ -257,9 +277,9 @@ class _PolynomialQuotient:
     """W(F_{p^a})/p^m = (Z/p^m)[x]/(f), f the lift of the degree-a defining
     polynomial of F_{p^a}; F_{p^a} is the case m = 1, Z/p^m the case a = 1.
 
-    At a = 1 elements are ints in [0, p^m), and the functions of
+    At a = 1 elements are balanced ints, and the functions of
     `_int_elements`, stored on the instance, replace the methods below.
-    At a >= 2 elements are length-a tuples of coefficients in [0, p^m),
+    At a >= 2 elements are length-a tuples of balanced coefficients,
     ascending; `fred` holds the non-leading coefficients of the monic f, so
     x^a = -(fred[0] + fred[1] x + ...).  The table coefficients lie in
     [0, p), so they serve mod p^m as they are.
@@ -276,7 +296,7 @@ class _PolynomialQuotient:
         self.m = m
         self.fred = fred
         self._c = p**m
-        self._half = self._c >> 1
+        self._lo, self._hi, self._bal, self._neg = _balanced(self._c)
         self.val_cap = m
         if a == 1:
             self.zero, self.one = 0, 1
@@ -292,8 +312,13 @@ class _PolynomialQuotient:
     def __hash__(self):
         return hash((self.kind, self.p, self.a, self.m))
 
+    def balance(self, x):
+        """The element x stands for: x holds any integer representatives
+        (an int at a = 1, a tuple of a ints at a >= 2)."""
+        return tuple(map(self._bal, x))
+
     def from_int(self, k: int):
-        return (k % self._c,) + self.zero[1:]
+        return (self._bal(k),) + self.zero[1:]
 
     def gen(self):
         if self.a == 1:
@@ -301,16 +326,15 @@ class _PolynomialQuotient:
         return (0, 1) + (0,) * (self.a - 2)
 
     def add(self, x, y):
-        c = self._c
-        return tuple([(u + v) % c for u, v in zip(x, y)])
+        hi, c = self._hi, self._c
+        return tuple([r - c if (r := (u + v) % c) > hi else r for u, v in zip(x, y)])
 
     def sub(self, x, y):
-        c = self._c
-        return tuple([(u - v) % c for u, v in zip(x, y)])
+        hi, c = self._hi, self._c
+        return tuple([r - c if (r := (u - v) % c) > hi else r for u, v in zip(x, y)])
 
     def neg(self, x):
-        c = self._c
-        return tuple([-u % c for u in x])
+        return tuple(map(self._neg, x))
 
     def mul(self, x, y):
         return self.reduce(self.mac(self.acc0, x, y))
@@ -340,9 +364,9 @@ class _PolynomialQuotient:
     def reduce(self, t):
         """The element the accumulator t stands for: each coefficient of
         x^k, k = 2a - 2 down to a, is folded by x^a = -(fred) into the
-        coefficients below it, then every coefficient is reduced mod p^m.
+        coefficients below it, then every coefficient is balanced mod p^m.
         A list t is overwritten; an element is its own reduction."""
-        a, c = self.a, self._c
+        a, lo, hi, c = self.a, self._lo, self._hi, self._c
         if len(t) == a:
             return t
         for k in range(len(t) - 1, a - 1, -1):
@@ -350,7 +374,7 @@ class _PolynomialQuotient:
             if top:
                 for i, f in enumerate(self.fred, k - a):
                     t[i] -= top * f
-        return tuple([u % c for u in t[:a]])
+        return tuple([u if lo <= u <= hi else (r - c if (r := u % c) > hi else r) for u in t[:a]])
 
     def pow(self, x, e: int):
         res = self.one
@@ -373,7 +397,7 @@ class _PolynomialQuotient:
         if not self.is_unit(x):
             raise ZeroDivisionError("not a unit")
         F = finite_field(self.p, self.a)
-        y = F.pow(tuple([c % self.p for c in x]), F.q - 2)
+        y = F.pow(F.balance(x), F.q - 2)
         return _newton_inverse(self, x, y, self.m)
 
     def valuation(self, x):
@@ -381,19 +405,12 @@ class _PolynomialQuotient:
         return BOTTOM if v >= self.m else v
 
     def pivot_val(self, x) -> int:
-        """Minimum p-adic valuation over the coefficients; m for zero.
-
-        A coefficient c in (0, q), q = p^m, has v(c) < m = v(q), so
-        v(q - c) = v(c): the valuation is read off the nearer residue
-        min(c, q - c), and a negated small value q - p^k u costs a
-        valuation of p^k u, not of a full-size integer.  The nearer one is
-        chosen against q // 2, so q - c is formed only when it is the
-        smaller.  The a = 1 route (`_int_elements`) reads it the same way.
-        """
-        p, q, half, best = self.p, self._c, self._half, self.m
+        """Minimum p-adic valuation over the coefficients; m for zero.  A
+        coefficient -p^k u is balanced, so it costs what p^k u costs."""
+        p, best = self.p, self.m
         for c in x:
             if c:
-                best = _vp(c if c <= half else q - c, p, best)
+                best = _vp(c, p, best)
                 if best == 0:
                     break
         return best
@@ -402,28 +419,24 @@ class _PolynomialQuotient:
         d = self.p**v
         return tuple([c // d for c in x])
 
-    def coeffs_mod(self, x, n: int):
-        """x with every coefficient reduced mod n."""
-        return tuple([c % n for c in x])
-
     def random_element(self, rng):
-        c = self._c
-        return tuple(rng.randrange(c) for _ in range(self.a))
+        c, bal = self._c, self._bal
+        return tuple(bal(rng.randrange(c)) for _ in range(self.a))
 
     def el_to_str(self, x) -> str:
-        return ",".join(str(c) for c in x)
+        c = self._c
+        return ",".join(str(u % c) for u in x)
 
     def el_from_str(self, s: str):
-        c = self._c
-        coords = tuple(_int_entry(u) % c for u in s.split(","))
+        coords = self.balance(_int_entry(u) for u in s.split(","))
         if len(coords) != self.a:
             raise ValueError(f"expected {self.a} coefficients, got {len(coords)}")
         return coords
 
 
 class ModulusRing(_PolynomialQuotient):
-    """Z/p^m for odd p: W(F_p)/p^m under its own name, with int elements in
-    [0, p^m) and entries that are bare integers."""
+    """Z/p^m for odd p: W(F_p)/p^m under its own name, with balanced int
+    elements and entries that are bare integers."""
 
     kind = "Zpm"
     coefficient_lists = False
@@ -461,7 +474,8 @@ class FiniteField(_PolynomialQuotient):
         return self.pow(x, self.p)
 
     def elements(self):
-        return range(self.p) if self.a == 1 else itertools.product(range(self.p), repeat=self.a)
+        digits = [self._bal(k) for k in range(self.p)]
+        return digits if self.a == 1 else itertools.product(digits, repeat=self.a)
 
 
 class WittRing(_PolynomialQuotient):
@@ -555,13 +569,10 @@ class WittRing(_PolynomialQuotient):
 
     def _apply_mat(self, cols, x):
         # only reached at a >= 2: at a = 1 phi is the identity
-        acc = self.zero
-        for j in range(self.a):
-            cj = x[j]
-            if cj:
-                col = cols[j]
-                acc = tuple((acc[i] + cj * col[i]) % self.q for i in range(self.a))
-        return acc
+        hi, c, acc = self._hi, self._c, [0] * self.a
+        for cj, col in zip(x, cols):
+            acc = [s + cj * v for s, v in zip(acc, col)]
+        return tuple([r - c if (r := u % c) > hi else r for u in acc])
 
     def frobenius(self, x):
         return self.frobenius_pow(x, 1)
@@ -577,10 +588,10 @@ class WittRing(_PolynomialQuotient):
         return self._phi_mats[1]
 
     def reduce_mod_p(self, x):
-        return self.coeffs_mod(x, self.p)
+        return self.residue_field.balance(x)
 
     def from_residue(self, u):
-        return self.coeffs_mod(u, self.q)
+        return self.balance(u)
 
     def teichmuller(self, u):
         """The (q-1)-st root of unity (or 0) lifting the residue element u."""
@@ -857,7 +868,7 @@ def precision_reduction(R, new_m: int) -> RingHom:
     if not 1 <= new_m <= R.m:
         raise UnsupportedHom("target precision out of range")
     S = modulus_ring(R.p, new_m) if isinstance(R, ModulusRing) else make_witt_ring(R.p, R.a, new_m)
-    return RingHom(R, S, lambda x: R.coeffs_mod(x, S.q), f"mod {R.p}^{new_m}")
+    return RingHom(R, S, S.balance, f"mod {R.p}^{new_m}")
 
 
 def residue_reduction(R) -> RingHom:

@@ -168,8 +168,8 @@ def test_oracle_on_small_hand_examples():
     Z = modulus_ring(3, 2)
     assert berkowitz(Z, Matrix.zeros(Z, 0, 0)) == [1]
     assert berkowitz(Z, Matrix.from_int_rows(Z, [[5]])) == [4, 1]
-    # T^2 - 5T + (1*4 - 2*3) = T^2 - 5T - 2 over Z/9
-    assert berkowitz(Z, Matrix.from_int_rows(Z, [[1, 2], [3, 4]])) == [7, 4, 1]
+    # T^2 - 5T + (1*4 - 2*3) = T^2 - 5T - 2 over Z/9, in balanced residues
+    assert berkowitz(Z, Matrix.from_int_rows(Z, [[1, 2], [3, 4]])) == [-2, 4, 1]
 
 
 _PROPERTY_RINGS = [

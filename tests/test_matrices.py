@@ -461,7 +461,9 @@ def _check_charpoly_symbolically(R, rng):
         M = [[[(-A[i, j]) % q] if i != j else [(-A[i, j]) % q, 1] for j in range(n)] for i in range(n)]
         expect = poly_det(M, tuple(range(n)), tuple(range(n)))
         expect = expect + [0] * (n + 1 - len(expect))
-        assert charpoly(A) == expect
+        # the oracle's residues lie in [0, q), the ring's in -q < 2c <= q
+        got = charpoly(A)
+        assert [c % q for c in got] == expect and all(-q < 2 * c <= q for c in got)
 
 
 def test_charpoly_against_symbolic_oracle():
@@ -792,33 +794,46 @@ def _int_val(x, p, m):
 @pytest.mark.parametrize("p,m", [(3, 1), (7, 1), (3, 4), (5, 40)])
 def test_a1_rings_agree_with_each_other_and_the_oracles(p, m):
     rings = [modulus_ring(p, m), make_witt_ring(p, 1, m)] + ([finite_field(p)] if m == 1 else [])
-    rng = random.Random(f"a1-parity:{p}:{m}")
+    rng, q = random.Random(f"a1-parity:{p}:{m}"), p**m
     for n in (1, 2, 3, 4, 5):
         for kind in ("dense", "sparse", "zero-heavy"):
             rows, other = _int_rows(rng, p, m, n, kind), _int_rows(rng, p, m, n, kind)
-            A0 = Matrix.from_rows(rings[0], rows)
+            A0 = Matrix.from_int_rows(rings[0], rows)
             want = {
                 "det": det_by_permutations(A0),
                 # c_k = (-1)^(n-k) times the sum of the principal (n-k)-minors
                 "charpoly": [(-1) ** (n - k) * sum(det_by_permutations(submatrix(A0, S, S))
-                                                  for S in index_subsets(n, n - k)) % p**m
+                                                  for S in index_subsets(n, n - k)) % q
                              for k in range(n)] + [1],
                 "compound": [[det_by_permutations(submatrix(A0, S, T))
                               for S in index_subsets(n, d) for T in index_subsets(n, d)]
                              for d in range(1, n + 1)],
-                "product": list(_product_by_triple_loop(A0, Matrix.from_rows(rings[0], other)).entries),
+                "product": list(_product_by_triple_loop(A0, Matrix.from_int_rows(rings[0], other)).entries),
             }
             # the i-th determinantal ideal is p^(v_1 + ... + v_i)
             minor_vals = [min(_int_val(x, p, m) for x in c) for c in want["compound"]]
             for R in rings:
-                A, B = Matrix.from_rows(R, rows), Matrix.from_rows(R, other)
+                A, B = Matrix.from_int_rows(R, rows), Matrix.from_int_rows(R, other)
                 got = {
                     "det": det(A),
                     "charpoly": charpoly(A),
                     "compound": [list(compound(A, d).entries) for d in range(1, n + 1)],
                     "product": list((A @ B).entries),
                 }
-                assert got == want, (R, kind, rows)
-                assert all(type(x) is int for x in got["charpoly"] + got["product"])
+                # the charpoly oracle's residues lie in [0, q), the ring's in -q < 2x <= q
+                assert [x % q for x in got["charpoly"]] == want["charpoly"], (R, kind, rows)
+                assert {**got, "charpoly": want["charpoly"]} == want, (R, kind, rows)
+                assert all(type(x) is int and -q < 2 * x <= q for x in got["charpoly"] + got["product"])
                 vals = smith_valuations(A)
                 assert [min(m, sum(vals[:i])) for i in range(1, n + 1)] == minor_vals, (R, rows)
+
+
+def test_standard_wedge_minors_are_signed_powers_of_p():
+    # the Frobenius of a standard module is monomial, so every nonzero minor
+    # is +-p^k: balanced, it is as small as p^k, not the full-size q - p^k
+    R = make_witt_ring(3, 1, 5084)
+    C = compound(make_standard(descriptor(12, 1), R).MF, 6)
+    entries = [x for nz in C.nonzero_rows for _, x in nz]
+    assert len(entries) == C.rows == 924
+    assert all(abs(x) == 3 ** _int_val(x, 3, R.m) for x in entries)
+    assert {x > 0 for x in entries} == {True, False}

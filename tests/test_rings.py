@@ -13,7 +13,9 @@ from wedgecrys.rings import (
     _vp,
     CONWAY,
     FiniteField,
+    ModulusRing,
     WittRing,
+    _PolynomialQuotient,
     defining_polynomial,
     finite_field,
     local_test_ring,
@@ -391,12 +393,14 @@ def test_a1_non_units_raise_zero_division(R):
 
 @pytest.mark.parametrize("R", _A1_RINGS, ids=repr)
 def test_a1_elements_are_ints_and_round_trip_as_strings(R):
-    rng = random.Random(repr(R))
+    # elements are balanced residues, -q < 2x <= q; strings are in [0, q)
+    rng, q = random.Random(repr(R)), R.p**R.m
     for _ in range(30):
         x = R.random_element(rng)
-        assert type(x) is int and 0 <= x < R.p**R.m
-        assert R.el_to_str(x) == str(x) and R.el_from_str(str(x)) == x
-    assert R.el_from_str("-1") == R.p**R.m - 1
+        assert type(x) is int and -q < 2 * x <= q
+        assert R.el_to_str(x) == str(x % q) and R.el_from_str(str(x % q)) == x
+    x = R.el_from_str("-1")
+    assert x == R.from_int(q - 1) and x % q == q - 1 and -q < 2 * x <= q
     # Zpm entries are bare integers; Fq and witt entries are coefficient lists
     if R.kind == "Zpm":
         msg = "expected decimal digits with an optional '-', got '1,2'"
@@ -615,10 +619,13 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
     R = make_witt_ring(3, a, m) if m > 1 else finite_field(3, a)
     rng = random.Random(f"shifts/{a}/{m}")
     pool = _accumulator_inputs(R, rng)
+    q = R.p**R.m
     for x in pool:
         for y in pool:
             want = _mul_by_shifts(R, x, y)
-            assert R.mul(x, y) == want
+            got = R.mul(x, y)
+            # the oracle's residues lie in [0, q), the ring's in -q < 2u <= q
+            assert tuple(u % q for u in got) == want and all(-q < 2 * u <= q for u in got)
             assert R.reduce(R.msub(R.mac(R.acc0, x, y), y, x)) == R.zero
     for _ in range(20):
         terms = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(2, 9))]
@@ -626,3 +633,95 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
         for x, y in terms:
             acc, want = R.mac(acc, x, y), R.add(want, _mul_by_shifts(R, x, y))
         assert R.reduce(acc) == want
+
+
+# ---------------------------------------------------------------------------
+# balanced residues: every element producer returns coefficients in [lo, hi],
+# hi = q // 2 and lo = hi - q + 1 for q = p^m, so (-q/2, q/2] at even q
+
+
+def _balanced_rings(p, a, m):
+    """The rings with these parameters; at p = 2 (Z/2^m and W(F_{2^a})/2^m
+    are refused by name) the quotient (Z/2^m)[x]/(f) itself."""
+    if m == 1:
+        return [finite_field(p, a)]
+    if p == 2:
+        return [_PolynomialQuotient(p, a, m, defining_polynomial(p, a))]
+    return [make_witt_ring(p, a, m)] + ([modulus_ring(p, m)] if a == 1 else [])
+
+
+def _coefficients(R, x):
+    return (x,) if R.a == 1 else x
+
+
+def _assert_balanced(R, x, residues=None):
+    q = R.p**R.m
+    hi = q // 2
+    lo = hi - q + 1
+    cs = _coefficients(R, x)
+    assert len(cs) == R.a and all(type(u) is int and lo <= u <= hi for u in cs), (R, x)
+    if residues is not None:
+        assert [u % q for u in cs] == [u % q for u in residues], (R, x, residues)
+
+
+@pytest.mark.parametrize("a", (1, 2, 3))
+@pytest.mark.parametrize("m", (1, 2, 64, 300))
+@pytest.mark.parametrize("p", (2, 3, 5))
+def test_every_element_producer_returns_balanced_residues(p, a, m):
+    q = p**m
+    hi = q // 2
+    lo = hi - q + 1
+    for R in _balanced_rings(p, a, m):
+        seed = f"balanced/{type(R).__name__}/{p}/{a}/{m}"
+        rng, twin = random.Random(seed), random.Random(seed)
+        ints = [0, 1, -1, p, -p, hi, hi + 1, lo, lo - 1, q, -q, 7 * q + 5, -(p ** (m // 2))]
+        for k in ints:
+            _assert_balanced(R, R.from_int(k), (k,) + (0,) * (a - 1))
+        pool = [R.from_int(k) for k in ints]
+        for _ in range(8):
+            x = R.random_element(rng)
+            want = [twin.randrange(q) for _ in range(a)]
+            _assert_balanced(R, x, want)
+            pool.append(x)
+        if a >= 2:
+            pool.append(tuple([hi] * a))
+            pool.append(tuple([lo] * a))
+        for x in pool:
+            cx = _coefficients(R, x)
+            _assert_balanced(R, R.neg(x), [-u for u in cx])
+            _assert_balanced(R, R.el_from_str(R.el_to_str(x)), cx)
+            _assert_balanced(R, R.el_from_str(",".join(str(u - 3 * q) for u in cx)), cx)
+            _assert_balanced(R, R.pow(x, 5))
+            _assert_balanced(R, R.reduce(R.msub(R.mac(R.acc0, x, x), x, R.one)))
+            if R.is_unit(x):
+                _assert_balanced(R, R.inv(x))
+            for y in pool[::3]:
+                cy = _coefficients(R, y)
+                _assert_balanced(R, R.add(x, y), [u + v for u, v in zip(cx, cy)])
+                _assert_balanced(R, R.sub(x, y), [u - v for u, v in zip(cx, cy)])
+                _assert_balanced(R, R.mul(x, y))
+        # hi is its own negative at even q; at odd q its negative is lo
+        top = R.from_int(hi)
+        assert _coefficients(R, R.neg(top))[0] == (hi if q % 2 == 0 else lo)
+        if isinstance(R, (WittRing, ModulusRing)):
+            for j in {1, m // 2, m}:
+                red = precision_reduction(R, j)
+                for x in pool:
+                    _assert_balanced(red.target, red(x), _coefficients(R, x))
+        if isinstance(R, WittRing):
+            F = R.residue_field
+            for x in pool:
+                _assert_balanced(F, R.reduce_mod_p(x), _coefficients(R, x))
+            for u in rng.sample(list(F.elements()), min(6, F.q)):
+                cu = _coefficients(F, u)
+                shifted = cu[0] + 5 * p if a == 1 else tuple(c + 5 * p for c in cu)
+                _assert_balanced(R, R.from_residue(shifted), _coefficients(R, shifted))
+                t = R.teichmuller(shifted)
+                _assert_balanced(R, t)
+                assert t == R.teichmuller(u) and R.reduce_mod_p(t) == u
+
+
+@pytest.mark.parametrize("m", (1, 2, 64, 300))
+def test_teichmuller_of_two_over_w_f3_is_minus_one(m):
+    R = make_witt_ring(3, 1, m)
+    assert teichmuller(R, 2) == teichmuller(R, -1) == teichmuller(R, 2 + 3**m * 7) == -1
