@@ -364,11 +364,29 @@ def _strong_components(M: Matrix) -> list:
     i -> j of the reversed digraph, which has the same components; Tarjan
     closes a component only after every component it reaches, so the
     closing order, reversed, is the block order.  A matrix with no zero
-    entry, such as a dense one, is one component without a search.
+    entry, such as a dense one, is one component without a search.  A
+    monomial matrix, one nonzero per row in distinct columns, is the
+    pattern of a permutation: its components are the cycles, found by one
+    walk, and no edge joins two of them, so any order is a block order.
     """
     n, rows = M.rows, M.nonzero_rows
     if all(len(nz) == n for nz in rows):
         return [list(range(n))]
+    if all(len(nz) == 1 for nz in rows):
+        succ = [nz[0][0] for nz in rows]
+        if len(set(succ)) == n:
+            seen = [False] * n
+            comps = []
+            for v in range(n):
+                if not seen[v]:
+                    comp = []
+                    while not seen[v]:
+                        seen[v] = True
+                        comp.append(v)
+                        v = succ[v]
+                    comp.sort()
+                    comps.append(comp)
+            return comps
     succ = [[j for j, _ in nz] for nz in rows]
     index = [-1] * n
     low = [0] * n

@@ -12,9 +12,10 @@ recurrence, so it needs the pivot protocol, and `det` is the sign-adjusted
 constant term of that polynomial; both, like Smith reduction, work on
 dense rows built on demand.  Every minor of every order, in `compound`,
 `stack_minors` and `minor_ideal_status`, comes from one level-by-level
-Laplace build of the nonzero minors (`_nonzero_minors`), `compound` stores
-only those, and products run row by row over the stored nonzeros of both
-factors, so the monomial Frobenius matrices of the standard modules and
+Laplace build of the nonzero minors (`_nonzero_minors`), each keyed by one
+int that holds the bitmasks of its row and column subsets, `compound`
+stores only those, and products run row by row over the stored nonzeros of
+both factors, so the monomial Frobenius matrices of the standard modules and
 their compounds cost time and memory in proportion to their nonzeros,
 while a dense input takes the products it took before: those of a
 memoised expansion of every minor and of the row-by-column product.
@@ -331,46 +332,61 @@ def _hessenberg_charpoly(R, M):
 
 
 def _nonzero_minors(A: Matrix, d: int) -> dict:
-    """{(S, T): det(A[S, T])} over the nonzero d-minors of A, with S and T
-    increasing tuples of row and column indices.
+    """{T << A.rows | S: det(A[S, T])} over the nonzero d-minors of A, where
+    S and T are the bitmasks of the minor's row and column subsets (bit i
+    set for index i), so each minor is keyed by one int.
 
     Built level by level along the Laplace expansion by the first column:
-    each nonzero (k-1)-minor (S, T) pushes the term +-A[r, c0] * minor into
-    the k-minor (S u {r}, (c0,) + T) for every nonzero A[r, c0] with r not in
-    S and c0 < T[0], signed by the position of r in S u {r}.  A k-minor
-    reaches a d-minor only by gaining d - k columns before its first, so
-    c0 >= d - k: a dense A costs the products of a memoised expansion of
-    every d-minor, and a monomial A, with one nonzero minor per row subset,
-    costs O(C(n, d) d).  Every term goes into the ring's accumulator, the
-    sign riding in `mac` or `msub`, and each level is reduced once.  Ring
+    each nonzero (k-1)-minor on (S, T) pushes the term +-A[r, c0] * minor
+    into the k-minor keyed `key | 1 << (c0 + A.rows) | 1 << r` for every
+    nonzero A[r, c0] with r not in S and c0 below the first column of T,
+    signed by the parity of the rows of S below r.  A k-minor reaches a
+    d-minor only by gaining d - k columns before its first, so c0 >= d - k:
+    a dense A costs the products of a memoised expansion of every d-minor,
+    and a monomial A, with one nonzero minor per row subset, costs
+    O(C(n, d) d).  Every term goes into the ring's accumulator, the sign
+    riding in `mac` or `msub`, and each level is reduced once.  Ring
     elements are balanced residues, so a negative term of small factors
     stays small.  Sums that vanish are dropped at each level, and a level
     is freed once the next is built.
     """
     R = A.ring
     if d == 0:
-        return {((), ()): R.one}
+        return {0: R.one}
     mac, msub, reduce, is_zero, acc0 = R.mac, R.msub, R.reduce, R.is_zero, R.acc0
-    nc = A.cols
+    nr, nc = A.rows, A.cols
+    # the nonzeros of column c as (row bit, entry) pairs; a row bit b is
+    # below every column bit, so key & b tests r in S and the rows of S
+    # below r are key & (b - 1)
     colnz = [[] for _ in range(nc)]
     for r, nz in enumerate(A.nonzero_rows):
         for c, x in nz:
-            colnz[c].append((r, x))
-    level = {((r,), (c,)): x for c in range(d - 1, nc) for r, x in colnz[c]}
+            colnz[c].append((1 << r, x))
+    level = {1 << (c + nr) | b: x for c in range(d - 1, nc) for b, x in colnz[c]}
     for k in range(2, d + 1):
         nxt = {}
-        for (S, T), minor in level.items():
-            for c0 in range(d - k, T[0]):
-                cols = (c0,) + T
-                for r, x in colnz[c0]:
-                    idx = bisect_left(S, r)
-                    if idx < len(S) and S[idx] == r:
+        for key, minor in level.items():
+            T = key >> nr
+            for c0 in range(d - k, (T & -T).bit_length() - 1):
+                kc = key | 1 << (c0 + nr)
+                for b, x in colnz[c0]:
+                    if key & b:
                         continue
-                    key = (S[:idx] + (r,) + S[idx:], cols)
-                    acc = nxt.get(key, acc0)
-                    nxt[key] = msub(acc, x, minor) if idx % 2 else mac(acc, x, minor)
+                    new = kc | b
+                    acc = nxt.get(new, acc0)
+                    if (key & (b - 1)).bit_count() & 1:
+                        nxt[new] = msub(acc, x, minor)
+                    else:
+                        nxt[new] = mac(acc, x, minor)
         level = {key: v for key, t in nxt.items() if not is_zero(v := reduce(t))}
     return level
+
+
+def _subset_positions(n: int, d: int) -> dict:
+    """{mask: j} for the d-subsets of range(n), as bitmasks, j running
+    through the frozen lexicographic order."""
+    masks = map(sum, itertools.combinations([1 << i for i in range(n)], d))
+    return {S: j for j, S in enumerate(masks)}
 
 
 def det(A: Matrix):
@@ -402,18 +418,20 @@ def compound(A: Matrix, d: int) -> Matrix:
     frozen lexicographic order, is det(A[S, T]) with no extra sign.  Only
     the nonzero minors are computed (`_nonzero_minors`); a monomial A, such
     as the Frobenius matrix of a standard module, has one per row subset.
+    Each minor's key splits into its row and column masks, which one
+    {mask: position} table maps to their places in the lexicographic order.
     """
     if not A.is_square:
         raise DimensionMismatch("compound of a non-square matrix")
     n = A.rows
     if not 1 <= d <= n:
         raise DimensionMismatch(f"compound order d={d} outside 1..{n}")
-    subsets = index_subsets(n, d)
-    N = len(subsets)
-    pos = {S: i for i, S in enumerate(subsets)}
+    pos = _subset_positions(n, d)
+    N = len(pos)
     rows = [[] for _ in range(N)]
-    for (S, T), v in _nonzero_minors(A, d).items():
-        rows[pos[S]].append((pos[T], v))
+    row_bits = (1 << n) - 1
+    for key, v in _nonzero_minors(A, d).items():
+        rows[pos[key & row_bits]].append((pos[key >> n], v))
     for row in rows:
         row.sort()
     return Matrix.from_nonzero_rows(A.ring, N, rows)
@@ -427,10 +445,10 @@ def stack_minors(A: Matrix, r: int):
     """
     if A.cols != r:
         raise DimensionMismatch("stack must have exactly r columns")
-    cols = tuple(range(r))
     minors = _nonzero_minors(A, r)
+    cols = ((1 << r) - 1) << A.rows
     zero = A.ring.zero
-    return tuple(minors.get((S, cols), zero) for S in index_subsets(A.rows, r))
+    return tuple(minors.get(cols | S, zero) for S in _subset_positions(A.rows, r))
 
 
 # ---------------------------------------------------------------------------
@@ -683,10 +701,13 @@ def base_change_matrix(A: Matrix, hom: RingHom) -> Matrix:
 
 
 def invert_unimodular(A: Matrix) -> Matrix:
-    """Inverse of a matrix whose determinant is a unit (local rings/fields)."""
+    """Inverse of a matrix whose determinant is a unit (local rings/fields),
+    by Gauss-Jordan elimination on unit pivots; each entry of a row
+    operation is one `msub` in the ring's accumulator, reduced once."""
     if not A.is_square:
         raise DimensionMismatch("square matrices only")
     R = A.ring
+    msub, reduce = R.msub, R.reduce
     n = A.rows
     W = [row + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(A.to_rows())]
     for col in range(n):
@@ -699,7 +720,7 @@ def invert_unimodular(A: Matrix) -> Matrix:
         for i in range(n):
             if i != col and not R.is_zero(W[i][col]):
                 lam = W[i][col]
-                W[i] = [R.sub(x, R.mul(lam, y)) for x, y in zip(W[i], W[col])]
+                W[i] = [reduce(msub(x, lam, y)) for x, y in zip(W[i], W[col])]
     return Matrix.from_rows(R, [row[n:] for row in W])
 
 

@@ -179,6 +179,19 @@ def _reach(succ, v):
     return seen
 
 
+def _assert_components(rows, comps):
+    """comps are the strongly connected components of the digraph j -> i
+    over the nonzero rows[i][j], each sorted, in block order."""
+    n = len(rows)
+    succ = [[i for i in range(n) if rows[i][j]] for j in range(n)]
+    reach = [_reach(succ, v) for v in range(n)]
+    oracle = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
+    assert {frozenset(S) for S in comps} == oracle
+    assert all(S == sorted(S) for S in comps)
+    position = {v: k for k, S in enumerate(comps) for v in S}
+    assert all(position[i] <= position[j] for i in range(n) for j in range(n) if rows[i][j])
+
+
 def test_components_are_the_strongly_connected_ones_in_block_order():
     rng = random.Random(11)
     R = modulus_ring(3, 4)
@@ -187,15 +200,26 @@ def test_components_are_the_strongly_connected_ones_in_block_order():
         density = rng.choice((0.1, 0.2, 0.4, 1.0))
         rows = [[rng.randrange(1, 81) if rng.random() < density else 0 for _ in range(n)]
                 for _ in range(n)]
-        comps = _strong_components(Matrix.from_rows(R, rows))
-        # the digraph j -> i over the nonzero rows[i][j]
-        succ = [[i for i in range(n) if rows[i][j]] for j in range(n)]
-        reach = [_reach(succ, v) for v in range(n)]
-        oracle = {frozenset(w for w in reach[v] if v in reach[w]) for v in range(n)}
-        assert {frozenset(S) for S in comps} == oracle
-        assert all(S == sorted(S) for S in comps)
-        position = {v: k for k, S in enumerate(comps) for v in S}
-        assert all(position[i] <= position[j] for i in range(n) for j in range(n) if rows[i][j])
+        _assert_components(rows, _strong_components(Matrix.from_rows(R, rows)))
+
+
+def test_components_of_monomial_matrices_are_the_cycles():
+    # one nonzero per row in distinct columns: the components are the
+    # cycles of the permutation, found without a search
+    rng = random.Random(23)
+    R = modulus_ring(3, 4)
+    for n in list(range(1, 13)) + [50, 113, 200]:
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for weights in ((1,), (1, 3, 9, 5, 80)):
+            rows = [[rng.choice(weights) if j == perm[i] else 0 for j in range(n)]
+                    for i in range(n)]
+            _assert_components(rows, _strong_components(Matrix.from_rows(R, rows)))
+        if n > 1:
+            # one empty row breaks a cycle into a path: block order now
+            # matters, and the search must find it
+            rows[rng.randrange(n)] = [0] * n
+            _assert_components(rows, _strong_components(Matrix.from_rows(R, rows)))
 
 
 def test_components_of_a_long_cycle_need_no_recursion():
