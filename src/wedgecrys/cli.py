@@ -22,7 +22,7 @@ from .errors import (
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
 from .rings import DEGREE_LIMIT
-from .wedge import min_wedge_precision, slope_precision, wedge_report
+from .wedge import slope_precision, wedge_report
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -151,13 +151,7 @@ def main(argv=None) -> int:
             if m is not None and m > WEDGE_PRECISION_LIMIT:
                 given = "--m" if args.m is not None else "the derived working precision"
                 raise WedgecrysError(f"{given} must be <= {WEDGE_PRECISION_LIMIT}, got m = {m}")
-            try:
-                report = wedge_report(desc, args.r, args.p, args.a, m=m)
-            except PrecisionExhausted:
-                need = min_wedge_precision(args.h, args.dim, args.r, args.a)
-                sys.stderr.write(f"precision exhausted; required minimum m: {need}\n")
-                return EXIT_PRECISION
-            _emit(report)
+            _emit(wedge_report(desc, args.r, args.p, args.a, m=m))
             return EXIT_OK
 
         if args.verb == "check":

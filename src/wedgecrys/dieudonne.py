@@ -65,29 +65,25 @@ class GroupDescriptor:
         if self.h < 1 or not 0 <= self.dim <= self.h:
             raise BadDescriptor(f"need h >= 1 and 0 <= dim <= h, got ({self.h}, {self.dim})")
         if self.name is not None:
-            expected = {"mu": (1, 1), "QpZp": (1, 0)}
-            if self.name in expected:
-                if (self.h, self.dim) != expected[self.name]:
-                    raise BadDescriptor(f"{self.name} must have (h, dim) = {expected[self.name]}")
-            elif re.fullmatch(r"LT_\d+", self.name):
-                if self.dim != 1 or self.h != int(self.name[3:]):
-                    raise BadDescriptor(f"{self.name} must have (h, dim) = ({self.name[3:]}, 1)")
-            else:
-                raise BadDescriptor(f"unknown descriptor name {self.name!r}")
+            shape = _named_shape(self.name)
+            if (self.h, self.dim) != shape:
+                raise BadDescriptor(f"{self.name} must have (h, dim) = {shape}")
+
+
+def _named_shape(name: str) -> tuple:
+    """The (h, dim) of a standard name: mu, QpZp or LT_n."""
+    shape = {"mu": (1, 1), "QpZp": (1, 0)}.get(name)
+    if shape is None and (lt := re.fullmatch(r"LT_(\d+)", name)):
+        shape = (int(lt.group(1)), 1)
+    if shape is None:
+        raise BadDescriptor(f"unknown descriptor name {name!r}")
+    return shape
 
 
 def descriptor(name_or_h, dim: int | None = None) -> GroupDescriptor:
     """descriptor('mu'), descriptor('LT_3'), or descriptor(h, dim)."""
     if isinstance(name_or_h, str):
-        name = name_or_h
-        if name == "mu":
-            return GroupDescriptor(1, 1, "mu")
-        if name == "QpZp":
-            return GroupDescriptor(1, 0, "QpZp")
-        m = re.fullmatch(r"LT_(\d+)", name)
-        if m:
-            return GroupDescriptor(int(m.group(1)), 1, name)
-        raise BadDescriptor(f"unknown descriptor name {name!r}")
+        return GroupDescriptor(*_named_shape(name_or_h), name_or_h)
     if dim is None:
         raise BadDescriptor("descriptor(h, dim) needs both numbers")
     return GroupDescriptor(name_or_h, dim)

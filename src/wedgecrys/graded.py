@@ -83,15 +83,15 @@ class GradedRing(ElementAccumulator):
         return {e: F.neg(c) for e, c in f.items()}
 
     def mul(self, f, g):
-        """Each coefficient starts as its first product, takes any further
-        ones in the field's accumulator and is reduced once."""
+        """Each coefficient sums its products in the field's accumulator and
+        is reduced once."""
         F = self.field
-        mul, mac, reduce, is_zero = F.mul, F.mac, F.reduce, F.is_zero
+        mac, reduce, is_zero, acc0 = F.mac, F.reduce, F.is_zero, F.acc0
         out: dict = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = mac(out[e], c1, c2) if e in out else mul(c1, c2)
+                out[e] = mac(out.get(e, acc0), c1, c2)
         return {e: c for e, t in out.items() if not is_zero(c := reduce(t))}
 
     def scale(self, c, f):
@@ -267,17 +267,23 @@ class GradedMultilinearMap:
         and combine coefficient products with the stored values."""
         if len(args) != self.r:
             raise DimensionMismatch(f"expected {self.r} arguments")
-        ring = self.ring
         out = self.target.zero_element()
         for key, val in self.values.items():
-            coeff = ring.one
-            for arg, l in zip(args, key):
-                coeff = ring.mul(coeff, arg[l])
-                if not coeff:
-                    break
+            coeff = _coefficient(self.ring, args, key)
             if coeff:
                 out = self.target.add(out, self.target.scale(coeff, val))
         return out
+
+
+def _coefficient(ring: GradedRing, args, key):
+    """The product of args[i]'s coordinate at generator key[i] over i: the
+    coefficient of the generator tuple key in the expansion of args."""
+    coeff = ring.one
+    for arg, l in zip(args, key):
+        coeff = ring.mul(coeff, arg[l])
+        if not coeff:
+            break
+    return coeff
 
 
 def is_graded_multilinear(tau: GradedMultilinearMap, trials: int = 6, rng=None,
@@ -449,8 +455,8 @@ def _monomial_exp(ring: GradedRing, f) -> tuple:
 
 
 def _clear_denominators(ring: GradedRing, f_exp, coords):
-    """Smallest k with coords * f^k polynomial; raises if some exponent is
-    negative at a variable f does not contain."""
+    """The smallest k with coords * f^k polynomial, and those polynomials;
+    raises if some exponent is negative at a variable f does not contain."""
     k = 0
     for coord in coords:
         for e in coord:
@@ -461,15 +467,13 @@ def _clear_denominators(ring: GradedRing, f_exp, coords):
                             f"section has a pole in {ring.var_names[j]} outside this chart"
                         )
                     k = max(k, (-ej + fj - 1) // fj)
-    return k
+    return k, _laurent_scale_f(f_exp, coords, k)
 
 
 def _laurent_scale_f(f_exp, coords, k: int):
     """Multiply chart coordinates by f^k (k may be negative)."""
-    out = []
-    for coord in coords:
-        out.append({tuple(e + k * fe for e, fe in zip(exp, f_exp)): c for exp, c in coord.items()})
-    return out
+    return tuple({tuple(e + k * fe for e, fe in zip(exp, f_exp)): c for exp, c in coord.items()}
+                 for coord in coords)
 
 
 class ChartHom:
@@ -487,11 +491,8 @@ class ChartHom:
         self.n = phi.grade // d
 
     def apply(self, coords):
-        ring = self.ring
-        k = _clear_denominators(ring, self.f_exp, coords)
-        polys = _laurent_scale_f(self.f_exp, coords, k)
-        image = self.phi.apply(tuple(polys))
-        return tuple(_laurent_scale_f(self.f_exp, image, -(self.n + k)))
+        k, polys = _clear_denominators(self.ring, self.f_exp, coords)
+        return _laurent_scale_f(self.f_exp, self.phi.apply(polys), -(self.n + k))
 
 
 def localize_deg0_map(phi: StarHomElement, f) -> ChartHom:
@@ -512,42 +513,23 @@ class ChartMultilinear:
         self.ring = tau.ring
         self.f = f
         self.f_exp = _monomial_exp(self.ring, f)
-        self._theta = theta(tau) if tau.r >= 2 else None
+        self._theta = theta(tau)
 
     def _direct(self, args):
-        ring = self.ring
-        ks = []
-        polys = []
-        for coords in args:
-            k = _clear_denominators(ring, self.f_exp, coords)
-            ks.append(k)
-            polys.append(tuple(_laurent_scale_f(self.f_exp, coords, k)))
-        val = self.tau.evaluate(polys)
-        return tuple(_laurent_scale_f(self.f_exp, val, -sum(ks)))
+        cleared = [_clear_denominators(self.ring, self.f_exp, coords) for coords in args]
+        val = self.tau.evaluate([polys for _, polys in cleared])
+        return _laurent_scale_f(self.f_exp, val, -sum(k for k, _ in cleared))
 
     def _via_theta(self, args):
         ring = self.ring
-        tm = self._theta
-        prefix_args = args[:-1]
-        ks = []
-        polys = []
-        for coords in prefix_args:
-            k = _clear_denominators(ring, self.f_exp, coords)
-            ks.append(k)
-            polys.append(tuple(_laurent_scale_f(self.f_exp, coords, k)))
+        polys = [_clear_denominators(ring, self.f_exp, coords)[1] for coords in args[:-1]]
         # assemble psi = sum over prefix generator tuples of c_t . Theta(tau)(t)
         psi = None
-        keys = {key[:-1] for key in self.tau.values}
-        for prefix in keys:
-            coeff = ring.one
-            for arg, l in zip(polys, prefix):
-                coeff = ring.mul(coeff, arg[l])
-                if not coeff:
-                    break
+        for prefix in {key[:-1] for key in self.tau.values}:
+            coeff = _coefficient(ring, polys, prefix)
             if not coeff:
                 continue
-            base = tm.star_hom_at(prefix)
-            term = base.scale(coeff, ring.homogeneous_degree(coeff))
+            term = self._theta.star_hom_at(prefix).scale(coeff, ring.homogeneous_degree(coeff))
             psi = term if psi is None else psi.add(term)
         if psi is None:
             return tuple({} for _ in range(self.tau.target.rank))
@@ -556,13 +538,7 @@ class ChartMultilinear:
         return ChartHom(psi, self.f).apply(args[-1])
 
     def evaluate_both(self, args):
-        direct = self._direct(args)
-        if self.tau.r == 1:
-            sh = theta(self.tau).star_hom_at(())
-            via = ChartHom(sh, self.f).apply(args[0])
-        else:
-            via = self._via_theta(args)
-        return direct, via
+        return self._direct(args), self._via_theta(args)
 
     def evaluate(self, args):
         direct, via = self.evaluate_both(args)

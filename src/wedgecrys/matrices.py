@@ -514,20 +514,6 @@ def smith_valuations(A: Matrix) -> list:
     return vals
 
 
-def _statuses_from_valuations(vals, cap: int, n: int):
-    witness = [IdealStatus.UNIT]
-    for i in range(1, n + 1):
-        sigma = sum(vals[:i])
-        if sigma >= cap:
-            witness.append(IdealStatus.ZERO)
-        elif sigma == 0:
-            witness.append(IdealStatus.UNIT)
-        else:
-            witness.append(IdealStatus.PROPER_NONZERO)
-    witness.append(IdealStatus.ZERO)
-    return tuple(witness)
-
-
 def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
     """Status of the ideal of i-minors, by direct minor enumeration.
 
@@ -550,16 +536,28 @@ def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
     return IdealStatus.UNDECIDABLE
 
 
+def _statuses(A: Matrix) -> tuple:
+    """Statuses of U_0 .. U_{s+1}, s = min(A.rows, A.cols): read off the
+    partial sums of the Smith valuations over a local ring with the pivot
+    protocol, by minor enumeration over any other."""
+    ring = A.ring
+    size = min(A.rows, A.cols)
+    if not (hasattr(ring, "pivot_val") and getattr(ring, "is_local", False)):
+        return tuple(minor_ideal_status(A, i) for i in range(size + 2))
+    cap = ring.val_cap
+    return (
+        IdealStatus.UNIT,
+        *(IdealStatus.ZERO if s >= cap else IdealStatus.PROPER_NONZERO if s else IdealStatus.UNIT
+          for s in itertools.accumulate(smith_valuations(A))),
+        IdealStatus.ZERO,
+    )
+
+
 def determinantal_witness(A: Matrix):
     """Statuses of U_0 .. U_{n+1} for a square matrix."""
     if not A.is_square:
         raise DimensionMismatch("rank theory is defined for square matrices here")
-    n = A.rows
-    ring = A.ring
-    if hasattr(ring, "pivot_val") and getattr(ring, "is_local", False):
-        vals = smith_valuations(A)
-        return _statuses_from_valuations(vals, ring.val_cap, n)
-    return tuple(minor_ideal_status(A, i) for i in range(n + 2))
+    return _statuses(A)
 
 
 def determinantal_status(A: Matrix, i: int) -> IdealStatus:
@@ -567,15 +565,8 @@ def determinantal_status(A: Matrix, i: int) -> IdealStatus:
     rectangular A."""
     if i < 0:
         raise ValueError("i must be >= 0")
-    if i == 0:
-        return IdealStatus.UNIT
-    size = min(A.rows, A.cols)
-    if i > size:
-        return IdealStatus.ZERO
-    ring = A.ring
-    if hasattr(ring, "pivot_val") and getattr(ring, "is_local", False):
-        return _statuses_from_valuations(smith_valuations(A), ring.val_cap, size)[i]
-    return minor_ideal_status(A, i)
+    statuses = _statuses(A)
+    return statuses[min(i, len(statuses) - 1)]
 
 
 @dataclass(frozen=True)
@@ -593,12 +584,6 @@ def rank(A: Matrix) -> RankResult:
             r = i
             break
     return RankResult(r, witness)
-
-
-def cokernel_invariants(A: Matrix) -> list:
-    """Valuations v_i with coker(A) = (+) R/(pi^v_i); val_cap marks a free
-    R summand."""
-    return smith_valuations(A)
 
 
 @dataclass(frozen=True)
@@ -624,7 +609,7 @@ def cokernel_rank_check(A: Matrix, expected: int) -> CokernelRankCheck:
         raise DimensionMismatch("square matrices only")
     n = A.rows
     cap = A.ring.val_cap
-    vals = cokernel_invariants(A)
+    vals = smith_valuations(A)  # coker(A) = (+) R/(pi^v); val_cap marks a free summand
     free_ok = all(v in (0, cap) for v in vals) and sum(1 for v in vals if v == cap) == n - expected
     rank_ok = rank(A).rank == expected
     return CokernelRankCheck(free_ok, rank_ok)
@@ -647,7 +632,7 @@ def wedge_exact_sequence(A: Matrix, d: int) -> WedgeExactSequence:
         raise RankPrecondition(f"rank is {rk.rank}, need {n - 1}")
     C = compound(A, d)
     cap = A.ring.val_cap
-    vals = cokernel_invariants(C)
+    vals = smith_valuations(C)
     if any(v not in (0, cap) for v in vals):
         raise WedgecrysError("compound cokernel is not free; split exact sequence violated")
     free_rank = sum(1 for v in vals if v == cap)

@@ -29,21 +29,17 @@ def howell_form(rows, ncols: int, p: int, m: int):
         pool = [r for r in pool if _lead(r) > c]
         if not active:
             continue
-        while len(active) > 1:
-            active.sort(key=lambda r: _vp(r[c], p, m))
-            r0 = active[0]
-            v0 = _vp(r0[c], p, m)
-            w_inv = pow(r0[c] // p**v0, -1, q)
-            survivors = [r0]
-            for r in active[1:]:
-                lam = (r[c] // p**v0) * w_inv % q
-                rr = [(x - lam * y) % q for x, y in zip(r, r0)]
-                if any(rr):
-                    pool.append(rr)  # leading column strictly increased
-            active = survivors
+        # the row of least pivot valuation eliminates the others, in order
+        active.sort(key=lambda r: _vp(r[c], p, m))
         r0 = active[0]
         v0 = _vp(r0[c], p, m)
-        w_inv = pow(r0[c] // p**v0, -1, q)
+        pv0 = p**v0
+        w_inv = pow(r0[c] // pv0, -1, q)
+        for r in active[1:]:
+            lam = (r[c] // pv0) * w_inv % q
+            rr = [(x - lam * y) % q for x, y in zip(r, r0)]
+            if any(rr):
+                pool.append(rr)  # leading column strictly increased
         r0 = [x * w_inv % q for x in r0]  # pivot becomes exactly p^v0
         res.append(r0)
         if v0 > 0:

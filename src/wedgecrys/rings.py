@@ -226,15 +226,14 @@ def _balanced(c: int):
     return lo, hi, bal, operator.neg if c & 1 else lambda t: t if t == hi else -t
 
 
-def _int_elements(p: int, m: int, coefficient_lists: bool) -> dict:
-    """The element protocol of Z/p^m on balanced ints (`_balanced`), as plain
-    functions that an a = 1 ring stores on itself.  `coefficient_lists`
-    rings split entry strings on ',' and refuse more than one coefficient.
-    `add`, `sub` and `mul` inline `bal` without its range test, which
-    costs more than it saves on small moduli; `reduce` keeps it, since the
-    sums it ends are often small and negative (a minor -p^k u)."""
-    c = p**m
-    lo, hi, bal, neg = _balanced(c)
+def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: bool) -> dict:
+    """The element protocol of Z/p^m on balanced ints, as plain functions
+    that an a = 1 ring stores on itself; c = p^m, and hi, bal and neg are
+    `_balanced(c)`'s.  `coefficient_lists` rings split entry strings on ','
+    and refuse more than one coefficient.  `add`, `sub` and `mul` inline
+    `bal` without its range test, which costs more than it saves on small
+    moduli; `reduce` keeps it, since the sums it ends are often small and
+    negative (a minor -p^k u)."""
 
     def from_list(s: str):
         x, *rest = [bal(_int_entry(u)) for u in s.split(",")]
@@ -300,7 +299,8 @@ class _PolynomialQuotient:
         self.val_cap = m
         if a == 1:
             self.zero, self.one = 0, 1
-            vars(self).update(_int_elements(p, m, self.coefficient_lists))
+            vars(self).update(_int_elements(p, m, self._c, self._hi, self._bal, self._neg,
+                                            self.coefficient_lists))
         else:
             self.zero = (0,) * a
             self.one = (1,) + (0,) * (a - 1)

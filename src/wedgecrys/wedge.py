@@ -33,6 +33,7 @@ from .errors import (
     BadDescriptor,
     DegreeViolation,
     DimensionMismatch,
+    PrecisionExhausted,
     RingMismatch,
 )
 from .matrices import Matrix, compound, det, index_subsets, stack_minors
@@ -284,14 +285,18 @@ def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = 
     """The CLI-facing wedge summary, read off one wedge W and its polygon:
     the height is W's rank, the dimension is the height less the slope sum
     (an integer, v_p(det M) - rank.shift), and at r = h the mu check asks
-    for the one slope 0."""
+    for the one slope 0.  A refusal names `min_wedge_precision` as its
+    required_m."""
     h = desc.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")
     if m is None:
         m = slope_precision(h, desc.dim, r, a)
-    W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
-    np = slopes(W)
+    try:
+        W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
+        np = slopes(W)
+    except PrecisionExhausted as exc:
+        raise PrecisionExhausted(str(exc), required_m=min_wedge_precision(h, desc.dim, r, a)) from exc
     # each segment's slope is formatted once
     slope_strs = []
     for s, mult in np.segments:

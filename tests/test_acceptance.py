@@ -264,8 +264,9 @@ def test_criterion_11_cli_determinism():
             ["check", "adjunction", "--seed", "5", "--trials", "10"],
         ]
         env = {"PATH": "/usr/bin:/bin"}
-        if "PYTHONPATH" in os.environ:
-            env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+        for var in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
+            if var in os.environ:
+                env[var] = os.environ[var]
         for cmd in commands:
             full = [sys.executable, "-m", "wedgecrys.cli", *cmd]
             a = subprocess.run(full, capture_output=True, env=env)

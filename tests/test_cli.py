@@ -14,8 +14,9 @@ from wedgecrys.rings import make_witt_ring
 def run_cli(args):
     cmd = [sys.executable, "-m", "wedgecrys.cli", *args]
     env = {"PATH": "/usr/bin:/bin"}
-    if "PYTHONPATH" in os.environ:
-        env["PYTHONPATH"] = os.environ["PYTHONPATH"]
+    for var in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
+        if var in os.environ:
+            env[var] = os.environ[var]
     return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
 

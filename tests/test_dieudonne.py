@@ -45,6 +45,10 @@ def test_descriptor_validation():
         GroupDescriptor(2, 1, "mu")
     with pytest.raises(BadDescriptor):
         descriptor("LT_x")
+    with pytest.raises(BadDescriptor, match=r"^LT_4 must have \(h, dim\) = \(4, 1\)$"):
+        GroupDescriptor(3, 1, "LT_4")
+    with pytest.raises(BadDescriptor, match=r"^mu must have \(h, dim\) = \(1, 1\)$"):
+        GroupDescriptor(1, 0, "mu")
 
 
 def test_standard_matrices():

@@ -618,12 +618,23 @@ def test_determinantal_status_of_rectangular_matrices():
     rings = [Z9, finite_field(3, 2), make_witt_ring(3, 2, 3), local_test_ring(3, 1, 2)]
     rng = random.Random(23)
     for ring in rings:
-        for rows, cols in ((2, 3), (3, 2), (1, 4), (4, 1)):
+        for rows, cols in ((2, 3), (3, 2), (1, 4), (4, 1), (3, 3)):
             for density in (1.0, 0.4, 0.0):
                 for _ in range(4):
                     A = _sparse_matrix(ring, rows, cols, rng, density)
                     for i in range(min(rows, cols) + 2):
                         assert determinantal_status(A, i) is minor_ideal_status(A, i), (ring, A, i)
+                        if rows == cols:
+                            assert determinantal_status(A, i) is determinantal_witness(A)[i], (ring, A, i)
+    # a square matrix over a ring with no unit-ideal decision
+    from wedgecrys.graded import GradedRing
+
+    S = GradedRing(finite_field(5), ("x", "y"), (1, 1))
+    x, y = S.monomial((1, 0)), S.monomial((0, 1))
+    for entries in ([x, S.one, S.zero, y], [x, y, x, y], [S.zero] * 4):
+        A = Matrix(S, 2, 2, entries)
+        for i in range(4):
+            assert determinantal_status(A, i) is determinantal_witness(A)[i], (entries, i)
 
 
 def test_witness_monotone():

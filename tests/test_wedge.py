@@ -228,8 +228,11 @@ def test_min_wedge_precision_is_the_least_that_succeeds(p):
                     assert m <= slope_precision(h, dim, r, a)
                     rep = wedge_report(descriptor(h, dim), r, p, a, m=m)
                     assert rep["source"]["m"] == m
-                    with pytest.raises(PrecisionExhausted):
-                        wedge_report(descriptor(h, dim), r, p, a, m=m - 1)
+                    # every refusal names the least m, not a bound of the step that failed
+                    for below in {1, m // 2, m - 1}:
+                        with pytest.raises(PrecisionExhausted) as exc:
+                            wedge_report(descriptor(h, dim), r, p, a, m=below)
+                        assert exc.value.required_m == m
 
 
 def test_mu_identification_battery():
