@@ -17,6 +17,7 @@ from .graded import (
     FreeGradedModule,
     GradedMultilinearMap,
     GradedRing,
+    _tuple_grade,
     chart_multilinear,
     is_graded_multilinear,
     theta,
@@ -175,8 +176,7 @@ def random_graded_map(ring: GradedRing, r: int, rng) -> GradedMultilinearMap:
     target = _random_module(ring, rng)
     values = {}
     for key in itertools.product(*[range(M.rank) for M in sources]):
-        D = sum(M.gen_degrees[l] for M, l in zip(sources, key))
-        el = target.random_homogeneous(D, rng)
+        el = target.random_homogeneous(_tuple_grade(sources, key), rng)
         if not target.is_zero(el):
             values[key] = el
     return GradedMultilinearMap(sources, target, values)

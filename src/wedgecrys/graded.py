@@ -260,7 +260,7 @@ class GradedMultilinearMap:
         self.values = vals
 
     def expected_value_degree(self, key) -> int:
-        return sum(M.gen_degrees[l] for M, l in zip(self.sources, key))
+        return _tuple_grade(self.sources, key)
 
     def evaluate(self, args):
         """Multilinear extension: expand each argument over the generators
@@ -273,6 +273,11 @@ class GradedMultilinearMap:
             if coeff:
                 out = self.target.add(out, self.target.scale(coeff, val))
         return out
+
+
+def _tuple_grade(sources, key) -> int:
+    """The grade of a generator tuple: the sum of its generators' degrees."""
+    return sum(M.gen_degrees[l] for M, l in zip(sources, key))
 
 
 def _coefficient(ring: GradedRing, args, key):
@@ -401,7 +406,7 @@ class ThetaMap:
         got = self.table.get(tuple(prefix_key))
         if got is not None:
             return got
-        grade = sum(M.gen_degrees[l] for M, l in zip(self.sources_prefix, prefix_key))
+        grade = _tuple_grade(self.sources_prefix, prefix_key)
         zero_row = ({},) * self.last_source.rank
         return StarHomElement(
             self.last_source, self.target, grade, (zero_row,) * self.target.rank
@@ -420,7 +425,7 @@ def theta(tau: GradedMultilinearMap, rng=None) -> ThetaMap:
     table = {}
     prefixes = {key[:-1] for key in tau.values}
     for prefix in prefixes:
-        grade = sum(M.gen_degrees[l] for M, l in zip(prefix_sources, prefix))
+        grade = _tuple_grade(prefix_sources, prefix)
         cols = []
         for l in range(last.rank):
             cols.append(tau.values.get(prefix + (l,), tau.target.zero_element()))
@@ -525,11 +530,11 @@ class ChartMultilinear:
         polys = [_clear_denominators(ring, self.f_exp, coords)[1] for coords in args[:-1]]
         # assemble psi = sum over prefix generator tuples of c_t . Theta(tau)(t)
         psi = None
-        for prefix in {key[:-1] for key in self.tau.values}:
+        for prefix, star_hom in self._theta.table.items():
             coeff = _coefficient(ring, polys, prefix)
             if not coeff:
                 continue
-            term = self._theta.star_hom_at(prefix).scale(coeff, ring.homogeneous_degree(coeff))
+            term = star_hom.scale(coeff, ring.homogeneous_degree(coeff))
             psi = term if psi is None else psi.add(term)
         if psi is None:
             return tuple({} for _ in range(self.tau.target.rank))

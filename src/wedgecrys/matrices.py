@@ -6,19 +6,20 @@ notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
 
 `det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
 on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
-the local test rings).  `charpoly` reduces to Hessenberg form by unimodular
-similarities with minimum-valuation pivots and runs the Hessenberg
-recurrence, so it needs the pivot protocol, and `det` is the sign-adjusted
-constant term of that polynomial; both, like Smith reduction, work on
-dense rows built on demand.  Every minor of every order, in `compound`,
-`stack_minors` and `minor_ideal_status`, comes from one level-by-level
-Laplace build of the nonzero minors (`_nonzero_minors`), each keyed by one
-int that holds the bitmasks of its row and column subsets, `compound`
-stores only those, and products run row by row over the stored nonzeros of
-both factors, so the monomial Frobenius matrices of the standard modules and
-their compounds cost time and memory in proportion to their nonzeros,
-while a dense input takes the products it took before: those of a
-memoised expansion of every minor and of the row-by-column product.
+the local test rings).  The Hessenberg reduction behind `charpoly` (and
+`det`, the sign-adjusted constant term), Smith reduction and
+`invert_unimodular` need the pivot protocol and share one step on dense
+rows built on demand: the search for an entry of least `pivot_val`
+(`_least_pivot`) and the row update that clears its column (`_eliminate`).
+Every minor of every order, in `compound`, `stack_minors` and
+`minor_ideal_status`, comes from one level-by-level Laplace build of the
+nonzero minors (`_nonzero_minors`), each keyed by one int that holds the
+bitmasks of its row and column subsets, `compound` stores only those, and
+products run row by row over the stored nonzeros of both factors, so the
+monomial Frobenius matrices of the standard modules and their compounds
+cost time and memory in proportion to their nonzeros, while a dense input
+takes the products it took before: those of a memoised expansion of every
+minor and of the row-by-column product.
 
 `minor_ideal_status` enumerates minors directly and is kept as the
 independent oracle for the valuation-pivot route used by `rank`.
@@ -244,60 +245,89 @@ def block_diag(*matrices) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# determinants and characteristic polynomials (ring protocol)
+# valuation-pivot elimination; determinants and characteristic polynomials
 
 
-def _hessenberg_charpoly(R, M):
-    """Ascending charpoly coefficients c_0..c_n (c_n = 1) of the square
-    list of rows M, which is overwritten.
+def _pivot_rows(A: Matrix) -> list:
+    """The dense rows of A for a valuation-pivot reduction to overwrite;
+    UnsupportedRing unless A's ring has the pivot protocol."""
+    if not hasattr(A.ring, "pivot_val"):
+        raise UnsupportedRing(f"{A.ring!r} has no valuation-pivot structure")
+    return A.to_rows()
 
-    M is first reduced to upper Hessenberg form by similarity.  Column j
-    pivots on the entry below the diagonal of minimum `pivot_val` v, and
-    row i below it loses u = shift_down(x_i, v) . inv(shift_down(pivot, v))
-    times the pivot row, which clears x_i exactly; the inverse column
-    operation follows, so every step is a unimodular similarity and the
-    result is exact at the ring's precision.  The division-free Hessenberg
-    recurrence (Cohen, Alg. 2.2.9) then builds the charpoly of each leading
-    principal block from the smaller ones.  Every sum of products, an entry
-    of a row or column operation or a coefficient of the recurrence, runs
-    in the ring's accumulator and is reduced once.
+
+def _least_pivot(R, M, rows, cols):
+    """(v, i, j): the first entry M[i][j] of least `pivot_val` v over the
+    given rows and columns, stopping at a unit (v = 0); v = `val_cap` and
+    i = j = -1 when every entry is zero at the ring's precision."""
+    pivot_val = R.pivot_val
+    bv, bi, bj = R.val_cap, -1, -1
+    for i in rows:
+        row = M[i]
+        for j in cols:
+            v = pivot_val(row[j])
+            if v < bv:
+                bv, bi, bj = v, i, j
+                if v == 0:
+                    return bv, bi, bj
+    return bv, bi, bj
+
+
+def _eliminate(R, M, k, c, v, rows) -> list:
+    """Clear column c of the given rows by the pivot row k, which is zero
+    left of c and whose entry in c has the least `pivot_val` v: row i
+    loses u = shift_down(x, v) . inv(shift_down(pivot, v)) times row k,
+    which clears x = M[i][c] exactly, so x is set to zero and only the
+    pivot row's nonzeros right of c are subtracted, each entry as one
+    `reduce(msub(...))`.  Returns the pairs (i, u) of the changed rows."""
+    mul, is_zero, msub, reduce, shift_down = R.mul, R.is_zero, R.msub, R.reduce, R.shift_down
+    zero = R.zero
+    prow = M[k]
+    w = R.inv(shift_down(prow[c], v))
+    pnz = [(l, y) for l, y in enumerate(prow[c + 1 :], c + 1) if not is_zero(y)]
+    ops = []
+    for i in rows:
+        row = M[i]
+        x = row[c]
+        if is_zero(x):
+            continue
+        u = mul(shift_down(x, v), w)
+        row[c] = zero
+        for l, y in pnz:
+            row[l] = reduce(msub(row[l], u, y))
+        ops.append((i, u))
+    return ops
+
+
+def _hessenberg_charpoly(A: Matrix) -> list:
+    """Ascending charpoly coefficients c_0..c_n (c_n = 1) of the square A.
+
+    A is first reduced to upper Hessenberg form by similarity: column j
+    pivots on the entry below the diagonal of least `pivot_val`, which
+    clears the entries below it, and the inverse column operations follow,
+    so every step is unimodular and the result is exact at the ring's
+    precision.  The division-free Hessenberg recurrence (Cohen, Alg. 2.2.9)
+    then builds the charpoly of each leading principal block from the
+    smaller ones.  Every sum of products, an entry of a row or column
+    operation or a coefficient of the recurrence, runs in the ring's
+    accumulator and is reduced once.
     """
-    if not hasattr(R, "pivot_val"):
-        raise UnsupportedRing(f"{R!r} has no valuation-pivot structure")
+    R = A.ring
+    M = _pivot_rows(A)
     mul, is_zero = R.mul, R.is_zero
     mac, msub, reduce = R.mac, R.msub, R.reduce
-    pivot_val, shift_down = R.pivot_val, R.shift_down
-    zero, one, cap = R.zero, R.one, R.val_cap
+    zero, one = R.zero, R.one
     n = len(M)
     for j in range(n - 2):
         k = j + 1
-        bv, bi = cap, -1
-        for i in range(k, n):
-            v = pivot_val(M[i][j])
-            if v < bv:
-                bv, bi = v, i
-                if v == 0:
-                    break
-        if bi < 0:
+        v, i, _ = _least_pivot(R, M, range(k, n), (j,))
+        if i < 0:
             continue
-        if bi != k:
-            M[bi], M[k] = M[k], M[bi]
+        if i != k:
+            M[i], M[k] = M[k], M[i]
             for row in M:
-                row[bi], row[k] = row[k], row[bi]
-        prow = M[k]
-        w = R.inv(shift_down(prow[j], bv))
-        pnz = [(l, y) for l, y in enumerate(prow[k:]) if not is_zero(y)]
-        ops = []
-        for i in range(k + 1, n):
-            row = M[i]
-            x = row[j]
-            if is_zero(x):
-                continue
-            u = mul(shift_down(x, bv), w)
-            row[j] = zero
-            for l, y in pnz:
-                row[k + l] = reduce(msub(row[k + l], u, y))
-            ops.append((i, u))
+                row[i], row[k] = row[k], row[i]
+        ops = _eliminate(R, M, k, j, v, range(k + 1, n))
         # the inverse column operations: column k gains u times column i
         if ops:
             for row in M:
@@ -395,7 +425,7 @@ def det(A: Matrix):
     if not A.is_square:
         raise DimensionMismatch("determinant of a non-square matrix")
     n = A.rows
-    c0 = _hessenberg_charpoly(A.ring, A.to_rows())[0]
+    c0 = _hessenberg_charpoly(A)[0]
     return c0 if n % 2 == 0 else A.ring.neg(c0)
 
 
@@ -404,7 +434,7 @@ def charpoly(A: Matrix) -> list:
     Hessenberg reduction over rings with the pivot protocol."""
     if not A.is_square:
         raise DimensionMismatch("charpoly of a non-square matrix")
-    return _hessenberg_charpoly(A.ring, A.to_rows())
+    return _hessenberg_charpoly(A)
 
 
 # ---------------------------------------------------------------------------
@@ -466,50 +496,27 @@ def smith_valuations(A: Matrix) -> list:
     determinantal ideals (hence statuses, rank, cokernel shape) of the
     input are those of the diagonal.
     """
-    ring = A.ring
-    if not hasattr(ring, "pivot_val"):
-        raise UnsupportedRing(f"{ring!r} has no valuation-pivot structure")
-    pivot_val, mul, is_zero = ring.pivot_val, ring.mul, ring.is_zero
-    msub, reduce = ring.msub, ring.reduce
-    cap = ring.val_cap
-    M = A.to_rows()
+    R = A.ring
+    M = _pivot_rows(A)
+    cap, zero = R.val_cap, R.zero
     nr, nc = A.rows, A.cols
     size = min(nr, nc)
     vals = []
     for step in range(size):
-        bv, bi, bj = cap, -1, -1
-        for i in range(step, nr):
-            row = M[i]
-            for j in range(step, nc):
-                v = pivot_val(row[j])
-                if v < bv:
-                    bv, bi, bj = v, i, j
-                    if v == 0:
-                        break
-            if bv == 0:
-                break
-        if bi < 0:
+        v, i, j = _least_pivot(R, M, range(step, nr), range(step, nc))
+        if i < 0:
             vals.extend([cap] * (size - step))
             break
-        if bi != step:
-            M[bi], M[step] = M[step], M[bi]
-        if bj != step:
+        if i != step:
+            M[i], M[step] = M[step], M[i]
+        if j != step:
             for row in M:
-                row[bj], row[step] = row[step], row[bj]
-        om_inv = ring.inv(ring.shift_down(M[step][step], bv))
-        prow = M[step]
-        pnz = [(j, prow[j]) for j in range(step, nc) if not is_zero(prow[j])]
-        for i in range(step + 1, nr):
-            row = M[i]
-            x = row[step]
-            if not is_zero(x):
-                lam = mul(ring.shift_down(x, bv), om_inv)
-                for j, u in pnz:
-                    row[j] = reduce(msub(row[j], lam, u))
+                row[j], row[step] = row[step], row[j]
+        _eliminate(R, M, step, step, v, range(step + 1, nr))
         # the implied column operations only touch the pivot row now
         for j in range(step + 1, nc):
-            prow[j] = ring.zero
-        vals.append(bv)
+            M[step][j] = zero
+        vals.append(v)
     vals.sort()
     return vals
 
@@ -538,11 +545,11 @@ def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
 
 def _statuses(A: Matrix) -> tuple:
     """Statuses of U_0 .. U_{s+1}, s = min(A.rows, A.cols): read off the
-    partial sums of the Smith valuations over a local ring with the pivot
-    protocol, by minor enumeration over any other."""
+    partial sums of the Smith valuations over a local ring, which carries
+    the pivot protocol, by minor enumeration over any other."""
     ring = A.ring
     size = min(A.rows, A.cols)
-    if not (hasattr(ring, "pivot_val") and getattr(ring, "is_local", False)):
+    if not getattr(ring, "is_local", False):
         return tuple(minor_ideal_status(A, i) for i in range(size + 2))
     cap = ring.val_cap
     return (
@@ -687,25 +694,25 @@ def base_change_matrix(A: Matrix, hom: RingHom) -> Matrix:
 
 def invert_unimodular(A: Matrix) -> Matrix:
     """Inverse of a matrix whose determinant is a unit (local rings/fields),
-    by Gauss-Jordan elimination on unit pivots; each entry of a row
-    operation is one `msub` in the ring's accumulator, reduced once."""
+    by Gauss-Jordan elimination on [A | I] with the pivot search and row
+    step of the Hessenberg and Smith reductions: column c pivots on its
+    first unit (`pivot_val` 0) at or below the diagonal, which clears every
+    other row; each row's right half is then scaled by the inverse of its
+    diagonal entry."""
     if not A.is_square:
         raise DimensionMismatch("square matrices only")
     R = A.ring
-    msub, reduce = R.msub, R.reduce
     n = A.rows
-    W = [row + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(A.to_rows())]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if R.is_unit(W[i][col])), None)
-        if piv is None:
+    W = [row + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(_pivot_rows(A))]
+    for c in range(n):
+        v, i, _ = _least_pivot(R, W, range(c, n), (c,))
+        if v != 0:
             raise ValueError("matrix is not unimodular")
-        W[col], W[piv] = W[piv], W[col]
-        ip = R.inv(W[col][col])
-        W[col] = [R.mul(ip, x) for x in W[col]]
-        for i in range(n):
-            if i != col and not R.is_zero(W[i][col]):
-                lam = W[i][col]
-                W[i] = [reduce(msub(x, lam, y)) for x, y in zip(W[i], W[col])]
+        W[c], W[i] = W[i], W[c]
+        _eliminate(R, W, c, c, 0, [r for r in range(n) if r != c])
+    for i, row in enumerate(W):
+        w = R.inv(row[i])
+        row[n:] = [R.mul(w, x) for x in row[n:]]
     return Matrix.from_rows(R, [row[n:] for row in W])
 
 

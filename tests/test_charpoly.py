@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from wedgecrys.errors import UnsupportedRing
 from wedgecrys.graded import GradedRing
-from wedgecrys.matrices import Matrix, charpoly, det, invert_unimodular
+from wedgecrys.matrices import Matrix, charpoly, det, invert_unimodular, smith_valuations
 from wedgecrys.rings import QQ, finite_field, local_test_ring, make_witt_ring, modulus_ring
 
 
@@ -200,6 +200,6 @@ def test_charpoly_is_a_similarity_invariant(ring, n, zeros, seed):
 def test_rings_without_the_pivot_protocol_are_refused():
     G = GradedRing(finite_field(3), ["x"], [1])
     A = Matrix.identity(G, 2)
-    for fn in (charpoly, det):
+    for fn in (charpoly, det, smith_valuations, invert_unimodular):
         with pytest.raises(UnsupportedRing):
             fn(A)

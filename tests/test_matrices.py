@@ -830,9 +830,11 @@ def test_lambda_r_tuple_reproduces_compound_column_blocks():
 
 
 def test_invert_unimodular():
+    # the pivots come from pivot_val, so Q and the local test ring, whose
+    # pivot_val is not the p-adic one, run as well
     rng = random.Random(6)
     for ring in (make_witt_ring(3, 2, 3), make_witt_ring(3, 3, 5), modulus_ring(3, 300),
-                 finite_field(2, 2)):
+                 finite_field(2, 2), QQ, local_test_ring(3, 1, 2)):
         found = 0
         while found < 10:
             U = _random_matrix(ring, 3, rng)
@@ -841,6 +843,15 @@ def test_invert_unimodular():
             V = invert_unimodular(U)
             assert U @ V == Matrix.identity(ring, 3) == V @ U, ring
             found += 1
+    # no unit pivot: a column of non-units, though the determinant may be
+    # nonzero
+    T = local_test_ring(3, 1, 2)
+    for A in (Matrix.from_int_rows(modulus_ring(3, 4), [[3, 0], [0, 1]]),
+              Matrix.identity(T, 2).scale(T.t_gen())):
+        with pytest.raises(ValueError, match="not unimodular"):
+            invert_unimodular(A)
+    with pytest.raises(DimensionMismatch):
+        invert_unimodular(Matrix.zeros(QQ, 2, 3))
 
 
 def test_matrix_json_round_trip_and_errors():
