@@ -35,14 +35,14 @@ from .matrices import (
     invert_unimodular,
     matrix_from_json,
     matrix_to_json,
+    smith_valuations,
 )
-from .modsolve import _lead, howell_form, kernel_basis
+from .modsolve import howell_form, kernel_basis
 from .rings import (
     BOTTOM,
     DEGREE_LIMIT,
     PRECISION_LIMIT,
     WittRing,
-    _vp,
     make_witt_ring,
     schema_capped,
     schema_int,
@@ -521,21 +521,20 @@ class EigenBasis:
     tuple per basis coordinate, holding its a coefficients (ascending, a
     1-tuple at a = 1) reduced mod p^precision; `ring_vectors` gives them as
     ring elements.  `pivot_valuations` are the p-valuations of the Howell
-    pivots, so `rank` counts all generators and `free_rank` the unit-pivot
-    ones.
+    pivots, so `rank` counts all generators.  `free_rank` is the number of
+    free Z/p^precision summands of their span, the zeros among the Smith
+    valuations of the basis: a free generator need not have a unit pivot,
+    since its first nonzero coordinate may be divisible by p.
     """
 
     vectors: tuple
     precision: int
     pivot_valuations: tuple
+    free_rank: int
 
     @property
     def rank(self) -> int:
         return len(self.vectors)
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for v in self.pivot_valuations if v == 0)
 
     def ring_vectors(self, ring) -> tuple:
         """The basis vectors with coordinates in `ring`, the crystal's Witt
@@ -545,25 +544,27 @@ class EigenBasis:
         return tuple(tuple(ring.balance(x[0] if ring.a == 1 else x) for x in v) for v in self.vectors)
 
 
-def frobenius_linearization(C: Isocrystal, exponent: int, precision: int):
-    """Integer matrix of x -> M.phi(x) - p^exponent x on (Z/p^precision)^(a h),
-    in the basis e_k (x-gen)^j ordered by (k, j)."""
+def frobenius_linearization(C: Isocrystal, exponent: int):
+    """Matrix of x -> M.phi(x) - p^exponent x on (Z/p^m)^(a h), in the
+    basis e_k (x-gen)^j ordered by (k, j), as rows of elements of
+    Z/p^m = make_witt_ring(p, 1, m): the coefficients of the Witt ring's
+    elements are balanced residues mod p^m already."""
     R = C.ring
     a, h = R.a, C.rank
-    q = R.p**precision
+    Z = make_witt_ring(R.p, 1, R.m)
     N = a * h
     phi_cols = R.frobenius_matrix()  # phi((x-gen)^j) as Witt elements
-    rows = [[0] * N for _ in range(N)]
+    rows = [[Z.zero] * N for _ in range(N)]
     for i, nz in enumerate(C.matrix.nonzero_rows):
         for k, x in nz:
             for j, w in enumerate(phi_cols):
                 entry = R.mul(x, w)
                 for jj, c in enumerate((entry,) if a == 1 else entry):
-                    rows[i * a + jj][k * a + j] = c % q
-    pe = R.p**exponent if exponent < precision else 0
-    if pe:
+                    rows[i * a + jj][k * a + j] = c
+    if exponent < R.m:
+        pe = Z.from_int(R.p**exponent)
         for i in range(N):
-            rows[i][i] = (rows[i][i] - pe) % q
+            rows[i][i] = Z.sub(rows[i][i], pe)
     return rows
 
 
@@ -586,19 +587,16 @@ def eigenspace(X, c: int) -> EigenBasis:
             f"eigenspace needs eff_precision > c + shift = {exponent}",
             required_m=exponent + 1,
         )
-    rows = frobenius_linearization(C, exponent, R.m)
-    gens = kernel_basis(rows, R.p, R.m)
-    q_out = R.p**m_out
-    reduced = [[x % q_out for x in g] for g in gens]
-    basis = howell_form(reduced, R.a * C.rank, R.p, m_out)
-    vectors = []
-    pivots = []
-    for row in basis:
-        vec = tuple(tuple(row[k * R.a : (k + 1) * R.a]) for k in range(C.rank))
-        vectors.append(vec)
-        lead = _lead(row)
-        pivots.append(_vp(row[lead], R.p, m_out))
-    return EigenBasis(tuple(vectors), m_out, tuple(pivots))
+    gens = kernel_basis(make_witt_ring(R.p, 1, R.m), frobenius_linearization(C, exponent))
+    Z = make_witt_ring(R.p, 1, m_out)
+    basis = howell_form(Z, [[Z.balance(x) for x in g] for g in gens])
+    a, q = R.a, Z.q
+    vectors = tuple(
+        tuple(tuple(x % q for x in row[k * a : (k + 1) * a]) for k in range(C.rank))
+        for row, _, _ in basis
+    )
+    free_rank = smith_valuations(Matrix.from_rows(Z, [row for row, _, _ in basis])).count(0)
+    return EigenBasis(vectors, m_out, tuple(v for _, _, v in basis), free_rank)
 
 
 # ---------------------------------------------------------------------------

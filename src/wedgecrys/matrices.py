@@ -7,10 +7,11 @@ notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
 `det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
 on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
 the local test rings).  The Hessenberg reduction behind `charpoly` (and
-`det`, the sign-adjusted constant term), Smith reduction and
-`invert_unimodular` need the pivot protocol and share one step on dense
-rows built on demand: the search for an entry of least `pivot_val`
-(`_least_pivot`) and the row update that clears its column (`_eliminate`).
+`det`, the sign-adjusted constant term), Smith reduction,
+`invert_unimodular` and the Howell form of `modsolve` need the pivot
+protocol and share one step on dense rows built on demand: the search for
+an entry of least `pivot_val` (`_least_pivot`) and the row update that
+clears its column (`_eliminate`).
 Every minor of every order, in `compound`, `stack_minors` and
 `minor_ideal_status`, comes from one level-by-level Laplace build of the
 nonzero minors (`_nonzero_minors`), each keyed by one int that holds the
@@ -273,13 +274,15 @@ def _least_pivot(R, M, rows, cols):
     return bv, bi, bj
 
 
-def _eliminate(R, M, k, c, v, rows) -> list:
+def _eliminate(R, M, k, c, v, rows) -> tuple:
     """Clear column c of the given rows by the pivot row k, which is zero
     left of c and whose entry in c has the least `pivot_val` v: row i
-    loses u = shift_down(x, v) . inv(shift_down(pivot, v)) times row k,
-    which clears x = M[i][c] exactly, so x is set to zero and only the
-    pivot row's nonzeros right of c are subtracted, each entry as one
-    `reduce(msub(...))`.  Returns the pairs (i, u) of the changed rows."""
+    loses u = shift_down(x, v) . w times row k, w = inv(shift_down(pivot,
+    v)), which clears x = M[i][c] exactly, so x is set to zero and only
+    the pivot row's nonzeros right of c are subtracted, each entry as one
+    `reduce(msub(...))`.  The stored zero is read by the Howell
+    back-reduction, which subtracts whole rows.  Returns w, which scales
+    the pivot to p^v, and the pairs (i, u) of the changed rows."""
     mul, is_zero, msub, reduce, shift_down = R.mul, R.is_zero, R.msub, R.reduce, R.shift_down
     zero = R.zero
     prow = M[k]
@@ -296,7 +299,7 @@ def _eliminate(R, M, k, c, v, rows) -> list:
         for l, y in pnz:
             row[l] = reduce(msub(row[l], u, y))
         ops.append((i, u))
-    return ops
+    return w, ops
 
 
 def _hessenberg_charpoly(A: Matrix) -> list:
@@ -327,7 +330,7 @@ def _hessenberg_charpoly(A: Matrix) -> list:
             M[i], M[k] = M[k], M[i]
             for row in M:
                 row[i], row[k] = row[k], row[i]
-        ops = _eliminate(R, M, k, j, v, range(k + 1, n))
+        _, ops = _eliminate(R, M, k, j, v, range(k + 1, n))
         # the inverse column operations: column k gains u times column i
         if ops:
             for row in M:
@@ -498,7 +501,7 @@ def smith_valuations(A: Matrix) -> list:
     """
     R = A.ring
     M = _pivot_rows(A)
-    cap, zero = R.val_cap, R.zero
+    cap = R.val_cap
     nr, nc = A.rows, A.cols
     size = min(nr, nc)
     vals = []
@@ -512,10 +515,9 @@ def smith_valuations(A: Matrix) -> list:
         if j != step:
             for row in M:
                 row[j], row[step] = row[step], row[j]
+        # the implied column operations touch only the pivot row, which no
+        # later step reads
         _eliminate(R, M, step, step, v, range(step + 1, nr))
-        # the implied column operations only touch the pivot row now
-        for j in range(step + 1, nc):
-            M[step][j] = zero
         vals.append(v)
     vals.sort()
     return vals
@@ -698,22 +700,21 @@ def invert_unimodular(A: Matrix) -> Matrix:
     step of the Hessenberg and Smith reductions: column c pivots on its
     first unit (`pivot_val` 0) at or below the diagonal, which clears every
     other row; each row's right half is then scaled by the inverse of its
-    diagonal entry."""
+    diagonal entry, the one the row step computed, so each diagonal entry
+    is inverted once."""
     if not A.is_square:
         raise DimensionMismatch("square matrices only")
     R = A.ring
     n = A.rows
     W = [row + [R.one if j == i else R.zero for j in range(n)] for i, row in enumerate(_pivot_rows(A))]
+    ws = []
     for c in range(n):
         v, i, _ = _least_pivot(R, W, range(c, n), (c,))
         if v != 0:
             raise ValueError("matrix is not unimodular")
         W[c], W[i] = W[i], W[c]
-        _eliminate(R, W, c, c, 0, [r for r in range(n) if r != c])
-    for i, row in enumerate(W):
-        w = R.inv(row[i])
-        row[n:] = [R.mul(w, x) for x in row[n:]]
-    return Matrix.from_rows(R, [row[n:] for row in W])
+        ws.append(_eliminate(R, W, c, c, 0, [r for r in range(n) if r != c])[0])
+    return Matrix.from_rows(R, [[R.mul(w, x) for x in row[n:]] for w, row in zip(ws, W)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,65 +1,64 @@
-"""Canonical linear algebra over Z/p^m on plain integer rows.
+"""Canonical linear algebra over Z/p^m on rows of ring elements.
 
 Howell form is the canonical row-reduced shape over Z/p^m: echelon with
 pivots p^v, entries above a pivot reduced mod p^v, and the row span closed
 under multiplication by annihilators.  Two row sets span the same submodule
 of (Z/p^m)^n iff they have the same Howell form, which is what makes the
-eigenspace bases below reproducible byte-for-byte.
+eigenspace bases reproducible byte-for-byte.  The ring Z is Z/p^m with
+balanced int elements (`make_witt_ring(p, 1, m)`, or `finite_field(p)` at
+m = 1), and the elimination is the pivot search and row step that the
+Hessenberg and Smith reductions use (`matrices._least_pivot`,
+`matrices._eliminate`).
 """
 from __future__ import annotations
 
-from .rings import _vp
+from .matrices import _eliminate, _least_pivot
 
 
-def _lead(row) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    return len(row)
+def howell_form(Z, rows) -> list:
+    """Howell form of the span of the given rows over Z, as triples
+    (row, c, v): the row, its pivot column c and the valuation v of its
+    pivot p^v.
 
-
-def howell_form(rows, ncols: int, p: int, m: int):
-    """Howell form of the span of the given rows over Z/p^m."""
-    q = p**m
-    pool = [[x % q for x in r] for r in rows]
-    pool = [r for r in pool if any(r)]
-    res = []
-    for c in range(ncols):
-        active = [r for r in pool if _lead(r) == c]
-        pool = [r for r in pool if _lead(r) > c]
-        if not active:
+    Column by column, the unplaced row of least valuation in the column
+    clears it in the other unplaced rows, is scaled by the inverse of its
+    pivot's unit part, and, when v > 0, adds its annihilator multiple
+    p^(m - v) row to the unplaced rows if that is nonzero.  Each entry
+    above a pivot p^v is then reduced by shift_down(x, v) times the pivot
+    row, which leaves x mod p^v in [0, p^v) whatever representative x has;
+    later pivot rows are zero in every earlier pivot column, so reduced
+    entries stay reduced.
+    """
+    mul, is_zero, msub, reduce, shift_down = Z.mul, Z.is_zero, Z.msub, Z.reduce, Z.shift_down
+    M = [list(r) for r in rows]
+    pivots = []
+    for c in range(len(M[0]) if M else 0):
+        k = len(pivots)
+        v, i, _ = _least_pivot(Z, M, range(k, len(M)), (c,))
+        if i < 0:
             continue
-        # the row of least pivot valuation eliminates the others, in order
-        active.sort(key=lambda r: _vp(r[c], p, m))
-        r0 = active[0]
-        v0 = _vp(r0[c], p, m)
-        pv0 = p**v0
-        w_inv = pow(r0[c] // pv0, -1, q)
-        for r in active[1:]:
-            lam = (r[c] // pv0) * w_inv % q
-            rr = [(x - lam * y) % q for x, y in zip(r, r0)]
-            if any(rr):
-                pool.append(rr)  # leading column strictly increased
-        r0 = [x * w_inv % q for x in r0]  # pivot becomes exactly p^v0
-        res.append(r0)
-        if v0 > 0:
-            ann = [x * p ** (m - v0) % q for x in r0]
-            if any(ann):
-                pool.append(ann)
-    # reduce entries above each pivot, left to right; later pivot rows have
-    # zeros in all earlier pivot columns, so reduced entries stay reduced
-    for k in range(len(res)):
-        c = _lead(res[k])
-        pv = p ** _vp(res[k][c], p, m)
-        for j in range(k):
-            lam = res[j][c] // pv
-            if lam:
-                res[j] = [(x - lam * y) % q for x, y in zip(res[j], res[k])]
-    return res
+        M[i], M[k] = M[k], M[i]
+        w, _ = _eliminate(Z, M, k, c, v, range(k + 1, len(M)))
+        row = M[k]
+        row[c:] = [mul(w, x) for x in row[c:]]
+        pivots.append((c, v))
+        if v:
+            t = Z.from_int(Z.p ** (Z.m - v))
+            ann = [mul(t, x) for x in row]
+            if not all(map(is_zero, ann)):
+                M.append(ann)
+    for k, (c, v) in enumerate(pivots):
+        pnz = [(l, y) for l, y in enumerate(M[k][c:], c) if not is_zero(y)]
+        for row in M[:k]:
+            lam = shift_down(row[c], v)
+            if not is_zero(lam):
+                for l, y in pnz:
+                    row[l] = reduce(msub(row[l], lam, y))
+    return [(M[k], c, v) for k, (c, v) in enumerate(pivots)]
 
 
-def kernel_basis(rows, p: int, m: int):
-    """Howell-form basis of {x : A x = 0} over Z/p^m for square A.
+def kernel_basis(Z, rows) -> list:
+    """Howell-form basis of {x : A x = 0} over Z for square A.
 
     The rows of [A^T | I] span {(A x, x)}.  By the Howell property, the
     rows of its Howell form that vanish on the A^T block span exactly the
@@ -68,5 +67,6 @@ def kernel_basis(rows, p: int, m: int):
     modulo N", ESA 1998).
     """
     n = len(rows)
-    aug = [[row[j] for row in rows] + [int(i == j) for i in range(n)] for j in range(n)]
-    return [r[n:] for r in howell_form(aug, 2 * n, p, m) if _lead(r) >= n]
+    one, zero = Z.one, Z.zero
+    aug = [[row[j] for row in rows] + [one if i == j else zero for i in range(n)] for j in range(n)]
+    return [row[n:] for row, c, _ in howell_form(Z, aug) if c >= n]

@@ -220,7 +220,7 @@ def test_criterion_10_eigenspace_solver():
 
         for D in (mu2, qz2, direct_sum(mu2, qz2), make_standard(descriptor("LT_2"), R2)):
             n = 2 * D.h
-            rows = frobenius_linearization(D.to_isocrystal(), 0, 2)
+            rows = frobenius_linearization(D.to_isocrystal(), 0)
             true = {
                 x
                 for x in itertools.product(range(9), repeat=n)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -217,8 +218,8 @@ def test_frobenius_kernel_is_torsion_only():
         R = make_witt_ring(3, 2, 5)
         D = make_standard(descriptor(name), R)
         C = D.to_isocrystal()
-        rows = frobenius_linearization(C, exponent=10**6, precision=R.m)  # p^big = 0: kernel of F itself
-        gens = kernel_basis(rows, R.p, R.m)
+        rows = frobenius_linearization(C, exponent=10**6)  # p^big = 0: kernel of F itself
+        gens = kernel_basis(make_witt_ring(R.p, 1, R.m), rows)
         for g in gens:
             assert all(x % 3 == 0 for x in g)
 
@@ -300,6 +301,54 @@ def test_eigenspace_refuses_a_negative_exponent(c):
     assert eb.rank == 2 and eb.precision == 6
 
 
+def _unitriangular_product(R, h, rng):
+    """L V for L unit lower and V unit upper triangular, L's entries drawn
+    first: a seeded unimodular matrix with no zero entry to spare."""
+    def unitriangular(lower):
+        return Matrix.from_rows(R, [[R.one if i == j else R.random_element(rng) if (j < i) == lower
+                                     else R.zero for j in range(h)] for i in range(h)])
+    L = unitriangular(True)
+    return L @ unitriangular(False)
+
+
+def _standard_sum(names, R):
+    D = make_standard(descriptor(names[0]), R)
+    for name in names[1:]:
+        D = direct_sum(D, make_standard(descriptor(name), R))
+    return D
+
+
+def test_eigenspace_free_rank_counts_free_generators_without_unit_pivots():
+    # U e_QpZp is an F = p eigenvector with a unit coordinate, but the
+    # Howell pivot of the one free generator is 3, not a unit
+    R = make_witt_ring(3, 3, 10)
+    U = _unitriangular_product(R, 2, random.Random(3))
+    eb = eigenspace(semilinear_conjugate(_standard_sum(("mu", "QpZp"), R), U), 1)
+    assert eb.precision == 9 and eb.pivot_valuations == (1, 8)
+    assert eb.rank == 2 and eb.free_rank == 1
+
+
+def test_eigenspace_golden_digest():
+    # plain and conjugated standard sums over W(F_{3^a})/3^9: the basis is
+    # pinned byte for byte, and the free rank is the multiplicity of the
+    # slope c, mu at c = 0 and QpZp at c = 1
+    sums = (("mu", "QpZp"), ("mu", "mu", "QpZp"), ("mu", "QpZp", "QpZp"), ("mu", "LT_2", "QpZp"),
+            ("QpZp", "LT_3"))
+    out = []
+    for a in (1, 2, 3):
+        R = make_witt_ring(3, a, 9)
+        rng = random.Random(a)
+        for names in sums:
+            D = _standard_sum(names, R)
+            for X in (D, semilinear_conjugate(D, _unitriangular_product(R, D.h, rng))):
+                for c in (0, 1, 2):
+                    eb = eigenspace(X, c)
+                    assert eb.free_rank == (names.count("mu"), names.count("QpZp"), 0)[c], (a, names, c)
+                    out.append((eb.vectors, eb.precision, eb.pivot_valuations))
+    digest = hashlib.sha256(repr(out).encode()).hexdigest()
+    assert digest == "87bec533dc18bfe4ca2e361c4d61e5cda44075313b007e24df33068a5d23b736"
+
+
 def test_eigenspace_brute_force_oracle_small():
     # exhaustive kernel over Z/p^2 for (a, h) <= (2, 2)
     R = make_witt_ring(3, 2, 2)
@@ -310,7 +359,7 @@ def test_eigenspace_brute_force_oracle_small():
 
         n = R.a * D.h
         q = 9
-        rows = frobenius_linearization(D.to_isocrystal(), c, 2)
+        rows = frobenius_linearization(D.to_isocrystal(), c)
         true = {
             x
             for x in itertools.product(range(q), repeat=n)

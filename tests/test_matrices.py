@@ -32,6 +32,7 @@ from wedgecrys.matrices import (
 )
 from wedgecrys.rings import (
     QQ,
+    WittRing,
     finite_field,
     local_test_ring,
     make_witt_ring,
@@ -852,6 +853,26 @@ def test_invert_unimodular():
             invert_unimodular(A)
     with pytest.raises(DimensionMismatch):
         invert_unimodular(Matrix.zeros(QQ, 2, 3))
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_invert_unimodular_inverts_each_pivot_once(a):
+    # the row step's inverse of the pivot also scales the row: n inversions
+    # for an n x n inverse; an uncached ring, so counting its inv disturbs
+    # no other test
+    R = WittRing(3, a, 6)
+    calls = []
+    inv = R.inv
+    R.inv = lambda x: calls.append(x) or inv(x)
+    rng = random.Random(a)
+    for n in (1, 3, 5):
+        U = _random_matrix(R, n, rng)
+        while not R.is_unit(det(U)):
+            U = _random_matrix(R, n, rng)
+        calls.clear()
+        V = invert_unimodular(U)
+        assert U @ V == Matrix.identity(R, n)
+        assert len(calls) == n
 
 
 def test_matrix_json_round_trip_and_errors():

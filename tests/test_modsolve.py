@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from wedgecrys.modsolve import kernel_basis
+from wedgecrys.modsolve import howell_form, kernel_basis
+from wedgecrys.rings import WittRing, finite_field, make_witt_ring
 
 
 def kernel_by_enumeration(rows, q):
@@ -23,7 +24,14 @@ def span(gens, n, q):
     }
 
 
-def _systems(p, m, rng):
+def _ring(p, m):
+    """Z/p^m with balanced int elements; F_2 stands for Z/2, which no Witt
+    ring accepts."""
+    return finite_field(2) if p == 2 else make_witt_ring(p, 1, m)
+
+
+def _systems(Z, rng):
+    p, m = Z.p, Z.m
     q = p**m
     for n in (1, 2, 3):
         yield [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
@@ -35,12 +43,64 @@ def _systems(p, m, rng):
     yield [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (2, 3), (3, 1), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 2)])
 def test_kernel_basis_against_enumeration(p, m):
+    Z = _ring(p, m)
     q = p**m
     rng = random.Random(p * 100 + m)
-    for rows in _systems(p, m, rng):
+    for rows in _systems(Z, rng):
         n = len(rows)
-        gens = kernel_basis(rows, p, m)
+        gens = kernel_basis(Z, [[Z.from_int(x) for x in row] for row in rows])
         assert len(gens) <= n
         assert span(gens, n, q) == kernel_by_enumeration(rows, q)
+
+
+def _random_rows(Z, count, n, rng):
+    # entries of every valuation, so pivots p^v with v > 0 occur
+    return [[Z.from_int(Z.p ** rng.randrange(Z.m + 1) * rng.randrange(Z.p**Z.m)) for _ in range(n)]
+            for _ in range(count)]
+
+
+def _unimodular_mix(Z, rows, rng):
+    """V rows for a seeded V = L U, L unit lower and U unit upper
+    triangular."""
+    k = len(rows)
+    L = [[Z.one if i == j else Z.random_element(rng) if j < i else Z.zero for j in range(k)] for i in range(k)]
+    U = [[Z.one if i == j else Z.random_element(rng) if j > i else Z.zero for j in range(k)] for i in range(k)]
+    V = [[Z.reduce(sum(L[i][l] * U[l][j] for l in range(k))) for j in range(k)] for i in range(k)]
+    return [[Z.reduce(sum(V[i][l] * rows[l][c] for l in range(k))) for c in range(len(rows[0]))]
+            for i in range(k)]
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (3, 4), (5, 3)])
+def test_howell_form_is_canonical(p, m):
+    # the Howell form depends on the span alone: a unimodular mix of the
+    # rows, and p-multiples and zero rows appended, leave it as it is
+    Z = _ring(p, m)
+    rng = random.Random(p * 10 + m)
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        rows = _random_rows(Z, rng.randint(1, 5), n, rng)
+        H = howell_form(Z, rows)
+        assert howell_form(Z, _unimodular_mix(Z, rows, rng)) == H
+        extra = [[Z.mul(t, x) for x in rng.choice(rows)]
+                 for t in (Z.from_int(p ** rng.randint(1, m)) for _ in range(2))]
+        assert howell_form(Z, rows + extra + [[Z.zero] * n]) == H
+        # echelon with pivots exactly p^v and the entries above them in [0, p^v)
+        for k, (row, c, v) in enumerate(H):
+            assert all(Z.is_zero(x) for x in row[:c]) and row[c] == p**v
+            assert all(0 <= r[c] < p**v for r, _, _ in H[:k])
+
+
+def test_howell_form_inverts_once_per_pivot():
+    # the row step's inverse of the pivot's unit part also scales the pivot
+    # row; an uncached ring, so counting its inv disturbs no other test
+    Z = WittRing(3, 1, 5)
+    calls = []
+    inv = Z.inv
+    Z.inv = lambda x: calls.append(x) or inv(x)
+    rng = random.Random(4)
+    for _ in range(20):
+        calls.clear()
+        H = howell_form(Z, _random_rows(Z, rng.randint(1, 5), rng.randint(1, 5), rng))
+        assert len(calls) == len(H)
