@@ -3,7 +3,6 @@ modules and isocrystal slopes over truncated Witt rings, and graded
 multilinear morphism calculus."""
 
 from .errors import (
-    ArityMismatch,
     BadDescriptor,
     DegreeViolation,
     DimensionMismatch,
@@ -11,10 +10,8 @@ from .errors import (
     NonPrime,
     NotGraded,
     PrecisionExhausted,
-    RankPrecondition,
     RingMismatch,
     SchemaError,
-    UnsupportedHom,
     UnsupportedRing,
     WedgecrysError,
 )
@@ -26,35 +23,24 @@ from .rings import (
     TruncatedPolynomialRing,
     WittRing,
     finite_field,
-    frobenius,
     local_test_ring,
     make_witt_ring,
     modulus_ring,
-    precision_reduction,
-    prime_field_embedding,
-    residue_reduction,
-    teichmuller,
-    valuation,
 )
 from .matrices import (
     IdealStatus,
     Matrix,
     RankResult,
-    base_change_matrix,
     charpoly,
-    cokernel_rank_check,
     compound,
     det,
-    determinantal_status,
     determinantal_witness,
     index_subsets,
-    lambda_r_tuple,
     matrix_from_json,
     matrix_to_json,
     rank,
     rank_lemma_check,
     smith_valuations,
-    wedge_exact_sequence,
 )
 from .dieudonne import (
     DieudonneModule,
@@ -67,7 +53,6 @@ from .dieudonne import (
     dimension,
     direct_sum,
     eigenspace,
-    height,
     isocrystal_from_json,
     isocrystal_to_json,
     make_standard,
@@ -78,17 +63,14 @@ from .dieudonne import (
 )
 from .wedge import (
     GradedVector,
-    dim_height_check,
     graded_vector,
     graded_wedge,
-    lambda_r_sections,
     min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
     slope_precision,
     slope_transform,
     wedge_dim_height,
-    wedge_integral_structure,
     wedge_isocrystal,
     wedge_report,
 )
@@ -99,7 +81,6 @@ from .graded import (
     StarHomElement,
     chart_multilinear,
     is_graded_multilinear,
-    localize_deg0_map,
     theta,
     theta_inverse,
 )

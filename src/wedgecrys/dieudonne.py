@@ -219,12 +219,6 @@ def apply_F(X, v):
     return tuple(out)
 
 
-def apply_F_integral(X, v):
-    """(matrix o phi)(v) together with the shift: F(v) = p^{-shift} times it."""
-    C = _as_crystal(X)
-    return C.matrix.mul_vector(vector_phi(C.ring, v)), C.shift
-
-
 def apply_V(D: DieudonneModule, v):
     return D.MV.mul_vector(vector_phi(D.ring, v, D.ring.a - 1))
 
@@ -262,11 +256,7 @@ def semilinear_conjugate(D: DieudonneModule, U: Matrix) -> DieudonneModule:
 
 
 # ---------------------------------------------------------------------------
-# height, dimension, direct sums
-
-
-def height(D: DieudonneModule) -> int:
-    return D.h
+# dimension, direct sums
 
 
 def dimension(D: DieudonneModule) -> int:
@@ -574,7 +564,7 @@ def eigenspace(X, c: int) -> EigenBasis:
     The integral system (M o phi - p^{c+e}) x = 0 is solved at the ring's
     precision m; the kernel is then reduced to precision m' (which kills
     the torsion that only existed because p^{c+e} annihilates it) and
-    re-canonicalized in Howell form.
+    put in Howell form, the canonical basis.
     """
     C = _as_crystal(X)
     R = C.ring

@@ -21,18 +21,6 @@ class UnsupportedRing(WedgecrysError):
     pass
 
 
-class UnsupportedHom(WedgecrysError):
-    pass
-
-
-class RankPrecondition(WedgecrysError):
-    pass
-
-
-class ArityMismatch(WedgecrysError):
-    pass
-
-
 class BadDescriptor(WedgecrysError):
     pass
 

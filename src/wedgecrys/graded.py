@@ -500,10 +500,6 @@ class ChartHom:
         return _laurent_scale_f(self.f_exp, self.phi.apply(polys), -(self.n + k))
 
 
-def localize_deg0_map(phi: StarHomElement, f) -> ChartHom:
-    return ChartHom(phi, f)
-
-
 class ChartMultilinear:
     """Chart-level multilinear map computed along two routes.
 
@@ -554,58 +550,3 @@ class ChartMultilinear:
 
 def chart_multilinear(tau: GradedMultilinearMap, f) -> ChartMultilinear:
     return ChartMultilinear(tau, f)
-
-
-def chart_degree_zero_generators(ring: GradedRing, f, max_k: int):
-    """Laurent monomials x^alpha / f^k (1 <= k <= max_k, deg alpha = k deg f)
-    generating the chart coordinate ring up to that level."""
-    f_exp = _monomial_exp(ring, f)
-    d = ring.mono_degree(f_exp)
-    gens = []
-    for k in range(1, max_k + 1):
-        for alpha in ring.monomials_of_degree(k * d):
-            gens.append(tuple(a - k * fe for a, fe in zip(alpha, f_exp)))
-    return sorted(set(gens))
-
-
-# ---------------------------------------------------------------------------
-# test-fixture serialization
-
-
-def _poly_to_json(ring: GradedRing, f) -> dict:
-    exps = sorted(f)
-    return {
-        "exps": [list(e) for e in exps],
-        "coeffs": [ring.field.el_to_str(f[e]) for e in exps],
-    }
-
-
-def _poly_from_json(ring: GradedRing, obj) -> dict:
-    out = {}
-    for e, c in zip(obj["exps"], obj["coeffs"]):
-        out[tuple(e)] = ring.field.el_from_str(c)
-    return ring._clean(out)
-
-
-def map_to_json(tau: GradedMultilinearMap) -> dict:
-    return {
-        "schema": "v1",
-        "sources": [list(M.gen_degrees) for M in tau.sources],
-        "target": list(tau.target.gen_degrees),
-        "values": [
-            {
-                "gens": list(key),
-                "value": [_poly_to_json(tau.ring, c) for c in val],
-            }
-            for key, val in sorted(tau.values.items())
-        ],
-    }
-
-
-def map_from_json(ring: GradedRing, obj) -> GradedMultilinearMap:
-    sources = [FreeGradedModule(ring, degs) for degs in obj["sources"]]
-    target = FreeGradedModule(ring, obj["target"])
-    values = {}
-    for rec in obj["values"]:
-        values[tuple(rec["gens"])] = tuple(_poly_from_json(ring, c) for c in rec["value"])
-    return GradedMultilinearMap(sources, target, values)

@@ -1,8 +1,8 @@
 """Matrices over the exact coefficient rings, stored as the nonzeros of
 each row.
 
-Compound matrices, determinantal ideals and the unit-ideal/zero-ideal rank
-notion, Fitting-style cokernel ranks, and the split wedge exact sequence.
+Compound matrices, determinantal ideals, the unit-ideal/zero-ideal rank
+notion and the rank lemma.
 
 `det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
 on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
@@ -35,17 +35,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
 
-from .errors import (
-    ArityMismatch,
-    DimensionMismatch,
-    RankPrecondition,
-    RingMismatch,
-    SchemaError,
-    UnsupportedHom,
-    UnsupportedRing,
-    WedgecrysError,
-)
-from .rings import RingHom, ring_from_descriptor, schema_int
+from .errors import DimensionMismatch, RingMismatch, SchemaError, UnsupportedRing
+from .rings import ring_from_descriptor, schema_int
 
 _column = itemgetter(0)
 
@@ -54,8 +45,8 @@ _column = itemgetter(0)
 def index_subsets(n: int, r: int) -> tuple:
     """All r-subsets of range(n) in lexicographic order.
 
-    This order is a frozen public contract: compound-matrix blocks, wedge
-    coordinates and the Lambda_r maps all index through it.
+    This order is a frozen public contract: compound-matrix blocks and wedge
+    coordinates index through it.
     """
     return tuple(itertools.combinations(range(n), r))
 
@@ -165,13 +156,12 @@ class Matrix:
                 cols[j].append((i, x))
         return Matrix.from_nonzero_rows(self.ring, self.rows, cols)
 
-    def map_entries(self, fn, ring=None):
+    def map_entries(self, fn):
         """The entrywise image under fn, which must map zero to zero: fn
         runs on the nonzero entries and zero images are dropped."""
-        ring = ring or self.ring
-        is_zero = ring.is_zero
+        is_zero = self.ring.is_zero
         return Matrix.from_nonzero_rows(
-            ring,
+            self.ring,
             self.cols,
             [[(j, y) for j, x in nz if not is_zero(y := fn(x))] for nz in self.nonzero_rows],
         )
@@ -485,7 +475,7 @@ def stack_minors(A: Matrix, r: int):
 
 
 # ---------------------------------------------------------------------------
-# determinantal ideals, rank, cokernels
+# determinantal ideals and rank
 
 
 def smith_valuations(A: Matrix) -> list:
@@ -569,15 +559,6 @@ def determinantal_witness(A: Matrix):
     return _statuses(A)
 
 
-def determinantal_status(A: Matrix, i: int) -> IdealStatus:
-    """Status of the i-th determinantal ideal U_i(A), for square and
-    rectangular A."""
-    if i < 0:
-        raise ValueError("i must be >= 0")
-    statuses = _statuses(A)
-    return statuses[min(i, len(statuses) - 1)]
-
-
 @dataclass(frozen=True)
 class RankResult:
     rank: int | None
@@ -593,64 +574,6 @@ def rank(A: Matrix) -> RankResult:
             r = i
             break
     return RankResult(r, witness)
-
-
-@dataclass(frozen=True)
-class CokernelRankCheck:
-    cokernel_side: bool
-    rank_side: bool
-
-    @property
-    def agree(self) -> bool:
-        return self.cokernel_side == self.rank_side
-
-    def __bool__(self) -> bool:
-        return self.cokernel_side and self.rank_side
-
-
-def cokernel_rank_check(A: Matrix, expected: int) -> CokernelRankCheck:
-    """coker(A) free of rank n-expected, and rank(A) = expected.
-
-    The two sides are computed separately; their agreement on every input
-    is the content of the Fitting-ideal lemma.
-    """
-    if not A.is_square:
-        raise DimensionMismatch("square matrices only")
-    n = A.rows
-    cap = A.ring.val_cap
-    vals = smith_valuations(A)  # coker(A) = (+) R/(pi^v); val_cap marks a free summand
-    free_ok = all(v in (0, cap) for v in vals) and sum(1 for v in vals if v == cap) == n - expected
-    rank_ok = rank(A).rank == expected
-    return CokernelRankCheck(free_ok, rank_ok)
-
-
-@dataclass(frozen=True)
-class WedgeExactSequence:
-    compound_map: Matrix
-    cokernel_rank: int
-
-
-def wedge_exact_sequence(A: Matrix, d: int) -> WedgeExactSequence:
-    """For rank(A) = n-1: the compound map wedge^d A, whose cokernel is
-    free of rank C(n-1, d-1)."""
-    n = A.rows
-    if not 1 <= d <= n - 1:
-        raise DimensionMismatch(f"d={d} outside 1..{n - 1}")
-    rk = rank(A)
-    if rk.rank != n - 1:
-        raise RankPrecondition(f"rank is {rk.rank}, need {n - 1}")
-    C = compound(A, d)
-    cap = A.ring.val_cap
-    vals = smith_valuations(C)
-    if any(v not in (0, cap) for v in vals):
-        raise WedgecrysError("compound cokernel is not free; split exact sequence violated")
-    free_rank = sum(1 for v in vals if v == cap)
-    want = math.comb(n - 1, d - 1)
-    if free_rank != want:
-        raise WedgecrysError(
-            f"compound cokernel rank {free_rank} != C({n - 1},{d - 1}) = {want}"
-        )
-    return WedgeExactSequence(C, free_rank)
 
 
 @dataclass(frozen=True)
@@ -670,28 +593,6 @@ def rank_lemma_check(A: Matrix, d: int) -> RankLemmaCheck:
     lhs = rank(A).rank == n - 1
     rhs = rank(compound(A, d)).rank == math.comb(n - 1, d)
     return RankLemmaCheck(lhs, rhs)
-
-
-# ---------------------------------------------------------------------------
-# Lambda_r and base change
-
-
-def lambda_r_tuple(items, rho, r: int):
-    """Values of an r-ary map on all increasing r-subsets of the items,
-    in the frozen lexicographic order."""
-    h = len(items)
-    if not 1 <= r <= h:
-        raise ArityMismatch(f"need 1 <= r <= h, got r={r}, h={h}")
-    return [rho(*(items[i] for i in c)) for c in index_subsets(h, r)]
-
-
-def base_change_matrix(A: Matrix, hom: RingHom) -> Matrix:
-    """Entrywise image under a supported ring homomorphism."""
-    if not isinstance(hom, RingHom):
-        raise UnsupportedHom("expected a RingHom")
-    if hom.source != A.ring:
-        raise UnsupportedHom(f"hom source {hom.source!r} does not match {A.ring!r}")
-    return A.map_entries(hom, ring=hom.target)
 
 
 def invert_unimodular(A: Matrix) -> Matrix:

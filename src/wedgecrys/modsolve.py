@@ -15,21 +15,20 @@ from __future__ import annotations
 from .matrices import _eliminate, _least_pivot
 
 
-def howell_form(Z, rows) -> list:
-    """Howell form of the span of the given rows over Z, as triples
-    (row, c, v): the row, its pivot column c and the valuation v of its
-    pivot p^v.
+def _echelon(Z, rows) -> list:
+    """Echelon form of the span of the given rows over Z, closed under
+    annihilators, as triples (row, c, v): the row, its pivot column c and
+    the valuation v of its pivot p^v.
 
     Column by column, the unplaced row of least valuation in the column
     clears it in the other unplaced rows, is scaled by the inverse of its
     pivot's unit part, and, when v > 0, adds its annihilator multiple
-    p^(m - v) row to the unplaced rows if that is nonzero.  Each entry
-    above a pivot p^v is then reduced by shift_down(x, v) times the pivot
-    row, which leaves x mod p^v in [0, p^v) whatever representative x has;
-    later pivot rows are zero in every earlier pivot column, so reduced
-    entries stay reduced.
+    p^(m - v) row to the unplaced rows if that is nonzero.  The pivot rows
+    from column c on span every vector of the span that is zero before c
+    (the Howell property); the entries above each pivot are left as the
+    elimination found them.
     """
-    mul, is_zero, msub, reduce, shift_down = Z.mul, Z.is_zero, Z.msub, Z.reduce, Z.shift_down
+    mul, is_zero = Z.mul, Z.is_zero
     M = [list(r) for r in rows]
     pivots = []
     for c in range(len(M[0]) if M else 0):
@@ -47,26 +46,39 @@ def howell_form(Z, rows) -> list:
             ann = [mul(t, x) for x in row]
             if not all(map(is_zero, ann)):
                 M.append(ann)
-    for k, (c, v) in enumerate(pivots):
-        pnz = [(l, y) for l, y in enumerate(M[k][c:], c) if not is_zero(y)]
-        for row in M[:k]:
+    return [(M[k], c, v) for k, (c, v) in enumerate(pivots)]
+
+
+def howell_form(Z, rows) -> list:
+    """Howell form of the span of the given rows over Z, as the triples
+    (row, c, v) of `_echelon` with each entry above a pivot p^v reduced by
+    shift_down(x, v) times the pivot row, which leaves x mod p^v in
+    [0, p^v) whatever representative x has; later pivot rows are zero in
+    every earlier pivot column, so reduced entries stay reduced.
+    """
+    is_zero, msub, reduce, shift_down = Z.is_zero, Z.msub, Z.reduce, Z.shift_down
+    H = _echelon(Z, rows)
+    for k, (pivot_row, c, v) in enumerate(H):
+        pnz = [(l, y) for l, y in enumerate(pivot_row[c:], c) if not is_zero(y)]
+        for row, _, _ in H[:k]:
             lam = shift_down(row[c], v)
             if not is_zero(lam):
                 for l, y in pnz:
                     row[l] = reduce(msub(row[l], lam, y))
-    return [(M[k], c, v) for k, (c, v) in enumerate(pivots)]
+    return H
 
 
 def kernel_basis(Z, rows) -> list:
-    """Howell-form basis of {x : A x = 0} over Z for square A.
+    """Echelon generating set of {x : A x = 0} over Z for square A.
 
-    The rows of [A^T | I] span {(A x, x)}.  By the Howell property, the
-    rows of its Howell form that vanish on the A^T block span exactly the
-    vectors (0, x) with A x = 0, and their I blocks are the Howell form of
-    the kernel (Storjohann-Mulders, "Fast algorithms for linear algebra
-    modulo N", ESA 1998).
+    The rows of [A^T | I] span {(A x, x)}.  By the Howell property of
+    `_echelon`, its pivot rows that vanish on the A^T block span exactly
+    the vectors (0, x) with A x = 0 (Storjohann-Mulders, "Fast algorithms
+    for linear algebra modulo N", ESA 1998), so their I blocks generate
+    the kernel, in echelon form but not reduced above the pivots;
+    `howell_form` of them is the kernel's canonical basis.
     """
     n = len(rows)
     one, zero = Z.one, Z.zero
     aug = [[row[j] for row in rows] + [one if i == j else zero for i in range(n)] for j in range(n)]
-    return [row[n:] for row, c, _ in howell_form(Z, aug) if c >= n]
+    return [row[n:] for row, c, _ in _echelon(Z, aug) if c >= n]

@@ -38,7 +38,7 @@ import re
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
-from .errors import NonPrime, SchemaError, UnsupportedHom
+from .errors import NonPrime, SchemaError
 
 
 class _BottomType:
@@ -800,7 +800,7 @@ class TruncatedPolynomialRing(ElementAccumulator):
 
 
 # ---------------------------------------------------------------------------
-# cached constructors and the module-level operations
+# cached constructors
 
 
 @lru_cache(maxsize=None)
@@ -826,72 +826,6 @@ def local_test_ring(p: int, a: int, e: int) -> TruncatedPolynomialRing:
 
 
 QQ = RationalField()
-
-
-def frobenius(R, x):
-    """The canonical Frobenius of R applied to x."""
-    return R.frobenius(x)
-
-
-def teichmuller(R: WittRing, u):
-    """Teichmueller lift of a residue-field element into the Witt ring."""
-    return R.teichmuller(u)
-
-
-def valuation(R, x):
-    """Largest v with x in p^v R, or BOTTOM when x = 0 at this precision."""
-    return R.valuation(x)
-
-
-# ---------------------------------------------------------------------------
-# supported ring homomorphisms (the base-change vocabulary)
-
-
-class RingHom:
-    def __init__(self, source, target, fn, name: str):
-        self.source = source
-        self.target = target
-        self._fn = fn
-        self.name = name
-
-    def __call__(self, x):
-        return self._fn(x)
-
-    def __repr__(self):
-        return f"{self.name}: {self.source!r} -> {self.target!r}"
-
-
-def precision_reduction(R, new_m: int) -> RingHom:
-    """Z/p^m -> Z/p^j or W(F_q)/p^m -> W(F_q)/p^j for j <= m."""
-    if not isinstance(R, (ModulusRing, WittRing)):
-        raise UnsupportedHom(f"no precision reduction on {R!r}")
-    if not 1 <= new_m <= R.m:
-        raise UnsupportedHom("target precision out of range")
-    S = modulus_ring(R.p, new_m) if isinstance(R, ModulusRing) else make_witt_ring(R.p, R.a, new_m)
-    return RingHom(R, S, S.balance, f"mod {R.p}^{new_m}")
-
-
-def residue_reduction(R) -> RingHom:
-    """Reduction onto the residue field."""
-    if isinstance(R, ModulusRing):
-        S = finite_field(R.p, 1)
-        return RingHom(R, S, S.from_int, "residue")
-    if isinstance(R, WittRing):
-        S = R.residue_field
-        return RingHom(R, S, R.reduce_mod_p, "residue")
-    if isinstance(R, TruncatedPolynomialRing):
-        S = R.base
-        return RingHom(R, S, lambda x: x[0], "residue")
-    if isinstance(R, FiniteField):
-        return RingHom(R, R, lambda x: x, "identity")
-    raise UnsupportedHom(f"no residue reduction on {R!r}")
-
-
-def prime_field_embedding(F: FiniteField, E: FiniteField) -> RingHom:
-    """F_p -> F_{p^a} sending c to the constant c."""
-    if F.a != 1 or F.p != E.p:
-        raise UnsupportedHom("only prime-field embeddings are supported")
-    return RingHom(F, E, E.from_int, "embed")
 
 
 # ---------------------------------------------------------------------------

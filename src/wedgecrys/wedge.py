@@ -25,12 +25,10 @@ from .dieudonne import (
     dimension,
     format_fraction,
     make_standard,
-    matrix_phi,
     slopes,
     vector_phi,
 )
 from .errors import (
-    BadDescriptor,
     DegreeViolation,
     DimensionMismatch,
     PrecisionExhausted,
@@ -148,17 +146,6 @@ def graded_wedge(vs) -> GradedVector:
     return GradedVector(W, tuple(coords), sum(v.degree for v in vs))
 
 
-def lambda_r_sections(vs, r: int):
-    """All C(h,r) wedges of h same-degree eigenvectors, lex subset order."""
-    vs = list(vs)
-    h = len(vs)
-    if not 1 <= r <= h:
-        raise DimensionMismatch(f"need 1 <= r <= {h}")
-    if len({v.degree for v in vs}) > 1:
-        raise DegreeViolation("sections must all have the same degree")
-    return [graded_wedge([vs[i] for i in c]) for c in index_subsets(h, r)]
-
-
 # ---------------------------------------------------------------------------
 # slope and dimension bookkeeping
 
@@ -200,15 +187,6 @@ def wedge_dim_height(D: DieudonneModule, r: int) -> WedgeDimHeight:
     return WedgeDimHeight(height=n_w, dim=n_w - v_w)
 
 
-def dim_height_check(desc: GroupDescriptor, r: int, p: int = 3, a: int = 1) -> WedgeDimHeight:
-    """Build the standard module of a dim <= 1 descriptor at precision
-    h*a + 2 and return its wedge height and dimension."""
-    if desc.dim > 1:
-        raise BadDescriptor("the dimension formula requires dim <= 1")
-    ring = make_witt_ring(p, a, desc.h * a + 2)
-    return wedge_dim_height(make_standard(desc, ring), r)
-
-
 @dataclass(frozen=True)
 class MuIdentification:
     rank: int
@@ -233,37 +211,6 @@ def mu_identification(D: DieudonneModule) -> MuIdentification:
         slopes=np,
         slope_zero=np.segments == ((Fraction(0), 1),),
         unit_after_shift=unit,
-    )
-
-
-@dataclass(frozen=True)
-class WedgeIntegralStructure:
-    """Outcome of the integral-Verschiebung experiment on a wedge."""
-
-    min_compound_valuation: int
-    shift: int
-    frobenius_integral: bool
-    verschiebung_relation: bool
-
-
-def wedge_integral_structure(D: DieudonneModule, r: int) -> WedgeIntegralStructure:
-    """Does the r-th wedge carry an integral module structure?
-
-    F_w is integral iff p^{r-1} divides every r-minor of MF; the candidate
-    Verschiebung is the unshifted compound of MV, and the product relation
-    compound(MF,r) . phi(compound(MV,r)) = p^r I is verified numerically.
-    """
-    R = D.ring
-    CF = compound(D.MF, r)
-    CV = compound(D.MV, r)
-    minv = min((R.pivot_val(x) for nz in CF.nonzero_rows for _, x in nz), default=R.val_cap)
-    prI = Matrix.identity(R, CF.rows).scale(R.from_int(R.p**r))
-    rel = (CF @ matrix_phi(CV)) == prI
-    return WedgeIntegralStructure(
-        min_compound_valuation=minv,
-        shift=r - 1,
-        frobenius_integral=minv >= r - 1,
-        verschiebung_relation=rel,
     )
 
 

@@ -10,13 +10,11 @@ from wedgecrys.dieudonne import (
     GroupDescriptor,
     Isocrystal,
     apply_F,
-    apply_F_integral,
     apply_V,
     descriptor,
     dimension,
     direct_sum,
     eigenspace,
-    height,
     isocrystal_from_json,
     isocrystal_to_json,
     make_standard,
@@ -139,11 +137,11 @@ def test_apply_v_composes_to_p():
 
 def test_dimension_height_examples():
     R = make_witt_ring(3, 1, 8)
-    assert (height(make_standard(descriptor("mu"), R)), dimension(make_standard(descriptor("mu"), R))) == (1, 1)
+    assert (make_standard(descriptor("mu"), R).h, dimension(make_standard(descriptor("mu"), R))) == (1, 1)
     qz = make_standard(descriptor("QpZp"), R)
-    assert (height(qz), dimension(qz)) == (1, 0)
+    assert (qz.h, dimension(qz)) == (1, 0)
     lt5 = make_standard(descriptor("LT_5"), R)
-    assert (height(lt5), dimension(lt5)) == (5, 1)
+    assert (lt5.h, dimension(lt5)) == (5, 1)
 
 
 def test_dimension_additivity_under_direct_sum():
@@ -151,7 +149,7 @@ def test_dimension_additivity_under_direct_sum():
     mu = make_standard(descriptor("mu"), R)
     qz = make_standard(descriptor("QpZp"), R)
     s = direct_sum(mu, qz)
-    assert height(s) == 2 and dimension(s) == 1
+    assert s.h == 2 and dimension(s) == 1
 
 
 def test_slopes_examples():
@@ -251,8 +249,7 @@ def test_eigenspace_vectors_satisfy_the_relation():
             q_out = 3**eb.precision
             pc = 3**c
             for vec in eb.vectors:
-                w, shift = apply_F_integral(D, vec)
-                assert shift == 0
+                w = apply_F(D, vec)  # D is a module: F is the integral image
                 for wx, vx in zip(w, vec):
                     assert all((a - pc * b) % q_out == 0 for a, b in zip(wx, vx))
             assert eb.rank == (k if c == 0 else l)

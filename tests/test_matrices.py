@@ -6,21 +6,18 @@ import pytest
 
 import wedgecrys
 from wedgecrys.dieudonne import descriptor, make_standard, matrix_phi
-from wedgecrys.errors import ArityMismatch, DimensionMismatch, RankPrecondition, SchemaError
+from wedgecrys.errors import DimensionMismatch, SchemaError
 from wedgecrys.matrices import (
     IdealStatus,
     Matrix,
-    base_change_matrix,
+    _statuses,
     block_diag,
     charpoly,
-    cokernel_rank_check,
     compound,
     det,
-    determinantal_status,
     determinantal_witness,
     index_subsets,
     invert_unimodular,
-    lambda_r_tuple,
     matrix_from_json,
     matrix_to_json,
     minor_ideal_status,
@@ -28,7 +25,6 @@ from wedgecrys.matrices import (
     rank_lemma_check,
     smith_valuations,
     stack_minors,
-    wedge_exact_sequence,
 )
 from wedgecrys.rings import (
     QQ,
@@ -37,8 +33,6 @@ from wedgecrys.rings import (
     local_test_ring,
     make_witt_ring,
     modulus_ring,
-    precision_reduction,
-    residue_reduction,
 )
 
 
@@ -352,6 +346,11 @@ def _assert_canonical(M):
         assert not any(M.ring.is_zero(x) for _, x in nz)
 
 
+def base_change(A, S, fn):
+    """The image of A over the ring S under the entrywise map fn."""
+    return Matrix.from_rows(S, [[fn(x) for x in row] for row in A.to_rows()])
+
+
 def test_library_matrices_are_canonical():
     rng = random.Random(12)
     Z = modulus_ring(3, 4)
@@ -384,11 +383,16 @@ def test_library_matrices_are_canonical():
     P = Matrix.from_int_rows(Z, [[27, 1, 0], [54, 9, 3], [0, 0, 27]])
     assert P.scale(Z.from_int(3)) == Matrix.from_int_rows(Z, [[0, 3, 0], [0, 27, 9], [0, 0, 0]])
     _assert_canonical(P.scale(Z.from_int(3)))
-    for R in (Z, W):
+    F3 = finite_field(3)
+    for R, reductions in (
+        (Z, [(S, S.balance) for S in (modulus_ring(3, 2), modulus_ring(3, 1), F3)]),
+        (W, [(S, S.balance) for S in (make_witt_ring(3, 2, 2), make_witt_ring(3, 2, 1))]
+            + [(W.residue_field, W.reduce_mod_p)]),
+    ):
         M = Matrix.from_rows(R, [[R.from_int(x) for x in row] for row in P.to_rows()])
-        for hom in (precision_reduction(R, 2), precision_reduction(R, 1), residue_reduction(R)):
-            _assert_canonical(base_change_matrix(M, hom))
-    assert base_change_matrix(P, residue_reduction(Z)) == Matrix.from_int_rows(
+        for S, fn in reductions:
+            _assert_canonical(base_change(M, S, fn))
+    assert base_change(P, F3, F3.balance) == Matrix.from_int_rows(
         finite_field(3), [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
     )
     for k in (1, 2):
@@ -556,12 +560,12 @@ def test_charpoly_against_symbolic_oracle_beyond_machine_words():
 def test_status_examples():
     Z9 = modulus_ring(3, 2)
     A = Matrix.from_int_rows(Z9, [[3, 0], [0, 3]])
-    assert determinantal_status(A, 1) is IdealStatus.PROPER_NONZERO
-    assert determinantal_status(A, 0) is IdealStatus.UNIT
-    assert determinantal_status(A, 3) is IdealStatus.ZERO
+    assert determinantal_witness(A)[1] is IdealStatus.PROPER_NONZERO
+    assert determinantal_witness(A)[0] is IdealStatus.UNIT
+    assert determinantal_witness(A)[3] is IdealStatus.ZERO
     I4 = Matrix.identity(finite_field(7), 4)
     for i in range(5):
-        assert determinantal_status(I4, i) is IdealStatus.UNIT
+        assert determinantal_witness(I4)[i] is IdealStatus.UNIT
 
 
 def _status_by_leibniz(A, i):
@@ -610,7 +614,7 @@ def test_witness_matches_brute_force_minor_enumeration():
 def test_determinantal_status_of_rectangular_matrices():
     Z9 = modulus_ring(3, 2)
     A = Matrix.from_int_rows(Z9, [[1, 0, 3], [0, 3, 0]])
-    assert [determinantal_status(A, i) for i in range(4)] == [
+    assert list(_statuses(A)) == [
         IdealStatus.UNIT, IdealStatus.UNIT, IdealStatus.PROPER_NONZERO, IdealStatus.ZERO]
     with pytest.raises(DimensionMismatch):
         determinantal_witness(A)
@@ -624,9 +628,7 @@ def test_determinantal_status_of_rectangular_matrices():
                 for _ in range(4):
                     A = _sparse_matrix(ring, rows, cols, rng, density)
                     for i in range(min(rows, cols) + 2):
-                        assert determinantal_status(A, i) is minor_ideal_status(A, i), (ring, A, i)
-                        if rows == cols:
-                            assert determinantal_status(A, i) is determinantal_witness(A)[i], (ring, A, i)
+                        assert _statuses(A)[i] is minor_ideal_status(A, i), (ring, A, i)
     # a square matrix over a ring with no unit-ideal decision
     from wedgecrys.graded import GradedRing
 
@@ -635,7 +637,7 @@ def test_determinantal_status_of_rectangular_matrices():
     for entries in ([x, S.one, S.zero, y], [x, y, x, y], [S.zero] * 4):
         A = Matrix(S, 2, 2, entries)
         for i in range(4):
-            assert determinantal_status(A, i) is determinantal_witness(A)[i], (entries, i)
+            assert determinantal_witness(A)[i] is minor_ideal_status(A, i), (entries, i)
 
 
 def test_witness_monotone():
@@ -677,16 +679,15 @@ def test_rank_over_undecidable_ring_reports_undecidable():
 def test_rank_stable_under_base_change_when_defined():
     Z27 = modulus_ring(3, 3)
     rng = random.Random(3)
-    hom_res = residue_reduction(Z27)
-    hom_prec = precision_reduction(Z27, 2)
+    F3, Z9 = finite_field(3), modulus_ring(3, 2)
     checked = 0
     for _ in range(60):
         A = _random_matrix(Z27, 3, rng)
         r = rank(A)
         if r.rank is None:
             continue
-        assert rank(base_change_matrix(A, hom_res)).rank == r.rank
-        assert rank(base_change_matrix(A, hom_prec)).rank == r.rank
+        assert rank(base_change(A, F3, F3.balance)).rank == r.rank
+        assert rank(base_change(A, Z9, Z9.balance)).rank == r.rank
         checked += 1
     assert checked > 10
 
@@ -694,12 +695,12 @@ def test_rank_stable_under_base_change_when_defined():
 def test_statuses_push_forward_along_residue_reduction():
     Z27 = modulus_ring(3, 3)
     rng = random.Random(21)
-    red = residue_reduction(Z27)
+    F3 = finite_field(3)
     for _ in range(20):
         A = _random_matrix(Z27, 3, rng)
-        B = base_change_matrix(A, red)
+        B = base_change(A, F3, F3.balance)
         for i in range(5):
-            sa, sb = determinantal_status(A, i), determinantal_status(B, i)
+            sa, sb = determinantal_witness(A)[i], determinantal_witness(B)[i]
             # U_i(phi(A)) = U_i(A) S: units stay units, zero can only grow
             if sa is IdealStatus.UNIT:
                 assert sb is IdealStatus.UNIT
@@ -709,67 +710,14 @@ def test_statuses_push_forward_along_residue_reduction():
 
 def test_compound_commutes_with_base_change():
     Z27 = modulus_ring(3, 3)
-    red = residue_reduction(Z27)
+    F3 = finite_field(3)
     rng = random.Random(55)
     for _ in range(20):
         A = _random_matrix(Z27, 4, rng)
         for d in (2, 3):
-            assert compound(base_change_matrix(A, red), d) == base_change_matrix(
-                compound(A, d), red
+            assert compound(base_change(A, F3, F3.balance), d) == base_change(
+                compound(A, d), F3, F3.balance
             )
-
-
-# -- cokernels and the wedge exact sequence -------------------------------------
-
-
-def test_cokernel_examples():
-    F7 = finite_field(7)
-    assert bool(cokernel_rank_check(Matrix.identity(F7, 3), 3))
-    assert bool(cokernel_rank_check(Matrix.from_int_rows(F7, [[1, 0, 0], [0, 1, 0], [0, 0, 0]]), 2))
-    T = local_test_ring(3, 1, 2)
-    A = Matrix.from_rows(T, [[T.one, T.zero], [T.zero, T.t_gen()]])
-    chk = cokernel_rank_check(A, 1)
-    assert not bool(chk)
-    assert chk.agree  # both sides false: the lemma survives
-
-
-def test_cokernel_sides_always_agree():
-    rng = random.Random(10)
-    for ring in (finite_field(5), local_test_ring(3, 1, 2), modulus_ring(3, 2)):
-        for _ in range(40):
-            n = rng.randint(1, 3)
-            A = _random_matrix(ring, n, rng)
-            for expected in range(n + 1):
-                assert cokernel_rank_check(A, expected).agree
-
-
-def test_wedge_exact_sequence_examples():
-    F5 = finite_field(5)
-    A = Matrix.from_int_rows(F5, [[1, 0, 0], [0, 1, 0], [0, 0, 0]])
-    res = wedge_exact_sequence(A, 2)
-    assert res.compound_map == Matrix.from_int_rows(F5, [[1, 0, 0], [0, 0, 0], [0, 0, 0]])
-    assert res.cokernel_rank == 2
-    B = Matrix.from_int_rows(F5, [[1, 0], [0, 0]])
-    assert wedge_exact_sequence(B, 1).cokernel_rank == 1
-    with pytest.raises(RankPrecondition):
-        wedge_exact_sequence(Matrix.identity(F5, 3), 2)
-
-
-def test_wedge_exact_sequence_random_rank_deficient():
-    rng = random.Random(2)
-    import math
-
-    for ring in (finite_field(5), finite_field(7)):
-        done = 0
-        while done < 50:
-            n = rng.randint(2, 4)
-            A = _random_matrix(ring, n, rng)
-            if rank(A).rank != n - 1:
-                continue
-            d = rng.randint(1, n - 1)
-            res = wedge_exact_sequence(A, d)
-            assert res.cokernel_rank == math.comb(n - 1, d - 1)
-            done += 1
 
 
 # -- rank lemma -----------------------------------------------------------------
@@ -803,17 +751,6 @@ def test_rank_lemma_exhaustive_f2():
 # -- Lambda_r and misc -----------------------------------------------------------
 
 
-def test_lambda_r_tuple_order_contract():
-    assert lambda_r_tuple(["a", "b", "c"], lambda x, y: (x, y), 2) == [
-        ("a", "b"),
-        ("a", "c"),
-        ("b", "c"),
-    ]
-    assert lambda_r_tuple([1, 2, 3], lambda x, y, z: x + y + z, 3) == [6]
-    with pytest.raises(ArityMismatch):
-        lambda_r_tuple([1, 2], lambda x: x, 3)
-
-
 def test_lambda_r_tuple_reproduces_compound_column_blocks():
     Z9 = modulus_ring(3, 2)
     rng = random.Random(44)
@@ -824,7 +761,7 @@ def test_lambda_r_tuple_reproduces_compound_column_blocks():
     def rho(*vs):
         return stack_minors(Matrix(Z9, 4, d, [v[i] for i in range(4) for v in vs]), d)
 
-    blocks = lambda_r_tuple(cols, rho, d)
+    blocks = [rho(*(cols[i] for i in c)) for c in index_subsets(4, d)]
     C = compound(A, d)
     for ti, block in enumerate(blocks):
         assert tuple(C.col(ti)) == tuple(block)

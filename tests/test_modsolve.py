@@ -104,3 +104,17 @@ def test_howell_form_inverts_once_per_pivot():
         calls.clear()
         H = howell_form(Z, _random_rows(Z, rng.randint(1, 5), rng.randint(1, 5), rng))
         assert len(calls) == len(H)
+
+
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 2)])
+def test_kernel_basis_spans_the_howell_kernel(p, m):
+    # kernel_basis skips the back-reduction; its span, and so its Howell
+    # form, is that of the I blocks of the Howell form of [A^T | I]
+    Z = _ring(p, m)
+    rng = random.Random(p * 100 + m)
+    for rows in _systems(Z, rng):
+        A = [[Z.from_int(x) for x in row] for row in rows]
+        n = len(A)
+        aug = [[row[j] for row in A] + [Z.from_int(int(i == j)) for i in range(n)] for j in range(n)]
+        howell_kernel = [row[n:] for row, c, _ in howell_form(Z, aug) if c >= n]
+        assert howell_form(Z, kernel_basis(Z, A)) == howell_form(Z, howell_kernel)

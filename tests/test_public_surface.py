@@ -1,0 +1,48 @@
+"""The package exports only names that something besides their own tests
+uses: library code, the benchmark harness, or the acceptance criteria."""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LIB = ROOT / "src" / "wedgecrys"
+MODULES = {path.stem for path in LIB.glob("*.py")} | {"wedgecrys"}
+
+
+def _exports() -> list:
+    """Every name `wedgecrys/__init__.py` imports from a library module or
+    defines itself."""
+    out = []
+    for node in ast.parse((LIB / "__init__.py").read_text()).body:
+        if isinstance(node, ast.ImportFrom):
+            out += [alias.asname or alias.name for alias in node.names]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append(node.name)
+    return out
+
+
+def _references(path: Path, outside: bool) -> set:
+    """The identifiers a file uses: its names, and the attributes it reads
+    off a library module.  Outside the library every attribute counts, as
+    does every string constant: the benchmark reaches the package through
+    its own handles and traces functions it names as strings."""
+    refs = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name):
+            refs.add(node.id)
+        elif isinstance(node, ast.Attribute) and (outside or getattr(node.value, "id", None) in MODULES):
+            refs.add(node.attr)
+        elif outside and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            refs.add(node.value)
+    return refs
+
+
+def test_every_export_has_a_caller_outside_its_own_tests():
+    # a definition is not a use: its name is no Name node
+    used = _references(ROOT / "tests" / "test_acceptance.py", True)
+    for path in LIB.glob("*.py"):
+        if path.stem != "__init__":
+            used |= _references(path, False)
+    for path in (ROOT / "perfbench").glob("*.py"):
+        used |= _references(path, True)
+    unused = [name for name in _exports() if name not in used]
+    assert not unused, f"exported but used only by their own tests: {unused}"

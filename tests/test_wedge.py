@@ -14,20 +14,17 @@ from wedgecrys.dieudonne import (
     slopes,
 )
 from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted
-from wedgecrys.matrices import Matrix, compound, det, invert_unimodular
+from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular
 from wedgecrys.rings import BOTTOM, make_witt_ring
 from wedgecrys.wedge import (
-    dim_height_check,
     graded_vector,
     graded_wedge,
-    lambda_r_sections,
     min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
     slope_precision,
     slope_transform,
     wedge_dim_height,
-    wedge_integral_structure,
     wedge_isocrystal,
     wedge_report,
 )
@@ -117,14 +114,14 @@ def test_lambda_r_sections_order_and_alternation():
         graded_vector(mu3, tuple(R.one if i == j else R.zero for i in range(3)), -1)
         for j in range(3)
     ]
-    secs = lambda_r_sections(basis, 2)
+    secs = [graded_wedge([basis[i] for i in c]) for c in index_subsets(3, 2)]
     assert [s.vec for s in secs] == [
         (R.one, R.zero, R.zero),
         (R.zero, R.one, R.zero),
         (R.zero, R.zero, R.one),
     ]
     # full wedge at h = r
-    assert lambda_r_sections(basis, 3)[0].vec == (R.one,)
+    assert graded_wedge(basis).vec == (R.one,)
 
 
 def test_lambda_r_sections_linear_dependence_by_bilinear_expansion():
@@ -137,30 +134,24 @@ def test_lambda_r_sections_linear_dependence_by_bilinear_expansion():
     v1 = graded_vector(mu3, (t1, R.zero, R.zero), -1)
     v2 = graded_vector(mu3, (R.zero, t2, R.zero), -1)
     v3 = graded_vector(mu3, (t1, t2, R.zero), -1)  # v1 + v2
-    secs = lambda_r_sections([v1, v2, v3], 2)
-    w12, w13, w23 = (s.vec for s in secs)
+    vs = [v1, v2, v3]
+    w12, w13, w23 = (graded_wedge([vs[i] for i in c]).vec for c in index_subsets(3, 2))
     # wedge(v1, v1+v2) = wedge(v1, v2); wedge(v2, v1+v2) = -wedge(v1, v2)
     assert w13 == w12
     assert w23 == tuple(R.neg(c) for c in w12)
 
 
-def test_lambda_r_sections_requires_equal_degrees():
-    R = make_witt_ring(3, 2, 5)
-    C = direct_sum(make_standard(descriptor("mu"), R), make_standard(descriptor("QpZp"), R)).to_isocrystal()
-    x = graded_vector(C, (R.one, R.zero), -1)
-    y = graded_vector(C, (R.zero, R.one), 0)
-    with pytest.raises(DegreeViolation):
-        lambda_r_sections([x, y], 2)
-
-
 def test_dim_height_check_known_values():
-    r = dim_height_check(descriptor(5, 1), 2)
+    def dim_height(h, d, r):
+        return wedge_dim_height(make_standard(descriptor(h, d), make_witt_ring(3, 1, h + 2)), r)
+
+    r = dim_height(5, 1, 2)
     assert (r.height, r.dim) == (10, 4)
-    r = dim_height_check(descriptor(4, 1), 2)
+    r = dim_height(4, 1, 2)
     assert (r.height, r.dim) == (6, 3)
     for h in (2, 3, 4, 5):
         for rr in range(1, h + 1):
-            z = dim_height_check(descriptor(h, 0), rr)
+            z = dim_height(h, 0, rr)
             assert z.dim == 0
 
 
@@ -262,19 +253,29 @@ def test_wedge_functoriality_under_conjugation():
 
 
 def test_wedge_integral_structure_experiment():
+    # F_w = p^{-(r-1)} compound(MF, r) is integral iff p^{r-1} divides every
+    # r-minor of MF; the unshifted compound of MV satisfies
+    # compound(MF, r) . phi(compound(MV, r)) = p^r I either way
     R = make_witt_ring(3, 1, 8)
+
+    def structure(D, r):
+        CF, CV = compound(D.MF, r), compound(D.MV, r)
+        content = min((R.pivot_val(x) for nz in CF.nonzero_rows for _, x in nz), default=R.val_cap)
+        prI = Matrix.identity(R, CF.rows).scale(R.from_int(R.p**r))
+        return content >= r - 1, CF @ matrix_phi(CV) == prI
+
     for h in (2, 3, 4):
         D = make_standard(descriptor(h, 1), R)
         for r in range(2, h + 1):
-            rec = wedge_integral_structure(D, r)
-            assert rec.frobenius_integral  # dim <= 1: p^{r-1} divides the minors
-            assert rec.verschiebung_relation
+            integral, relation = structure(D, r)
+            assert integral  # dim <= 1: p^{r-1} divides the minors
+            assert relation
     mu2 = direct_sum(
         make_standard(descriptor("mu"), R), make_standard(descriptor("mu"), R)
     )
-    rec = wedge_integral_structure(mu2, 2)
-    assert not rec.frobenius_integral  # dim 2 breaks the hypothesis
-    assert rec.verschiebung_relation
+    integral, relation = structure(mu2, 2)
+    assert not integral  # dim 2 breaks the hypothesis
+    assert relation
 
 
 def test_wedge_report_shape():
