@@ -16,7 +16,6 @@ from .errors import (
     WedgecrysError,
 )
 from .rings import (
-    BOTTOM,
     QQ,
     FiniteField,
     ModulusRing,

@@ -39,7 +39,6 @@ from .matrices import (
 )
 from .modsolve import howell_form, kernel_basis
 from .rings import (
-    BOTTOM,
     DEGREE_LIMIT,
     PRECISION_LIMIT,
     WittRing,
@@ -261,8 +260,8 @@ def semilinear_conjugate(D: DieudonneModule, U: Matrix) -> DieudonneModule:
 
 def dimension(D: DieudonneModule) -> int:
     """h - v_p(det MF) under the fixed slope convention."""
-    v = D.ring.valuation(det(D.MF))
-    if v is BOTTOM:
+    v = D.ring.pivot_val(det(D.MF))
+    if v >= D.ring.m:
         raise PrecisionExhausted(
             "v_p(det MF) is below working precision", required_m=D.ring.m + 1
         )
@@ -302,9 +301,6 @@ class NewtonPolygon:
         for s, m in self.segments:
             out.extend([s] * m)
         return out
-
-    def merge(self, other: "NewtonPolygon") -> "NewtonPolygon":
-        return NewtonPolygon.from_multiset(self.expanded() + other.expanded())
 
     def to_json(self) -> list:
         return [{"slope": format_fraction(s), "mult": m} for s, m in self.segments]
@@ -473,22 +469,23 @@ def slopes(X) -> NewtonPolygon:
             sub = [[(pos[j], x) for j, x in rows[i] if j in pos] for i in S]
         if sum(map(len, sub)) == k:
             # one k-cycle, entry valuations summing to v: slope v/k
-            v = sum(R.valuation(x) for nz in sub for _, x in nz)
+            v = sum(R.pivot_val(x) for nz in sub for _, x in nz)
             block_val, segments = a * v, [(Fraction(v - k * e, k), k)]
         else:
             B = C if sub is rows else Isocrystal(Matrix.from_nonzero_rows(R, k, sub), C.shift)
-            vals = [R.valuation(c) for c in charpoly(twisted_power_matrix(B))]
+            vals = [R.pivot_val(c) for c in charpoly(twisted_power_matrix(B))]
             block_val = vals[0]
-            # all true polygon vertices have valuation <= vals[0], so points
-            # of valuation BOTTOM lie strictly above the hull
-            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v is not BOTTOM])
+            # all true polygon vertices have valuation <= vals[0], so the
+            # coefficients that are 0 at precision (v >= m) lie above the hull
+            hull = _lower_hull([(i, v) for i, v in enumerate(vals) if v < m])
             # a segment of width w and drop y: slope y/(a w) - e, w times
             segments = [
                 (Fraction(y1 - y2 - a * e * (x2 - x1), a * (x2 - x1)), x2 - x1)
                 for (x1, y1), (x2, y2) in zip(hull, hull[1:])
             ]
-        # det L is 0 mod p^m once the block valuations sum to m
-        if block_val is BOTTOM or det_val + block_val >= m:
+        # det L is 0 mod p^m once the block valuations sum to m, as they do
+        # when a block determinant is 0 (its pivot_val is m)
+        if det_val + block_val >= m:
             raise PrecisionExhausted(
                 "det of the twisted power vanishes at working precision",
                 required_m=m + 1,

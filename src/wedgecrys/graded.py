@@ -19,15 +19,15 @@ from .rings import ElementAccumulator
 
 
 class GradedRing(ElementAccumulator):
-    """k[x_1..x_v] with positive integer variable weights.
+    """k[x_1..x_v] with positive integer variable weights: the coefficient
+    ring of the free graded modules and multilinear maps below.
 
-    Carries enough of the ring protocol for matrices (with no unit-ideal
-    decision procedure: is_local is False, so determinantal statuses can
-    only be ZERO or UNDECIDABLE over it).
+    Its polynomials add, multiply and print through the ring protocol, so
+    matrices and their minors over it can be formed; it has no pivot
+    protocol, so determinants, statuses and rank refuse it.
     """
 
     kind = "graded_poly"
-    is_local = False
 
     def __init__(self, coeff_field, var_names, var_degrees):
         if len(var_names) != len(var_degrees) or not var_names:
@@ -109,10 +109,6 @@ class GradedRing(ElementAccumulator):
 
     def is_zero(self, f):
         return not f
-
-    def is_unit(self, f):
-        # polynomial units over a field are the nonzero constants
-        return len(f) == 1 and (0,) * self.nvars in f
 
     def from_int(self, k: int):
         return self.from_coeff(self.field.from_int(k))
@@ -351,19 +347,6 @@ class StarHomElement:
     grade: int
     matrix: tuple  # rows: target generators; cols: source generators
 
-    def audit(self) -> bool:
-        ring = self.source.ring
-        for j, row in enumerate(self.matrix):
-            for l, entry in enumerate(row):
-                try:
-                    d = ring.homogeneous_degree(entry)
-                except NotGraded:
-                    return False
-                want = self.grade + self.source.gen_degrees[l] - self.target.gen_degrees[j]
-                if d is not None and d != want:
-                    return False
-        return True
-
     def apply(self, el):
         ring = self.source.ring
         out = []
@@ -401,16 +384,6 @@ class ThetaMap:
         self.last_source = last_source
         self.target = target
         self.table = table  # prefix generator tuple -> StarHomElement
-
-    def star_hom_at(self, prefix_key) -> StarHomElement:
-        got = self.table.get(tuple(prefix_key))
-        if got is not None:
-            return got
-        grade = _tuple_grade(self.sources_prefix, prefix_key)
-        zero_row = ({},) * self.last_source.rank
-        return StarHomElement(
-            self.last_source, self.target, grade, (zero_row,) * self.target.rank
-        )
 
 
 def theta(tau: GradedMultilinearMap, rng=None) -> ThetaMap:

@@ -4,26 +4,28 @@ each row.
 Compound matrices, determinantal ideals, the unit-ideal/zero-ideal rank
 notion and the rank lemma.
 
-`det`, `charpoly`, `compound`, `smith_valuations` and matrix products run
-on the ring protocol alone, over every ring (Z/p^m, F_q, Witt rings, Q and
-the local test rings).  The Hessenberg reduction behind `charpoly` (and
-`det`, the sign-adjusted constant term), Smith reduction,
+`compound`, `stack_minors` and matrix products run on the ring protocol
+alone, over every ring (Z/p^m, F_q, Witt rings, Q, the local test rings
+and the graded polynomial rings).  The Hessenberg reduction behind
+`charpoly` (and `det`, the sign-adjusted constant term), Smith reduction,
 `invert_unimodular` and the Howell form of `modsolve` need the pivot
 protocol and share one step on dense rows built on demand: the search for
 an entry of least `pivot_val` (`_least_pivot`) and the row update that
 clears its column (`_eliminate`).
-Every minor of every order, in `compound`, `stack_minors` and
-`minor_ideal_status`, comes from one level-by-level Laplace build of the
-nonzero minors (`_nonzero_minors`), each keyed by one int that holds the
-bitmasks of its row and column subsets, `compound` stores only those, and
-products run row by row over the stored nonzeros of both factors, so the
-monomial Frobenius matrices of the standard modules and their compounds
-cost time and memory in proportion to their nonzeros, while a dense input
-takes the products it took before: those of a memoised expansion of every
-minor and of the row-by-column product.
+Every minor of every order, in `compound` and `stack_minors`, comes from
+one level-by-level Laplace build of the nonzero minors (`_nonzero_minors`),
+each keyed by one int that holds the bitmasks of its row and column
+subsets, `compound` stores only those, and products run row by row over
+the stored nonzeros of both factors, so the monomial Frobenius matrices of
+the standard modules and their compounds cost time and memory in
+proportion to their nonzeros, while a dense input takes the products it
+took before: those of a memoised expansion of every minor and of the
+row-by-column product.
 
-`minor_ideal_status` enumerates minors directly and is kept as the
-independent oracle for the valuation-pivot route used by `rank`.
+Determinantal statuses, `rank` and the rank lemma are read off the Smith
+valuations, so they too need the pivot protocol: every ring that
+`ring_from_descriptor` builds is local and carries it, and over any other
+ring they raise UnsupportedRing.
 """
 from __future__ import annotations
 
@@ -55,7 +57,6 @@ class IdealStatus(enum.Enum):
     UNIT = "UNIT"
     ZERO = "ZERO"
     PROPER_NONZERO = "PROPER_NONZERO"
-    UNDECIDABLE = "UNDECIDABLE"
 
 
 class Matrix:
@@ -133,9 +134,6 @@ class Matrix:
 
     def row(self, i: int):
         return tuple(self._dense(self.nonzero_rows[i]))
-
-    def col(self, j: int):
-        return tuple(self[i, j] for i in range(self.rows))
 
     def to_rows(self):
         return [self._dense(nz) for nz in self.nonzero_rows]
@@ -513,41 +511,17 @@ def smith_valuations(A: Matrix) -> list:
     return vals
 
 
-def minor_ideal_status(A: Matrix, i: int) -> IdealStatus:
-    """Status of the ideal of i-minors, by direct minor enumeration.
-
-    The independent oracle for the valuation-pivot route: it never touches
-    `smith_valuations`.  UNIT is decided as "some minor is a unit", which
-    is valid precisely over local rings; elsewhere only ZERO is decidable.
-    """
-    ring = A.ring
-    if i == 0:
-        return IdealStatus.UNIT
-    if i > min(A.rows, A.cols):
-        return IdealStatus.ZERO
-    minors = _nonzero_minors(A, i).values()
-    if not minors:
-        return IdealStatus.ZERO
-    if getattr(ring, "is_local", False):
-        if any(ring.is_unit(m) for m in minors):
-            return IdealStatus.UNIT
-        return IdealStatus.PROPER_NONZERO
-    return IdealStatus.UNDECIDABLE
-
-
 def _statuses(A: Matrix) -> tuple:
-    """Statuses of U_0 .. U_{s+1}, s = min(A.rows, A.cols): read off the
-    partial sums of the Smith valuations over a local ring, which carries
-    the pivot protocol, by minor enumeration over any other."""
-    ring = A.ring
-    size = min(A.rows, A.cols)
-    if not getattr(ring, "is_local", False):
-        return tuple(minor_ideal_status(A, i) for i in range(size + 2))
-    cap = ring.val_cap
+    """Statuses of U_0 .. U_{s+1}, s = min(A.rows, A.cols), read off the
+    partial sums of the Smith valuations: U_i is the unit ideal while they
+    are 0, zero once they reach `val_cap` and proper nonzero between.
+    UnsupportedRing over a ring without the pivot protocol."""
+    vals = smith_valuations(A)
+    cap = A.ring.val_cap
     return (
         IdealStatus.UNIT,
         *(IdealStatus.ZERO if s >= cap else IdealStatus.PROPER_NONZERO if s else IdealStatus.UNIT
-          for s in itertools.accumulate(smith_valuations(A))),
+          for s in itertools.accumulate(vals)),
         IdealStatus.ZERO,
     )
 
@@ -580,10 +554,6 @@ def rank(A: Matrix) -> RankResult:
 class RankLemmaCheck:
     lhs: bool  # rank(A) = n-1
     rhs: bool  # rank(compound(A,d)) = C(n-1, d)
-
-    @property
-    def agree(self) -> bool:
-        return self.lhs == self.rhs
 
 
 def rank_lemma_check(A: Matrix, d: int) -> RankLemmaCheck:

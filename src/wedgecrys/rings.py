@@ -4,10 +4,12 @@ test rings, and Q.
 All rings here share one informal protocol used by the matrix layer:
 
     zero, one, from_int, add, sub, neg, mul, is_zero, is_unit, inv,
-    random_element(rng), el_to_str / el_from_str, descriptor(), is_local
+    random_element(rng), el_to_str / el_from_str, descriptor()
 
-Local rings additionally expose the pivot protocol driving the
+Every ring here is local and also carries the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
+`pivot_val` is the one element valuation: it is `val_cap` (m on Z/p^m and
+the Witt rings) for an element that is zero at the ring's precision.
 
 Every ring also carries an unreduced accumulator for sums of products:
 `acc0` (the empty sum), `mac(t, x, y) = t + x y`, `msub(t, x, y) = t - x y`
@@ -39,23 +41,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 from .errors import NonPrime, SchemaError
-
-
-class _BottomType:
-    """Valuation >= precision: indistinguishable from 0 at this precision."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "BOTTOM"
-
-
-BOTTOM = _BottomType()
 
 
 # Miller-Rabin with the first twelve prime bases decides primality exactly
@@ -284,7 +269,6 @@ class _PolynomialQuotient:
     [0, p), so they serve mod p^m as they are.
     """
 
-    is_local = True
     coefficient_lists = True  # entry strings are ','-separated coefficients
 
     def __init__(self, p: int, a: int, m: int, fred: tuple):
@@ -400,10 +384,6 @@ class _PolynomialQuotient:
         y = F.pow(F.balance(x), F.q - 2)
         return _newton_inverse(self, x, y, self.m)
 
-    def valuation(self, x):
-        v = self.pivot_val(x)
-        return BOTTOM if v >= self.m else v
-
     def pivot_val(self, x) -> int:
         """Minimum p-adic valuation over the coefficients; m for zero.  A
         coefficient -p^k u is balanced, so it costs what p^k u costs."""
@@ -470,9 +450,6 @@ class FiniteField(_PolynomialQuotient):
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "a": self.a}
 
-    def frobenius(self, x):
-        return self.pow(x, self.p)
-
     def elements(self):
         digits = [self._bal(k) for k in range(self.p)]
         return digits if self.a == 1 else itertools.product(digits, repeat=self.a)
@@ -485,11 +462,10 @@ class WittRing(_PolynomialQuotient):
     The lifted Frobenius fixes f_hat's distinguished root: phi(xbar) is the
     Hensel lift of xbar^p, so phi is a ring endomorphism with phi^a = id and
     phi = (p-power map) mod p.  The lift and the matrices of the powers of
-    phi are computed on first use (`frobenius`, `frobenius_pow`,
-    `frobenius_matrix`, `frobenius_root`) and kept on the instance: a ring
-    whose Frobenius is never applied never pays for the lift.  Both are
-    functions of (p, a, m) alone, so a first use racing another computes
-    the same values.
+    phi are computed on first use (`frobenius_pow`, `frobenius_matrix`,
+    `frobenius_root`) and kept on the instance: a ring whose Frobenius is
+    never applied never pays for the lift.  Both are functions of (p, a, m)
+    alone, so a first use racing another computes the same values.
     """
 
     kind = "witt"
@@ -574,9 +550,6 @@ class WittRing(_PolynomialQuotient):
             acc = [s + cj * v for s, v in zip(acc, col)]
         return tuple([r - c if (r := u % c) > hi else r for u in acc])
 
-    def frobenius(self, x):
-        return self.frobenius_pow(x, 1)
-
     def frobenius_pow(self, x, k: int):
         k %= self.a
         if k == 0:
@@ -627,7 +600,6 @@ class RationalField(ElementAccumulator):
     """Q with Fraction elements; the 'generic fibre' test ring."""
 
     kind = "Q"
-    is_local = True  # a field: the unit-ideal decision is trivial
     val_cap = 1
 
     _instance = None
@@ -704,7 +676,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
     """
 
     kind = "tpoly"
-    is_local = True
 
     def __init__(self, base: FiniteField, e: int):
         if e < 1:
@@ -730,11 +701,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
 
     def from_int(self, k: int):
         return (self.base.from_int(k),) + (self.base.zero,) * (self.e - 1)
-
-    def t_gen(self):
-        if self.e == 1:
-            raise ValueError("t is 0 at nilpotency order 1")
-        return (self.base.zero, self.base.one) + (self.base.zero,) * (self.e - 2)
 
     def add(self, x, y):
         return tuple(self.base.add(x[i], y[i]) for i in range(self.e))
@@ -775,9 +741,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
 
     def shift_down(self, x, v: int):
         return x[v:] + (self.base.zero,) * v
-
-    def in_maximal_ideal(self, x) -> bool:
-        return self.base.is_zero(x[0])
 
     def elements(self):
         for coords in itertools.product(self.base.elements(), repeat=self.e):

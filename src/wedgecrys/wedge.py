@@ -35,7 +35,7 @@ from .errors import (
     RingMismatch,
 )
 from .matrices import Matrix, compound, det, index_subsets, stack_minors
-from .rings import BOTTOM, make_witt_ring
+from .rings import make_witt_ring
 
 
 def wedge_isocrystal(X, r: int) -> Isocrystal:
@@ -204,8 +204,8 @@ def mu_identification(D: DieudonneModule) -> MuIdentification:
     h = D.h
     W = wedge_isocrystal(D.to_isocrystal(), h)
     np = slopes(W)
-    v = D.ring.valuation(det(D.MF))
-    unit = v is not BOTTOM and v == h - 1
+    v = D.ring.pivot_val(det(D.MF))
+    unit = v == h - 1 < D.ring.m
     return MuIdentification(
         rank=W.rank,
         slopes=np,

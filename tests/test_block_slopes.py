@@ -28,8 +28,11 @@ from wedgecrys.dieudonne import (
 )
 from wedgecrys.errors import PrecisionExhausted
 from wedgecrys.matrices import Matrix, charpoly
-from wedgecrys.rings import BOTTOM, make_witt_ring, modulus_ring
+from wedgecrys.rings import make_witt_ring, modulus_ring
 from wedgecrys.wedge import slope_precision, wedge_isocrystal
+
+# the valuation of a coefficient that is zero at the working precision
+BOTTOM = object()
 
 
 def unsplit_slopes(X) -> NewtonPolygon:
@@ -45,8 +48,8 @@ def unsplit_slopes(X) -> NewtonPolygon:
     coeffs = charpoly(L)
     vals = []
     for c in coeffs:
-        v = R.valuation(c)
-        vals.append(BOTTOM if (v is BOTTOM or v >= m) else v)
+        v = R.pivot_val(c)
+        vals.append(BOTTOM if v >= m else v)
     if vals[0] is BOTTOM:
         raise PrecisionExhausted(
             "det of the twisted power vanishes at working precision",

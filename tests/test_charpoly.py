@@ -14,7 +14,16 @@ from hypothesis import strategies as st
 
 from wedgecrys.errors import UnsupportedRing
 from wedgecrys.graded import GradedRing
-from wedgecrys.matrices import Matrix, charpoly, det, invert_unimodular, smith_valuations
+from wedgecrys.matrices import (
+    Matrix,
+    charpoly,
+    det,
+    determinantal_witness,
+    invert_unimodular,
+    rank,
+    rank_lemma_check,
+    smith_valuations,
+)
 from wedgecrys.rings import QQ, finite_field, local_test_ring, make_witt_ring, modulus_ring
 
 
@@ -73,7 +82,7 @@ def _pi(R, pi):
     if pi is None:
         return R.zero  # p is 0 in a field
     if pi == "t":
-        return R.t_gen()
+        return (R.base.zero, R.base.one) + (R.base.zero,) * (R.e - 2)
     return R.from_int(pi)
 
 
@@ -200,6 +209,7 @@ def test_charpoly_is_a_similarity_invariant(ring, n, zeros, seed):
 def test_rings_without_the_pivot_protocol_are_refused():
     G = GradedRing(finite_field(3), ["x"], [1])
     A = Matrix.identity(G, 2)
-    for fn in (charpoly, det, smith_valuations, invert_unimodular):
+    for fn in (charpoly, det, smith_valuations, invert_unimodular, rank, determinantal_witness,
+               lambda A: rank_lemma_check(A, 1)):
         with pytest.raises(UnsupportedRing):
             fn(A)

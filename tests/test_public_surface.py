@@ -46,3 +46,24 @@ def test_every_export_has_a_caller_outside_its_own_tests():
         used |= _references(path, True)
     unused = [name for name in _exports() if name not in used]
     assert not unused, f"exported but used only by their own tests: {unused}"
+
+
+def _public_methods() -> list:
+    """(class, method) for every public method of a class in `rings.py` and
+    of `graded.GradedRing`."""
+    classes = [node for node in ast.parse((LIB / "rings.py").read_text()).body
+               if isinstance(node, ast.ClassDef)]
+    classes += [node for node in ast.parse((LIB / "graded.py").read_text()).body
+                if isinstance(node, ast.ClassDef) and node.name == "GradedRing"]
+    return [(cls.name, node.name) for cls in classes for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
+
+
+def test_every_ring_method_has_a_caller_outside_its_own_tests():
+    # a method is called off an instance, so every attribute a file reads
+    # counts, in library code as outside it
+    used = _references(ROOT / "tests" / "test_acceptance.py", True)
+    for path in [*LIB.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]:
+        used |= _references(path, True)
+    unused = [f"{cls}.{name}" for cls, name in _public_methods() if name not in used]
+    assert not unused, f"ring methods used only by their own tests: {unused}"
