@@ -182,13 +182,13 @@ def random_graded_map(ring: GradedRing, r: int, rng) -> GradedMultilinearMap:
     return GradedMultilinearMap(sources, target, values)
 
 
-def random_chart_section(ring: GradedRing, M: FreeGradedModule, f_exp, rng, kmax: int = 2):
+def random_chart_section(ring: GradedRing, M: FreeGradedModule, f_exp, rng):
     """Random degree-0 section on the chart of the monomial with exponent
-    f_exp: coordinate l is (degree k d - g_l monomials) / f^k."""
+    f_exp: coordinate l is (degree k d - g_l monomials) / f^k, 0 <= k <= 2."""
     d = ring.mono_degree(f_exp)
     out = []
     for g in M.gen_degrees:
-        k = rng.randint(0, kmax)
+        k = rng.randint(0, 2)
         coord = {}
         for e in ring.monomials_of_degree(k * d - g):
             c = ring.field.random_element(rng)

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DimensionMismatch, GradeMismatch, NotGraded, WedgecrysError
-from .rings import ElementAccumulator
+from .errors import DimensionMismatch, GradeMismatch, NotGraded
 
 
-class GradedRing(ElementAccumulator):
+class GradedRing:
     """k[x_1..x_v] with positive integer variable weights: the coefficient
     ring of the free graded modules and multilinear maps below.
 
-    Its polynomials add, multiply and print through the ring protocol, so
-    matrices and their minors over it can be formed; it has no pivot
-    protocol, so determinants, statuses and rank refuse it.
+    A polynomial algebra, not a matrix ring: its polynomials add, multiply
+    and grade, and it has neither the accumulator nor the pivot protocol of
+    `rings.py`.
     """
-
-    kind = "graded_poly"
 
     def __init__(self, coeff_field, var_names, var_degrees):
         if len(var_names) != len(var_degrees) or not var_names:
@@ -53,13 +50,7 @@ class GradedRing(ElementAccumulator):
             and self.var_degrees == other.var_degrees
         )
 
-    def __hash__(self):
-        return hash((self.field, self.var_names, self.var_degrees))
-
     # -- polynomial arithmetic (shared by Laurent chart sections) --------
-
-    def _clean(self, d: dict) -> dict:
-        return {e: c for e, c in d.items() if not self.field.is_zero(c)}
 
     def add(self, f, g):
         out = dict(f)
@@ -75,13 +66,6 @@ class GradedRing(ElementAccumulator):
                 out[e] = c
         return out
 
-    def sub(self, f, g):
-        return self.add(f, self.neg(g))
-
-    def neg(self, f):
-        F = self.field
-        return {e: F.neg(c) for e, c in f.items()}
-
     def mul(self, f, g):
         """Each coefficient sums its products in the field's accumulator and
         is reduced once."""
@@ -94,36 +78,9 @@ class GradedRing(ElementAccumulator):
                 out[e] = mac(out.get(e, acc0), c1, c2)
         return {e: c for e, t in out.items() if not is_zero(c := reduce(t))}
 
-    def scale(self, c, f):
-        F = self.field
-        if F.is_zero(c):
-            return {}
-        return {e: F.mul(c, x) for e, x in f.items()}
-
-    def from_coeff(self, c):
-        return {} if self.field.is_zero(c) else {(0,) * self.nvars: c}
-
     def monomial(self, exps, coeff=None):
         coeff = self.field.one if coeff is None else coeff
-        return self._clean({tuple(exps): coeff})
-
-    def is_zero(self, f):
-        return not f
-
-    def from_int(self, k: int):
-        return self.from_coeff(self.field.from_int(k))
-
-    def el_to_str(self, f) -> str:
-        if not f:
-            return "0"
-        parts = []
-        for e in sorted(f):
-            mono = "*".join(
-                f"{n}^{k}" if k > 1 else n for n, k in zip(self.var_names, e) if k != 0
-            )
-            c = self.field.el_to_str(f[e])
-            parts.append(f"{c}" + (f"*{mono}" if mono else ""))
-        return " + ".join(parts)
+        return {} if self.field.is_zero(coeff) else {tuple(exps): coeff}
 
     # -- grading ----------------------------------------------------------
 
@@ -190,9 +147,6 @@ class FreeGradedModule:
             and self.gen_degrees == other.gen_degrees
         )
 
-    def __hash__(self):
-        return hash((self.ring, self.gen_degrees))
-
     def zero_element(self):
         return ({},) * self.rank
 
@@ -255,9 +209,6 @@ class GradedMultilinearMap:
                 vals[key] = tuple(el)
         self.values = vals
 
-    def expected_value_degree(self, key) -> int:
-        return _tuple_grade(self.sources, key)
-
     def evaluate(self, args):
         """Multilinear extension: expand each argument over the generators
         and combine coefficient products with the stored values."""
@@ -287,12 +238,11 @@ def _coefficient(ring: GradedRing, args, key):
     return coeff
 
 
-def is_graded_multilinear(tau: GradedMultilinearMap, trials: int = 6, rng=None,
-                          degree_bound: int | None = None) -> bool:
+def is_graded_multilinear(tau: GradedMultilinearMap, trials: int = 6, rng=None) -> bool:
     """Degree audit on generators (deterministic), plus randomized checks
     that the extension is S-multilinear and degree-respecting."""
     for key, val in tau.values.items():
-        want = tau.expected_value_degree(key)
+        want = _tuple_grade(tau.sources, key)
         try:
             have = tau.target.element_degree(val)
         except NotGraded:
@@ -302,10 +252,8 @@ def is_graded_multilinear(tau: GradedMultilinearMap, trials: int = 6, rng=None,
     if rng is None or trials <= 0:
         return True
     ring = tau.ring
-    bound = degree_bound
-    if bound is None:
-        gmax = max((g for M in tau.sources for g in M.gen_degrees), default=0)
-        bound = 2 * gmax + 4
+    gmax = max((g for M in tau.sources for g in M.gen_degrees), default=0)
+    bound = 2 * gmax + 4
     for _ in range(trials):
         degs = [rng.randint(0, bound) for _ in tau.sources]
         args = [M.random_homogeneous(d, rng) for M, d in zip(tau.sources, degs)]
@@ -386,12 +334,13 @@ class ThetaMap:
         self.table = table  # prefix generator tuple -> StarHomElement
 
 
-def theta(tau: GradedMultilinearMap, rng=None) -> ThetaMap:
+def theta(tau: GradedMultilinearMap) -> ThetaMap:
     """Curry the last argument: Theta(tau)(m_1..m_{r-1}) = [m_r -> tau(...)].
 
     On representations: the prefix tuple's *Hom matrix has column l equal
-    to tau's value on (prefix, l)."""
-    if not is_graded_multilinear(tau, trials=0 if rng is None else 4, rng=rng):
+    to tau's value on (prefix, l).  NotGraded unless tau passes the degree
+    audit on generators."""
+    if not is_graded_multilinear(tau, trials=0):
         raise NotGraded("theta requires a graded multilinear map")
     prefix_sources = tau.sources[:-1]
     last = tau.sources[-1]
@@ -424,11 +373,15 @@ def theta_inverse(tm: ThetaMap) -> GradedMultilinearMap:
 
 
 def _monomial_exp(ring: GradedRing, f) -> tuple:
+    """The exponent of the chart monomial f: a single monomial with
+    coefficient 1 and positive degree, else ValueError."""
     if len(f) != 1:
         raise ValueError("chart element must be a single monomial")
     (e, c), = f.items()
     if c != ring.field.one:
         raise ValueError("chart monomial must have coefficient 1")
+    if ring.mono_degree(e) == 0:
+        raise ValueError("chart monomial must have positive degree")
     return e
 
 
@@ -478,8 +431,8 @@ class ChartMultilinear:
 
     Route one localizes tau directly (clear all denominators, apply, divide
     back).  Route two composes currying, *Hom localization and evaluation.
-    `evaluate` runs both and insists they agree: the agreement is the
-    induction step being checked, not assumed.
+    `evaluate_both` returns both so that a caller can compare them: their
+    agreement is the induction step being checked, not assumed.
     """
 
     def __init__(self, tau: GradedMultilinearMap, f):
@@ -513,12 +466,6 @@ class ChartMultilinear:
 
     def evaluate_both(self, args):
         return self._direct(args), self._via_theta(args)
-
-    def evaluate(self, args):
-        direct, via = self.evaluate_both(args)
-        if direct != via:
-            raise WedgecrysError("chart computation paths disagree")
-        return direct
 
 
 def chart_multilinear(tau: GradedMultilinearMap, f) -> ChartMultilinear:

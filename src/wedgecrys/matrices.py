@@ -5,8 +5,8 @@ Compound matrices, determinantal ideals, the unit-ideal/zero-ideal rank
 notion and the rank lemma.
 
 `compound`, `stack_minors` and matrix products run on the ring protocol
-alone, over every ring (Z/p^m, F_q, Witt rings, Q, the local test rings
-and the graded polynomial rings).  The Hessenberg reduction behind
+alone, over every ring of `rings.py` (Z/p^m, F_q, Witt rings, Q and the
+local test rings).  The Hessenberg reduction behind
 `charpoly` (and `det`, the sign-adjusted constant term), Smith reduction,
 `invert_unimodular` and the Howell form of `modsolve` need the pivot
 protocol and share one step on dense rows built on demand: the search for
@@ -24,8 +24,8 @@ row-by-column product.
 
 Determinantal statuses, `rank` and the rank lemma are read off the Smith
 valuations, so they too need the pivot protocol: every ring that
-`ring_from_descriptor` builds is local and carries it, and over any other
-ring they raise UnsupportedRing.
+`ring_from_descriptor` builds is local and carries it, and a ring object
+from outside the library without it is refused with UnsupportedRing.
 """
 from __future__ import annotations
 

@@ -34,7 +34,6 @@ immutable data, and every ring is safe to share across threads.
 """
 from __future__ import annotations
 
-import itertools
 import operator
 import re
 from fractions import Fraction
@@ -450,10 +449,6 @@ class FiniteField(_PolynomialQuotient):
     def descriptor(self):
         return {"kind": "Fq", "p": self.p, "a": self.a}
 
-    def elements(self):
-        digits = [self._bal(k) for k in range(self.p)]
-        return digits if self.a == 1 else itertools.product(digits, repeat=self.a)
-
 
 class WittRing(_PolynomialQuotient):
     """W(F_{p^a})/p^m as (Z/p^m)[x]/(f_hat), f_hat the integer lift of the
@@ -602,13 +597,6 @@ class RationalField(ElementAccumulator):
     kind = "Q"
     val_cap = 1
 
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
     def __init__(self):
         self.zero = Fraction(0)
         self.one = Fraction(1)
@@ -741,10 +729,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
 
     def shift_down(self, x, v: int):
         return x[v:] + (self.base.zero,) * v
-
-    def elements(self):
-        for coords in itertools.product(self.base.elements(), repeat=self.e):
-            yield coords
 
     def random_element(self, rng):
         return tuple(self.base.random_element(rng) for _ in range(self.e))

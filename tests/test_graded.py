@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -40,6 +41,42 @@ def test_homogeneous_degree(S):
     assert S.homogeneous_degree(S.zero) is None
     with pytest.raises(NotGraded):
         S.homogeneous_degree(S.add(x, S.one))
+
+
+def _naive_product(R, f, g):
+    """f g by a double loop over exponent pairs, adding each product of
+    coefficients in the field and dropping the zero coefficients last."""
+    F = R.field
+    out = {}
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = F.add(out.get(e, F.zero), F.mul(c1, c2))
+    return {e: c for e, c in out.items() if not F.is_zero(c)}
+
+
+@pytest.mark.parametrize("field", [finite_field(5), QQ], ids=["F_5", "Q"])
+def test_mul_matches_the_naive_product(field):
+    R, F = GradedRing(field, ("x", "y"), (1, 2)), field
+    rng = random.Random(f"mul/{field!r}")
+    for _ in range(60):
+        f, g = {}, {}
+        for h in (f, g):
+            for _ in range(rng.randrange(6)):
+                h.update(R.monomial((rng.randrange(4), rng.randrange(3)), F.random_element(rng)))
+        assert R.mul(f, g) == _naive_product(R, f, g) == R.mul(g, f)
+    # (x + y)(x - y) = x^2 - y^2: the two x y terms cancel to no entry
+    x, y = R.monomial((1, 0)), R.monomial((0, 1))
+    s, d = R.add(x, y), R.add(x, R.monomial((0, 1), F.neg(F.one)))
+    assert R.mul(s, d) == _naive_product(R, s, d) == {(2, 0): F.one, (0, 2): F.neg(F.one)}
+    # (x + y)^5 keeps its binomial coefficients over Q and is x^5 + y^5 in
+    # characteristic 5, where the four middle ones cancel
+    power = naive = R.one
+    for _ in range(5):
+        power, naive = R.mul(power, s), _naive_product(R, naive, s)
+    binomial = {(k, 5 - k): F.from_int(math.comb(5, k)) for k in range(6)}
+    assert power == naive == {e: c for e, c in binomial.items() if not F.is_zero(c)}
+    assert R.mul(s, R.zero) == R.mul(R.zero, s) == {}
 
 
 def test_zero_map_is_graded(S):
@@ -139,6 +176,16 @@ def test_localize_grade_mismatch(S):
         ChartHom(phi, W.monomial((0, 1)))  # deg f = 2 does not divide 3
 
 
+def test_chart_at_a_monomial_of_degree_zero_is_refused(S):
+    Sm = FreeGradedModule(S, (0,))
+    phi = StarHomElement(Sm, Sm, 0, ((S.one,),))
+    with pytest.raises(ValueError, match="positive degree"):
+        ChartHom(phi, S.one)
+    tau = GradedMultilinearMap((Sm,), Sm, {(0,): (S.one,)})
+    with pytest.raises(ValueError, match="positive degree"):
+        chart_multilinear(tau, S.one).evaluate_both([({(0, 0): S.field.one},)])
+
+
 def test_chart_restrictions_agree_on_overlap(S):
     # restriction D_+(xy) -> D_+(x): the fraction phi/x^n rewrites as
     # (y^n phi)/(xy)^n, and the two induced chart maps agree on common
@@ -162,7 +209,8 @@ def test_chart_multilinear_r1_equals_localize(S):
     M = FreeGradedModule(S, (0, 2))
     N = FreeGradedModule(S, (0,))
     # value degrees must match the generator degrees: 0 and 2
-    tau = GradedMultilinearMap((M,), N, {(0,): (S.from_int(2),), (1,): (S.monomial((2, 0)),)})
+    two = S.monomial((0, 0), S.field.from_int(2))
+    tau = GradedMultilinearMap((M,), N, {(0,): (two,), (1,): (S.monomial((2, 0)),)})
     cm = chart_multilinear(tau, S.monomial((1, 0)))
     rng = random.Random(6)
     for _ in range(10):
@@ -181,41 +229,46 @@ def test_chart_multilinear_double_path(S):
         args = [random_chart_section(S, M, f_exp, rng) for M in tau.sources]
         direct, via = cm.evaluate_both(args)
         assert direct == via
-        cm.evaluate(args)  # raises on mismatch
+
+
+def _chart_value(cm, args):
+    """The chart value of args, once its two routes agree on it."""
+    direct, via = cm.evaluate_both(args)
+    assert direct == via
+    return direct
 
 
 def test_alternating_map_stays_alternating_on_charts(S):
     M = FreeGradedModule(S, (1, 1))
     N = FreeGradedModule(S, (2,))
-    neg_one = S.from_coeff(S.field.neg(S.field.one))
+    neg_one = S.monomial((0, 0), S.field.neg(S.field.one))
     alt = GradedMultilinearMap((M, M), N, {(0, 1): (S.one,), (1, 0): (neg_one,)})
     cm = chart_multilinear(alt, S.monomial((1, 0)))
     rng = random.Random(8)
     for _ in range(10):
         sec = random_chart_section(S, M, (1, 0), rng)
-        out = cm.evaluate([sec, sec])
+        out = _chart_value(cm, [sec, sec])
         assert all(not c for c in out)
 
 
 def test_symmetric_map_stays_symmetric_on_charts(S):
     M = FreeGradedModule(S, (1, 1))
     N = FreeGradedModule(S, (2,))
-    sym = GradedMultilinearMap(
-        (M, M), N, {(0, 1): (S.one,), (1, 0): (S.one,), (0, 0): (S.from_int(2),)}
-    )
+    two = S.monomial((0, 0), S.field.from_int(2))
+    sym = GradedMultilinearMap((M, M), N, {(0, 1): (S.one,), (1, 0): (S.one,), (0, 0): (two,)})
     cm = chart_multilinear(sym, S.monomial((0, 1)))
     rng = random.Random(9)
     for _ in range(10):
         s1 = random_chart_section(S, M, (0, 1), rng)
         s2 = random_chart_section(S, M, (0, 1), rng)
-        assert cm.evaluate([s1, s2]) == cm.evaluate([s2, s1])
+        assert _chart_value(cm, [s1, s2]) == _chart_value(cm, [s2, s1])
 
 
 def test_theta_preserves_alternation_through_evaluation(S):
     # an alternating map, curried and uncurried, still kills equal arguments
     M = FreeGradedModule(S, (1, 1))
     N = FreeGradedModule(S, (2,))
-    neg_one = S.from_coeff(S.field.neg(S.field.one))
+    neg_one = S.monomial((0, 0), S.field.neg(S.field.one))
     alt = GradedMultilinearMap((M, M), N, {(0, 1): (S.one,), (1, 0): (neg_one,)})
     back = theta_inverse(theta(alt))
     rng = random.Random(10)

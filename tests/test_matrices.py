@@ -608,6 +608,16 @@ def test_witness_matches_brute_force_minor_enumeration():
                 assert fast[min(rows, cols) + 1] is IdealStatus.ZERO
 
 
+class _Integers:
+    """Z with just what a Matrix stores: no pivot protocol, for Z is not
+    local."""
+
+    zero, one = 0, 1
+
+    def is_zero(self, x):
+        return x == 0
+
+
 def test_determinantal_status_of_rectangular_matrices():
     Z9 = modulus_ring(3, 2)
     A = Matrix.from_int_rows(Z9, [[1, 0, 3], [0, 3, 0]])
@@ -627,13 +637,9 @@ def test_determinantal_status_of_rectangular_matrices():
                     for i in range(min(rows, cols) + 2):
                         assert _statuses(A)[i] is _status_by_leibniz(A, i), (ring, A, i)
     # a square matrix over a ring without the pivot protocol
-    from wedgecrys.graded import GradedRing
-
-    S = GradedRing(finite_field(5), ("x", "y"), (1, 1))
-    x, y = S.monomial((1, 0)), S.monomial((0, 1))
-    for entries in ([x, S.one, S.zero, y], [x, y, x, y], [S.zero] * 4):
+    for entries in ([2, 1, 0, 3], [2, 3, 2, 3], [0] * 4):
         with pytest.raises(UnsupportedRing):
-            determinantal_witness(Matrix(S, 2, 2, entries))
+            determinantal_witness(Matrix(_Integers(), 2, 2, entries))
 
 
 def test_witness_monotone():

@@ -24,15 +24,27 @@ def _references(path: Path, outside: bool) -> set:
     """The identifiers a file uses: its names, and the attributes it reads
     off a library module.  Outside the library every attribute counts, as
     does every string constant: the benchmark reaches the package through
-    its own handles and traces functions it names as strings."""
+    its own handles and traces functions it names as strings.  A function
+    does not use its own name: a recursive call, or a method calling the
+    method of that name on another object, is no caller."""
     refs = set()
-    for node in ast.walk(ast.parse(path.read_text())):
+
+    def visit(node, enclosing):
+        if isinstance(node, ast.FunctionDef):
+            enclosing = enclosing | {node.name}
+        name = None
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            name = node.id
         elif isinstance(node, ast.Attribute) and (outside or getattr(node.value, "id", None) in MODULES):
-            refs.add(node.attr)
+            name = node.attr
         elif outside and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            refs.add(node.value)
+            name = node.value
+        if name is not None and name not in enclosing:
+            refs.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text()), frozenset())
     return refs
 
 
