@@ -54,19 +54,14 @@ from .rings import (
 
 @dataclass(frozen=True)
 class GroupDescriptor:
-    """Height/dimension of a p-divisible group, with optional standard name."""
+    """Height/dimension of a p-divisible group."""
 
     h: int
     dim: int
-    name: str | None = None
 
     def __post_init__(self):
         if self.h < 1 or not 0 <= self.dim <= self.h:
             raise BadDescriptor(f"need h >= 1 and 0 <= dim <= h, got ({self.h}, {self.dim})")
-        if self.name is not None:
-            shape = _named_shape(self.name)
-            if (self.h, self.dim) != shape:
-                raise BadDescriptor(f"{self.name} must have (h, dim) = {shape}")
 
 
 def _named_shape(name: str) -> tuple:
@@ -82,7 +77,7 @@ def _named_shape(name: str) -> tuple:
 def descriptor(name_or_h, dim: int | None = None) -> GroupDescriptor:
     """descriptor('mu'), descriptor('LT_3'), or descriptor(h, dim)."""
     if isinstance(name_or_h, str):
-        return GroupDescriptor(*_named_shape(name_or_h), name_or_h)
+        return GroupDescriptor(*_named_shape(name_or_h))
     if dim is None:
         raise BadDescriptor("descriptor(h, dim) needs both numbers")
     return GroupDescriptor(name_or_h, dim)
@@ -303,12 +298,7 @@ class NewtonPolygon:
         return out
 
     def to_json(self) -> list:
-        return [{"slope": format_fraction(s), "mult": m} for s, m in self.segments]
-
-
-def format_fraction(x: Fraction) -> str:
-    x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return [{"slope": str(s), "mult": m} for s, m in self.segments]
 
 
 def _lower_hull(points):
@@ -345,14 +335,15 @@ def _strong_components(M: Matrix) -> list:
     the matrix.  Row i lists the columns of its nonzero entries, the edges
     i -> j of the reversed digraph, which has the same components; Tarjan
     closes a component only after every component it reaches, so the
-    closing order, reversed, is the block order.  A matrix with no zero
-    entry, such as a dense one, is one component without a search.  A
-    monomial matrix, one nonzero per row in distinct columns, is the
-    pattern of a permutation: its components are the cycles, found by one
-    walk, and no edge joins two of them, so any order is a block order.
+    closing order, reversed, is the block order.  A nonempty matrix with no
+    zero entry, such as a dense one, is one component without a search; a
+    0 x 0 matrix has none.  A monomial matrix, one nonzero per row in
+    distinct columns, is the pattern of a permutation: its components are
+    the cycles, found by one walk, and no edge joins two of them, so any
+    order is a block order.
     """
     n, rows = M.rows, M.nonzero_rows
-    if all(len(nz) == n for nz in rows):
+    if n and all(len(nz) == n for nz in rows):
         return [list(range(n))]
     if all(len(nz) == 1 for nz in rows):
         succ = [nz[0][0] for nz in rows]
@@ -577,7 +568,7 @@ def eigenspace(X, c: int) -> EigenBasis:
     gens = kernel_basis(make_witt_ring(R.p, 1, R.m), frobenius_linearization(C, exponent))
     Z = make_witt_ring(R.p, 1, m_out)
     basis = howell_form(Z, [[Z.balance(x) for x in g] for g in gens])
-    a, q = R.a, Z.q
+    a, q = R.a, R.p**m_out
     vectors = tuple(
         tuple(tuple(x % q for x in row[k * a : (k + 1) * a]) for k in range(C.rank))
         for row, _, _ in basis

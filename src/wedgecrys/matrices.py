@@ -34,7 +34,6 @@ import itertools
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .errors import DimensionMismatch, RingMismatch, SchemaError, UnsupportedRing
@@ -43,7 +42,6 @@ from .rings import ring_from_descriptor, schema_int
 _column = itemgetter(0)
 
 
-@lru_cache(maxsize=None)
 def index_subsets(n: int, r: int) -> tuple:
     """All r-subsets of range(n) in lexicographic order.
 
@@ -122,6 +120,8 @@ class Matrix:
 
     def __getitem__(self, ij):
         i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"index {ij} out of range for a {self.rows}x{self.cols} matrix")
         nz = self.nonzero_rows[i]
         k = bisect_left(nz, j, key=_column)
         return nz[k][1] if k < len(nz) and nz[k][0] == j else self.ring.zero

@@ -3,13 +3,17 @@ test rings, and Q.
 
 All rings here share one informal protocol used by the matrix layer:
 
-    zero, one, from_int, add, sub, neg, mul, is_zero, is_unit, inv,
+    zero, one, from_int, add, sub, neg, mul, is_zero, inv,
     random_element(rng), el_to_str / el_from_str, descriptor()
+
+A ring's identity is its descriptor: two rings are equal, and hash alike,
+when their `descriptor()`s are equal (`_Ring`).
 
 Every ring here is local and also carries the pivot protocol driving the
 valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
 `pivot_val` is the one element valuation: it is `val_cap` (m on Z/p^m and
-the Witt rings) for an element that is zero at the ring's precision.
+the Witt rings) for an element that is zero at the ring's precision, and
+x is a unit exactly when `pivot_val(x) == 0`.
 
 Every ring also carries an unreduced accumulator for sums of products:
 `acc0` (the empty sum), `mac(t, x, y) = t + x y`, `msub(t, x, y) = t - x y`
@@ -243,7 +247,6 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
         "msub": lambda t, x, y: t - x * y,
         "reduce": bal,
         "is_zero": operator.not_,
-        "is_unit": lambda x: x % p != 0,
         "inv": inv,
         "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
         "shift_down": lambda x, v: x // p**v,
@@ -256,7 +259,20 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
 # ---------------------------------------------------------------------------
 
 
-class _PolynomialQuotient:
+class _Ring:
+    """Ring identity is the descriptor: equal descriptors, equal rings."""
+
+    def __eq__(self, other):
+        # `self is other` first: matrix products compare rings on every call
+        return self is other or (
+            isinstance(other, _Ring) and self.descriptor() == other.descriptor()
+        )
+
+    def __hash__(self):
+        return hash(tuple(self.descriptor().values()))
+
+
+class _PolynomialQuotient(_Ring):
     """W(F_{p^a})/p^m = (Z/p^m)[x]/(f), f the lift of the degree-a defining
     polynomial of F_{p^a}; F_{p^a} is the case m = 1, Z/p^m the case a = 1.
 
@@ -288,12 +304,6 @@ class _PolynomialQuotient:
             self.zero = (0,) * a
             self.one = (1,) + (0,) * (a - 1)
             self.acc0 = (0,) * (2 * a - 1)
-
-    def __eq__(self, other):
-        return type(other) is type(self) and (self.p, self.a, self.m) == (other.p, other.a, other.m)
-
-    def __hash__(self):
-        return hash((self.kind, self.p, self.a, self.m))
 
     def balance(self, x):
         """The element x stands for: x holds any integer representatives
@@ -371,13 +381,10 @@ class _PolynomialQuotient:
     def is_zero(self, x):
         return not any(x)
 
-    def is_unit(self, x):
-        return any(c % self.p for c in x)
-
     def inv(self, x):
         """x^(p^a - 2) inverts a unit mod p; a Newton-Hensel lift takes the
         inverse to p^m."""
-        if not self.is_unit(x):
+        if self.pivot_val(x):
             raise ZeroDivisionError("not a unit")
         F = finite_field(self.p, self.a)
         y = F.pow(F.balance(x), F.q - 2)
@@ -417,13 +424,11 @@ class ModulusRing(_PolynomialQuotient):
     """Z/p^m for odd p: W(F_p)/p^m under its own name, with balanced int
     elements and entries that are bare integers."""
 
-    kind = "Zpm"
     coefficient_lists = False
 
     def __init__(self, p: int, m: int):
         _check_prime(p, odd=True)
         super().__init__(p, 1, m, defining_polynomial(p, 1))
-        self.q = self._c
 
     def __repr__(self):
         return f"Z/{self.p}^{self.m}"
@@ -435,8 +440,6 @@ class ModulusRing(_PolynomialQuotient):
 class FiniteField(_PolynomialQuotient):
     """F_{p^a} = F_p[x]/(f), f the table polynomial: W(F_{p^a})/p^m at
     m = 1, with the p-power Frobenius.  p = 2 is allowed."""
-
-    kind = "Fq"
 
     def __init__(self, p: int, a: int):
         _check_prime(p, odd=False)
@@ -463,18 +466,33 @@ class WittRing(_PolynomialQuotient):
     alone, so a first use racing another computes the same values.
     """
 
-    kind = "witt"
-
     def __init__(self, p: int, a: int, m: int):
         _check_prime(p, odd=True)
         super().__init__(p, a, m, defining_polynomial(p, a))
-        self.q = self._c
         self.residue_field = finite_field(p, a)
 
     @cached_property
     def frobenius_root(self):
-        """phi(x) for the generator x: the Hensel-lifted root of f_hat."""
-        return self._hensel_frobenius_root()
+        """phi(x) for the generator x: the root of f_hat lifting xbar^p, by
+        Newton steps r <- r - f(r) s that carry s, an inverse of f'(r):
+        inverted once mod p, then one step s <- s (2 - f'(r) s) per root
+        step keeps it exact to the root's precision, and both double each
+        step."""
+        if self.a == 1:
+            return self.one  # phi = identity on Z/p^m
+        r = self.pow(self.gen(), self.p)
+        fr, dfr = self._eval_fhat(r)
+        s = self.balance(self.residue_field.inv(self.reduce_mod_p(dfr)))
+        two = self.from_int(2)
+        prec = 1
+        while prec < self.m:
+            r = self.sub(r, self.mul(fr, s))
+            prec *= 2
+            fr, dfr = self._eval_fhat(r)
+            s = self.mul(s, self.sub(two, self.mul(dfr, s)))
+        if any(fr):
+            raise AssertionError("Hensel lift of the Frobenius root failed to converge")
+        return r
 
     @cached_property
     def _phi_mats(self):
@@ -499,27 +517,6 @@ class WittRing(_PolynomialQuotient):
             dval = self.add(self.mul(dval, t), val)
             val = self.add(self.mul(val, t), coeffs[k])
         return val, dval
-
-    def _hensel_frobenius_root(self):
-        """The root of f_hat lifting xbar^p, by Newton steps r <- r - f(r) s
-        that carry s, an inverse of f'(r): inverted once mod p, then one step
-        s <- s (2 - f'(r) s) per root step keeps it exact to the root's
-        precision, and both double each step."""
-        if self.a == 1:
-            return self.one  # phi = identity on Z/p^m
-        r = self.pow(self.gen(), self.p)
-        fr, dfr = self._eval_fhat(r)
-        s = self.from_residue(self.residue_field.inv(self.reduce_mod_p(dfr)))
-        two = self.from_int(2)
-        prec = 1
-        while prec < self.m:
-            r = self.sub(r, self.mul(fr, s))
-            prec *= 2
-            fr, dfr = self._eval_fhat(r)
-            s = self.mul(s, self.sub(two, self.mul(dfr, s)))
-        if any(fr):
-            raise AssertionError("Hensel lift of the Frobenius root failed to converge")
-        return r
 
     def _phi_matrix(self, root):
         # columns are the coordinates of root^j; phi is Z/p^m-linear
@@ -558,22 +555,19 @@ class WittRing(_PolynomialQuotient):
     def reduce_mod_p(self, x):
         return self.residue_field.balance(x)
 
-    def from_residue(self, u):
-        return self.balance(u)
-
     def teichmuller(self, u):
         """The (q-1)-st root of unity (or 0) lifting the residue element u."""
-        w = self.from_residue(u)
-        qf = self.p**self.a
+        w = self.balance(u)
+        q = self.residue_field.q
         for _ in range(self.m + 2):
-            nxt = self.pow(w, qf)
+            nxt = self.pow(w, q)
             if nxt == w:
                 return w
             w = nxt
         raise AssertionError("Teichmueller iteration did not stabilize")
 
 
-class ElementAccumulator:
+class ElementAccumulator(_Ring):
     """The accumulator protocol of a ring whose own add, sub and mul serve
     as they are: the accumulator is the element and `reduce` the identity."""
 
@@ -594,7 +588,6 @@ class ElementAccumulator:
 class RationalField(ElementAccumulator):
     """Q with Fraction elements; the 'generic fibre' test ring."""
 
-    kind = "Q"
     val_cap = 1
 
     def __init__(self):
@@ -603,12 +596,6 @@ class RationalField(ElementAccumulator):
 
     def __repr__(self):
         return "Q"
-
-    def __eq__(self, other):
-        return type(other) is RationalField
-
-    def __hash__(self):
-        return hash("Q")
 
     def from_int(self, k: int):
         return Fraction(k)
@@ -628,9 +615,6 @@ class RationalField(ElementAccumulator):
     def is_zero(self, x):
         return x == 0
 
-    def is_unit(self, x):
-        return x != 0
-
     def inv(self, x):
         return 1 / x
 
@@ -644,7 +628,7 @@ class RationalField(ElementAccumulator):
         return Fraction(rng.randint(-9, 9), rng.randint(1, 9))
 
     def el_to_str(self, x) -> str:
-        return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+        return str(x)
 
     def el_from_str(self, s: str):
         if not _Q_ENTRY.fullmatch(s):
@@ -663,8 +647,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
     the defining decision procedure of the local test rings.
     """
 
-    kind = "tpoly"
-
     def __init__(self, base: FiniteField, e: int):
         if e < 1:
             raise ValueError("nilpotency order must be >= 1")
@@ -676,16 +658,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
 
     def __repr__(self):
         return f"{self.base!r}[t]/(t^{self.e})"
-
-    def __eq__(self, other):
-        return (
-            type(other) is TruncatedPolynomialRing
-            and self.base == other.base
-            and self.e == other.e
-        )
-
-    def __hash__(self):
-        return hash(("tpoly", self.base, self.e))
 
     def from_int(self, k: int):
         return (self.base.from_int(k),) + (self.base.zero,) * (self.e - 1)
@@ -712,11 +684,8 @@ class TruncatedPolynomialRing(ElementAccumulator):
     def is_zero(self, x):
         return all(self.base.is_zero(c) for c in x)
 
-    def is_unit(self, x):
-        return not self.base.is_zero(x[0])
-
     def inv(self, x):
-        if not self.is_unit(x):
+        if self.pivot_val(x):
             raise ZeroDivisionError("not a unit")
         y = (self.base.inv(x[0]),) + (self.base.zero,) * (self.e - 1)
         return _newton_inverse(self, x, y, self.e)

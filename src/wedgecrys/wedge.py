@@ -23,7 +23,6 @@ from .dieudonne import (
     apply_F,
     apply_V,
     dimension,
-    format_fraction,
     make_standard,
     slopes,
     vector_phi,
@@ -247,7 +246,7 @@ def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = 
     # each segment's slope is formatted once
     slope_strs = []
     for s, mult in np.segments:
-        slope_strs += [format_fraction(s)] * mult
+        slope_strs += [str(s)] * mult
     return {
         "schema": "v1",
         "source": {"h": h, "dim": desc.dim, "p": p, "a": a, "m": m},

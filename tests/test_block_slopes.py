@@ -83,7 +83,7 @@ def _ring(name, m):
 
 def _element(R, x):
     """The ring element of an integer (a = 1) or integer coefficient tuple."""
-    return R.from_int(x) if R.a == 1 else tuple(c % R.q for c in x)
+    return R.from_int(x) if R.a == 1 else tuple(c % R.p**R.m for c in x)
 
 
 def _random_entry(rng, p, a, zero_prob):
@@ -236,6 +236,16 @@ def test_components_of_a_long_cycle_need_no_recursion():
     assert _strong_components(Matrix(R, n, n, E)) == [list(range(n))]
     E[0 * n + (n - 1)] = 0  # break the cycle: a path of singletons
     assert _strong_components(Matrix(R, n, n, E)) == [[v] for v in range(n - 1, -1, -1)]
+
+
+@pytest.mark.parametrize("a", [1, 2])
+def test_a_rank_zero_crystal_has_no_components_and_no_slopes(a):
+    # the dense shortcut must not make one empty component of a 0 x 0
+    # matrix: its cycle rule would form Fraction(0, 0)
+    R = make_witt_ring(3, a, 5)
+    empty = Matrix.from_rows(R, [])
+    assert _strong_components(empty) == []
+    assert slopes(Isocrystal(empty, 0)).segments == ()
 
 
 # ---------------------------------------------------------------------------

@@ -86,6 +86,37 @@ def test_compound_dimension_error_exit_3(capsys):
     assert main(["compound", "--in", IDENTITY4, "--d", "9"]) == 3
 
 
+_Q3 = json.dumps(
+    {
+        "schema": "v1",
+        "ring": {"kind": "Q"},
+        "rows": 3,
+        "cols": 3,
+        "entries": ["-2/4", "3", "0", "5/7", "0", "-1", "0", "2/3", "4"],
+    }
+)
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["compound", "--d", "1"],
+         '{"cols":3,"entries":["-1/2","3","0","5/7","0","-1","0","2/3","4"],'
+         '"ring":{"kind":"Q"},"rows":3,"schema":"v1"}\n'),
+        # the 2-minors on the subsets {0,1}, {0,2}, {1,2}: integers print
+        # with no '/1'
+        (["compound", "--d", "2"],
+         '{"cols":3,"entries":["-15/7","1/2","-3","-1/3","-2","12","10/21","20/7","2/3"],'
+         '"ring":{"kind":"Q"},"rows":3,"schema":"v1"}\n'),
+        (["rank"], '{"rank":3,"schema":"v1","witness":["UNIT","UNIT","UNIT","UNIT","ZERO"]}\n'),
+    ],
+    ids=["compound-1", "compound-2", "rank"],
+)
+def test_rational_payload_stdout(capsys, argv, stdout):
+    assert main([argv[0], "--in", _Q3, *argv[1:]]) == 0
+    assert capsys.readouterr() == (stdout, "")
+
+
 def test_rank_verb(capsys):
     payload = json.dumps(
         {

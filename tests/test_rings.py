@@ -12,6 +12,8 @@ from wedgecrys.rings import (
     CONWAY,
     FiniteField,
     ModulusRing,
+    RationalField,
+    TruncatedPolynomialRing,
     WittRing,
     _PolynomialQuotient,
     defining_polynomial,
@@ -19,6 +21,7 @@ from wedgecrys.rings import (
     local_test_ring,
     make_witt_ring,
     modulus_ring,
+    ring_from_descriptor,
 )
 
 
@@ -110,7 +113,7 @@ def test_defining_polynomial_search_scales_to_large_primes():
 
 def test_make_witt_ring_a1_is_plain_modulus_ring_with_identity_frobenius():
     R = make_witt_ring(3, 1, 4)
-    assert R.q == 81
+    assert R.p**R.m == 81
     x = R.from_int(55)
     assert R.frobenius_pow(x, 1) == x
     assert R.mul(R.from_int(10), R.from_int(9)) == R.from_int(90)
@@ -130,7 +133,7 @@ def test_make_witt_ring_f9_frobenius_is_hensel_root():
 
 def test_make_witt_ring_precision_one_is_the_residue_field():
     R = make_witt_ring(5, 3, 1)
-    assert R.q == 5
+    assert R.p**R.m == 5 and R.residue_field.q == 125
     rng = random.Random(0)
     for _ in range(20):
         x = R.random_element(rng)
@@ -139,7 +142,8 @@ def test_make_witt_ring_precision_one_is_the_residue_field():
 
 def test_primality_is_fast_and_exact():
     start = time.perf_counter()
-    assert modulus_ring(2**61 - 1, 1).q == 2**61 - 1
+    M = modulus_ring(2**61 - 1, 1)
+    assert M.p**M.m == 2**61 - 1
     assert time.perf_counter() - start < 0.1
     # a Carmichael number, a strong pseudoprime to bases 2, 3, 5 and 7, and
     # the square of a prime
@@ -277,7 +281,7 @@ def test_witt_unit_inverse():
     rng = random.Random(5)
     for _ in range(50):
         x = R.random_element(rng)
-        if not R.is_unit(x):
+        if R.pivot_val(x):
             continue
         assert R.mul(x, R.inv(x)) == R.one
 
@@ -287,7 +291,7 @@ def test_local_test_ring_unit_xor_maximal_ideal_exhaustive(p):
     T = local_test_ring(p, 1, 2)  # F_p[t]/(t^2)
     seen = 0
     for x in itertools.product(_field_elements(T.base), repeat=2):
-        assert T.is_unit(x) != (T.pivot_val(x) > 0)
+        assert (T.pivot_val(x) == 0) == (x[0] != 0)
         seen += 1
     assert seen == p**2
 
@@ -299,7 +303,7 @@ def test_local_test_ring_inverse_and_nilpotence():
     rng = random.Random(9)
     for _ in range(30):
         x = T.random_element(rng)
-        if T.is_unit(x):
+        if T.pivot_val(x) == 0:
             assert T.mul(x, T.inv(x)) == T.one
 
 
@@ -324,8 +328,8 @@ def test_finite_field_is_the_witt_ring_at_precision_one(p, a):
         assert (W.random_element(rng_w), W.random_element(rng_w)) == (x, y)
         assert F.add(x, y) == W.add(x, y)
         assert F.mul(x, y) == W.mul(x, y)
-        assert F.is_unit(x) == W.is_unit(x) == any(coeffs)
         assert F.pivot_val(x) == W.pivot_val(x)
+        assert (F.pivot_val(x) == 0) == any(coeffs)
         s = F.el_to_str(x)
         assert W.el_to_str(x) == s and F.el_from_str(s) == W.el_from_str(s) == x
         if any(coeffs):
@@ -336,7 +340,7 @@ def test_finite_field_is_the_witt_ring_at_precision_one(p, a):
 @pytest.mark.parametrize("a", [2, 3])
 def test_inverse_exhaustive_over_f4_and_f8(a):
     F = finite_field(2, a)
-    units = [x for x in _field_elements(F) if F.is_unit(x)]
+    units = [x for x in _field_elements(F) if F.pivot_val(x) == 0]
     assert len(units) == 2**a - 1
     assert sorted(F.inv(x) for x in units) == sorted(units)
     for x in units:
@@ -352,7 +356,7 @@ def test_witt_unit_inverse_at_high_precision(p, a, m):
     checked = 0
     while checked < 40:
         x = R.random_element(rng)
-        if R.is_unit(x):
+        if R.pivot_val(x) == 0:
             assert R.mul(x, R.inv(x)) == R.one
             checked += 1
     with pytest.raises(ZeroDivisionError):
@@ -386,7 +390,7 @@ def test_a1_elements_are_ints_and_round_trip_as_strings(R):
     x = R.el_from_str("-1")
     assert x == R.from_int(q - 1) and x % q == q - 1 and -q < 2 * x <= q
     # Zpm entries are bare integers; Fq and witt entries are coefficient lists
-    if R.kind == "Zpm":
+    if R.descriptor()["kind"] == "Zpm":
         msg = "expected decimal digits with an optional '-', got '1,2'"
     else:
         msg = "expected 1 coefficients, got 2"
@@ -398,6 +402,45 @@ def test_a1_rings_stay_distinct():
     Z, W, F = modulus_ring(3, 1), make_witt_ring(3, 1, 1), finite_field(3)
     assert len({Z, W, F}) == 3 and Z != W != F != Z
     assert [R.descriptor()["kind"] for R in (Z, W, F)] == ["Zpm", "witt", "Fq"]
+
+
+# -- ring identity is the descriptor -------------------------------------------
+
+
+# a ring built directly, next to the cached ring of the same descriptor, for
+# every kind that ring_from_descriptor builds
+_BUILT_AND_CACHED = [
+    (ModulusRing(5, 3), modulus_ring(5, 3)),
+    (FiniteField(2, 1), finite_field(2, 1)),
+    (FiniteField(2, 3), finite_field(2, 3)),
+    (WittRing(3, 1, 4), make_witt_ring(3, 1, 4)),
+    (WittRing(3, 2, 4), make_witt_ring(3, 2, 4)),
+    (TruncatedPolynomialRing(finite_field(3, 1), 3), local_test_ring(3, 1, 3)),
+    (TruncatedPolynomialRing(FiniteField(2, 2), 2), local_test_ring(2, 2, 2)),
+    (RationalField(), QQ),
+]
+
+
+@pytest.mark.parametrize("built, cached", _BUILT_AND_CACHED,
+                         ids=[repr(R) for _, R in _BUILT_AND_CACHED])
+def test_rings_with_one_descriptor_are_equal_and_hash_alike(built, cached):
+    assert built is not cached
+    assert built == cached and cached == built and not built != cached
+    assert hash(built) == hash(cached)
+    assert ring_from_descriptor(built.descriptor()) == built
+    assert ring_from_descriptor(cached.descriptor()) is cached
+
+
+def test_rings_with_different_descriptors_are_unequal():
+    rings = [R for _, R in _BUILT_AND_CACHED] + [
+        modulus_ring(3, 1), finite_field(3), make_witt_ring(3, 1, 1),  # the a = 1 trio at m = 1
+        modulus_ring(5, 2), make_witt_ring(3, 2, 5), local_test_ring(2, 1, 2),
+    ]
+    assert len({tuple(R.descriptor().items()) for R in rings}) == len(rings)
+    for R, S in itertools.product(rings, repeat=2):
+        assert (R == S) == (R is S) == (not R != S)
+    assert len(set(rings)) == len(rings)
+    assert QQ != "Q" and modulus_ring(3, 1) != 3
 
 
 def _frobenius_root_by_full_inverses(R):
@@ -657,7 +700,7 @@ def test_every_element_producer_returns_balanced_residues(p, a, m):
             _assert_balanced(R, R.el_from_str(",".join(str(u - 3 * q) for u in cx)), cx)
             _assert_balanced(R, R.pow(x, 5))
             _assert_balanced(R, R.reduce(R.msub(R.mac(R.acc0, x, x), x, R.one)))
-            if R.is_unit(x):
+            if R.pivot_val(x) == 0:
                 _assert_balanced(R, R.inv(x))
             for y in pool[::3]:
                 cy = _coefficients(R, y)
@@ -679,7 +722,7 @@ def test_every_element_producer_returns_balanced_residues(p, a, m):
             for u in rng.sample(_field_elements(F), min(6, F.q)):
                 cu = _coefficients(F, u)
                 shifted = cu[0] + 5 * p if a == 1 else tuple(c + 5 * p for c in cu)
-                _assert_balanced(R, R.from_residue(shifted), _coefficients(R, shifted))
+                _assert_balanced(R, R.balance(shifted), _coefficients(R, shifted))
                 t = R.teichmuller(shifted)
                 _assert_balanced(R, t)
                 assert t == R.teichmuller(u) and R.reduce_mod_p(t) == u
