@@ -11,7 +11,10 @@ local test rings).  The Hessenberg reduction behind
 `invert_unimodular` and the Howell form of `modsolve` need the pivot
 protocol and share one step on dense rows built on demand: the search for
 an entry of least `pivot_val` (`_least_pivot`) and the row update that
-clears its column (`_eliminate`).
+clears its column (`_eliminate`).  Their inner loops are the ring's row
+kernels (`row_msub`, `dot`, `acc_msub`; see `rings`), which an a = 1 ring
+runs as plain int loops: the ring passed in selects the kernel, and each
+reduction keeps one route.
 Every minor of every order, in `compound` and `stack_minors`, comes from
 one level-by-level Laplace build of the nonzero minors (`_nonzero_minors`),
 each keyed by one int that holds the bitmasks of its row and column
@@ -267,11 +270,11 @@ def _eliminate(R, M, k, c, v, rows) -> tuple:
     left of c and whose entry in c has the least `pivot_val` v: row i
     loses u = shift_down(x, v) . w times row k, w = inv(shift_down(pivot,
     v)), which clears x = M[i][c] exactly, so x is set to zero and only
-    the pivot row's nonzeros right of c are subtracted, each entry as one
-    `reduce(msub(...))`.  The stored zero is read by the Howell
-    back-reduction, which subtracts whole rows.  Returns w, which scales
-    the pivot to p^v, and the pairs (i, u) of the changed rows."""
-    mul, is_zero, msub, reduce, shift_down = R.mul, R.is_zero, R.msub, R.reduce, R.shift_down
+    the pivot row's nonzeros right of c are subtracted, by the ring's
+    `row_msub`.  The stored zero is read by the Howell back-reduction,
+    which subtracts whole rows.  Returns w, which scales the pivot to p^v,
+    and the pairs (i, u) of the changed rows."""
+    mul, is_zero, shift_down, row_msub = R.mul, R.is_zero, R.shift_down, R.row_msub
     zero = R.zero
     prow = M[k]
     w = R.inv(shift_down(prow[c], v))
@@ -284,8 +287,7 @@ def _eliminate(R, M, k, c, v, rows) -> tuple:
             continue
         u = mul(shift_down(x, v), w)
         row[c] = zero
-        for l, y in pnz:
-            row[l] = reduce(msub(row[l], u, y))
+        row_msub(row, u, pnz)
         ops.append((i, u))
     return w, ops
 
@@ -301,12 +303,12 @@ def _hessenberg_charpoly(A: Matrix) -> list:
     then builds the charpoly of each leading principal block from the
     smaller ones.  Every sum of products, an entry of a row or column
     operation or a coefficient of the recurrence, runs in the ring's
-    accumulator and is reduced once.
+    accumulator through its row kernels (`row_msub`, `dot`, `acc_msub`)
+    and is reduced once.
     """
     R = A.ring
     M = _pivot_rows(A)
-    mul, is_zero = R.mul, R.is_zero
-    mac, msub, reduce = R.mac, R.msub, R.reduce
+    mul, is_zero, reduce, dot, acc_msub = R.mul, R.is_zero, R.reduce, R.dot, R.acc_msub
     zero, one = R.zero, R.one
     n = len(M)
     for j in range(n - 2):
@@ -319,35 +321,29 @@ def _hessenberg_charpoly(A: Matrix) -> list:
             for row in M:
                 row[i], row[k] = row[k], row[i]
         _, ops = _eliminate(R, M, k, j, v, range(k + 1, n))
-        # the inverse column operations: column k gains u times column i
+        # the inverse column operations: column k gains u times column i,
+        # as one sum over the columns right of k, u = 0 for a row not changed
         if ops:
+            us = [zero] * (n - k - 1)
+            for i, u in ops:
+                us[i - k - 1] = u
             for row in M:
-                acc = row[k]
-                for i, u in ops:
-                    y = row[i]
-                    if not is_zero(y):
-                        acc = mac(acc, u, y)
-                row[k] = reduce(acc)
+                row[k] = dot(row[k], us, row[k + 1 :])
     polys = [[one]]
     for c in range(n):
         prev = polys[-1]
         new = [zero] + prev
         h = M[c][c]
         if not is_zero(h):
-            for l, y in enumerate(prev):
-                new[l] = msub(new[l], h, y)
+            acc_msub(new, h, prev)
         t = one
         for i in range(c - 1, -1, -1):
             t = mul(t, M[i + 1][i])
             if is_zero(t):
                 break
             s = M[i][c]
-            if is_zero(s):
-                continue
-            s = mul(s, t)
-            for l, y in enumerate(polys[i]):
-                if not is_zero(y):
-                    new[l] = msub(new[l], s, y)
+            if not is_zero(s):
+                acc_msub(new, mul(s, t), polys[i])
         polys.append([reduce(v) for v in new])
     return polys[n]
 

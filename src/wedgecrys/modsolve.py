@@ -56,15 +56,14 @@ def howell_form(Z, rows) -> list:
     [0, p^v) whatever representative x has; later pivot rows are zero in
     every earlier pivot column, so reduced entries stay reduced.
     """
-    is_zero, msub, reduce, shift_down = Z.is_zero, Z.msub, Z.reduce, Z.shift_down
+    is_zero, row_msub, shift_down = Z.is_zero, Z.row_msub, Z.shift_down
     H = _echelon(Z, rows)
     for k, (pivot_row, c, v) in enumerate(H):
         pnz = [(l, y) for l, y in enumerate(pivot_row[c:], c) if not is_zero(y)]
         for row, _, _ in H[:k]:
             lam = shift_down(row[c], v)
             if not is_zero(lam):
-                for l, y in pnz:
-                    row[l] = reduce(msub(row[l], lam, y))
+                row_msub(row, lam, pnz)
     return H
 
 

@@ -24,6 +24,14 @@ what they return.  On Z/p^m the accumulator is an int reduced once, at the
 end; at a >= 2 it is the list of the 2a - 1 convolution coefficients,
 folded by f only in `reduce`.
 
+Three row kernels run the accumulator along a row, for the eliminations of
+the matrix layer: `row_msub(row, u, pairs)` sets
+row[l] = reduce(msub(row[l], u, y)) for each pair (l, y), `dot(t, us, ys)`
+is reduce(t + sum of u y), and `acc_msub(ts, s, ys)` sets
+ts[l] = msub(ts[l], s, ys[l]), unreduced.  `_Ring` defines each once over
+`mac`, `msub` and `reduce`; an a = 1 ring replaces them by plain int loops
+that reduce inline.
+
 One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
 Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  Every integer it
 stores (an a = 1 element, or a coefficient of an a >= 2 tuple) is the
@@ -32,9 +40,10 @@ balanced residue in [lo, hi], hi = p^m // 2 and lo = hi - p^m + 1
 entries stays small, and `el_to_str` prints the residue in [0, p^m).  At
 a = 1 elements are ints, with int arithmetic chosen at construction
 (`_int_elements`); at a >= 2 they are tuples of a ints (ascending
-coefficients), and units are inverted mod p and lifted by Newton-Hensel
-steps (`_newton_inverse`).  Q has Fraction elements.  Elements are plain
-immutable data, and every ring is safe to share across threads.
+coefficients).  Units are inverted mod p and lifted by Newton-Hensel
+steps, inline at a = 1 and by `_newton_inverse` at a >= 2.  Q has
+Fraction elements.  Elements are plain immutable data, and every ring is
+safe to share across threads.
 """
 from __future__ import annotations
 
@@ -218,10 +227,12 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
     """The element protocol of Z/p^m on balanced ints, as plain functions
     that an a = 1 ring stores on itself; c = p^m, and hi, bal and neg are
     `_balanced(c)`'s.  `coefficient_lists` rings split entry strings on ','
-    and refuse more than one coefficient.  `add`, `sub` and `mul` inline
-    `bal` without its range test, which costs more than it saves on small
-    moduli; `reduce` keeps it, since the sums it ends are often small and
-    negative (a minor -p^k u)."""
+    and refuse more than one coefficient.  `add`, `sub`, `mul` and the row
+    kernels inline `bal` without its range test, which costs more than it
+    saves on small moduli; `reduce` keeps it, since the sums it ends are
+    often small and negative (a minor -p^k u).  `inv` lifts the inverse mod
+    p by Newton steps y <- y (2 - x y), each modulo the next power of p,
+    which costs less than `pow(x, -1, c)`."""
 
     def from_list(s: str):
         x, *rest = [bal(_int_entry(u)) for u in s.split(",")]
@@ -229,10 +240,30 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
             raise ValueError(f"expected 1 coefficients, got {1 + len(rest)}")
         return x
 
+    # the moduli p^k of the Newton steps that lift an inverse mod p to one
+    # mod c, k = ceil(m / 2^i) ascending: each step at most doubles k
+    ks = [m]
+    while ks[-1] > 1:
+        ks.append((ks[-1] + 1) // 2)
+    lifts = [p**k for k in reversed(ks[1:-1])] + [c] * (m > 1)
+
     def inv(x):
-        if x % p == 0:
+        if not (y := x % p):
             raise ZeroDivisionError("not a unit")
-        return bal(pow(x, -1, c))
+        y = pow(y, -1, p)
+        for q in lifts:
+            y = y * (2 - x * y) % q
+        return y - c if y > hi else y
+
+    def row_msub(row, u, pairs):
+        for l, y in pairs:
+            row[l] = r - c if (r := (row[l] - u * y) % c) > hi else r
+
+    def dot(t, us, ys):
+        return r - c if (r := sum(map(operator.mul, us, ys), t) % c) > hi else r
+
+    def acc_msub(ts, s, ys):
+        ts[: len(ys)] = [t - s * y for t, y in zip(ts, ys)]
 
     return {
         "from_int": bal,
@@ -246,6 +277,9 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
         "mac": lambda t, x, y: t + x * y,
         "msub": lambda t, x, y: t - x * y,
         "reduce": bal,
+        "row_msub": row_msub,
+        "dot": dot,
+        "acc_msub": acc_msub,
         "is_zero": operator.not_,
         "inv": inv,
         "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
@@ -270,6 +304,32 @@ class _Ring:
 
     def __hash__(self):
         return hash(tuple(self.descriptor().values()))
+
+    # the row kernels: the accumulator's loops over a row, which a ring may
+    # replace by its own (an a = 1 ring runs them as int loops)
+
+    def row_msub(self, row, u, pairs):
+        """row[l] = reduce(msub(row[l], u, y)) for each pair (l, y)."""
+        msub, reduce = self.msub, self.reduce
+        for l, y in pairs:
+            row[l] = reduce(msub(row[l], u, y))
+
+    def dot(self, t, us, ys):
+        """reduce(t + the sum of u y over the pairs of us and ys), t an
+        element or accumulator."""
+        mac, is_zero = self.mac, self.is_zero
+        for u, y in zip(us, ys):
+            if not is_zero(y):
+                t = mac(t, u, y)
+        return self.reduce(t)
+
+    def acc_msub(self, ts, s, ys):
+        """ts[l] = msub(ts[l], s, ys[l]) for each l, unreduced; ts is a list
+        of accumulators at least as long as ys."""
+        msub, is_zero = self.msub, self.is_zero
+        for l, y in enumerate(ys):
+            if not is_zero(y):
+                ts[l] = msub(ts[l], s, y)
 
 
 class _PolynomialQuotient(_Ring):

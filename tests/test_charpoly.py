@@ -172,6 +172,21 @@ def test_charpoly_and_det_match_the_berkowitz_oracle(name, kind):
             assert det(A) == (c0 if n % 2 == 0 else R.neg(c0))
 
 
+@pytest.mark.parametrize("p", (3, 5))
+def test_charpoly_and_det_match_the_berkowitz_oracle_at_crystal_dense_sizes(p):
+    # the second and third wedges of a rank-6 crystal are 15 x 15 and
+    # 20 x 20, over W(F_p)/p^64 with elements of about 100 and 150 bits
+    R = make_witt_ring(p, 1, 64)
+    pi = R.from_int(p)
+    rng = random.Random(f"crystal-dense sizes/{p}")
+    for n in (15, 20):
+        for kind in ("dense", "conjugate", "conjugate"):
+            A = INPUTS[kind](R, pi, n, rng)
+            expect = berkowitz(R, A)
+            assert charpoly(A) == expect
+            assert det(A) == (expect[0] if n % 2 == 0 else R.neg(expect[0]))
+
+
 def test_oracle_on_small_hand_examples():
     Z = modulus_ring(3, 2)
     assert berkowitz(Z, Matrix.zeros(Z, 0, 0)) == [1]

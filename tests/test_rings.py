@@ -4,6 +4,8 @@ import re
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wedgecrys.errors import NonPrime
 from wedgecrys.rings import (
@@ -15,7 +17,9 @@ from wedgecrys.rings import (
     RationalField,
     TruncatedPolynomialRing,
     WittRing,
+    _newton_inverse,
     _PolynomialQuotient,
+    _Ring,
     defining_polynomial,
     finite_field,
     local_test_ring,
@@ -640,6 +644,69 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
         for x, y in terms:
             acc, want = R.mac(acc, x, y), R.add(want, _mul_by_shifts(R, x, y))
         assert R.reduce(acc) == want
+
+
+# ---------------------------------------------------------------------------
+# the row kernels: an a = 1 ring runs row_msub, dot and acc_msub as int loops
+# and inverts by a Newton lift, and each must agree with the generic loops
+# over the ring's own accumulator (`_Ring`)
+
+
+ROW_KERNEL_RINGS = [
+    modulus_ring(3, 5),
+    make_witt_ring(3, 1, 64),
+    make_witt_ring(5, 1, 64),
+    finite_field(3),
+    finite_field(2),  # even modulus: c = 2, hi = 1, lo = 0
+]
+
+
+def _int_residues(R):
+    """Balanced residues of Z/p^m: the ends lo and hi, 0, +-p^k u for a unit
+    u, and any residue at all."""
+    p, m = R.p, R.m
+    q = p**m
+    hi = q // 2
+    lo = hi - q + 1
+    units = st.integers(lo, hi).filter(lambda u: u % p)
+    shifted = st.builds(lambda s, k, u: R.balance(s * p**k * u),
+                        st.sampled_from((1, -1)), st.integers(0, m), units)
+    return st.one_of(st.sampled_from((lo, hi, 0)), shifted, st.integers(lo, hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(R=st.sampled_from(ROW_KERNEL_RINGS), data=st.data())
+def test_a1_row_kernels_and_inverse_match_the_generic_definitions(R, data):
+    el = _int_residues(R)
+    row = data.draw(st.lists(el, max_size=9))
+    n = len(row)
+    cols = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))) if n else []
+    ys = data.draw(st.lists(el, min_size=len(cols), max_size=len(cols)))
+    pairs = list(zip(cols, ys))
+    u, t = data.draw(el), data.draw(el)
+
+    got, want = list(row), list(row)
+    R.row_msub(got, u, pairs)
+    _Ring.row_msub(R, want, u, pairs)
+    assert got == want
+
+    assert R.dot(t, row[: len(ys)], ys) == _Ring.dot(R, t, row[: len(ys)], ys)
+    assert R.dot(R.acc0, [], []) == R.zero
+
+    got, want = list(row), list(row)
+    R.acc_msub(got, u, ys)
+    _Ring.acc_msub(R, want, u, ys)
+    assert [R.reduce(x) for x in got] == [R.reduce(x) for x in want]
+
+    q = R.p**R.m
+    for x in row + [u, t]:
+        if R.pivot_val(x):
+            with pytest.raises(ZeroDivisionError):
+                R.inv(x)
+        else:
+            y = R.inv(x)
+            assert y == R.balance(pow(x, -1, q))
+            assert y == _newton_inverse(R, x, R.from_int(pow(x, -1, R.p)), R.m)
 
 
 # ---------------------------------------------------------------------------
