@@ -235,15 +235,18 @@ def adjunction(seed: int, trials: int) -> dict:
 
 def run_campaign(
     name: str,
-    seed: int = 0,
+    seed: int | None = None,
     trials: int | None = None,
     exhaustive_f2: bool = False,
     wrong_shift: bool = False,
 ) -> dict:
     if name not in CAMPAIGNS:
         raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
-    if exhaustive_f2 and (name != "rank-lemma" or trials is not None):
-        raise WedgecrysError("--exhaustive-f2 applies only to rank-lemma, and takes no --trials")
+    if exhaustive_f2 and (name != "rank-lemma" or trials is not None or seed is not None):
+        raise WedgecrysError(
+            "--exhaustive-f2 applies only to rank-lemma, and takes no --trials or --seed"
+        )
+    seed = 0 if seed is None else seed
     if wrong_shift and name != "compat":
         raise WedgecrysError(f"--wrong-shift applies only to compat, not {name}")
     if name == "rank-lemma":

@@ -101,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     k = sub.add_parser("check", help="run a property campaign")
     k.add_argument("campaign", choices=CAMPAIGNS)
-    k.add_argument("--seed", type=int, default=0)
+    k.add_argument("--seed", type=int, default=None)
     k.add_argument("--trials", type=int, default=None)
     k.add_argument("--exhaustive-f2", action="store_true")
     k.add_argument("--wrong-shift", action="store_true", help=argparse.SUPPRESS)

@@ -143,16 +143,23 @@ def _as_crystal(X) -> Isocrystal:
 
 def _standard_block(ring: WittRing, t: int, s: int) -> tuple[Matrix, Matrix]:
     """Cyclic block of slope s/t: F e_i = p^{eps_i} e_{i+1 mod t} with the
-    s powers of p on the last s steps, and V = p F^{-1}, both integral."""
+    s powers of p on the last s steps, and V = p F^{-1}, both integral.
+    Each row holds one entry, built as a row of nonzeros: p is dropped
+    where it is zero in the ring (m = 1)."""
     p = ring.from_int(ring.p)
     one = ring.one
-    MF = [[ring.zero] * t for _ in range(t)]
-    MV = [[ring.zero] * t for _ in range(t)]
-    for i in range(t):
-        eps = 1 if i >= t - s else 0
-        MF[(i + 1) % t][i] = p if eps else one
-        MV[i][(i + 1) % t] = one if eps else p
-    return Matrix.from_rows(ring, MF), Matrix.from_rows(ring, MV)
+    eps = [i >= t - s for i in range(t)]
+
+    def cyclic(entries):
+        return Matrix.from_nonzero_rows(
+            ring, t, [[] if ring.is_zero(x) else [(j, x)] for j, x in entries]
+        )
+
+    # row i of MF holds F e_{i-1} in column i - 1, row i of MV holds
+    # V e_{i+1} in column i + 1 (indices mod t)
+    MF = cyclic(((i - 1) % t, p if eps[i - 1] else one) for i in range(t))
+    MV = cyclic(((i + 1) % t, one if eps[i] else p) for i in range(t))
+    return MF, MV
 
 
 def make_standard(desc: GroupDescriptor, ring: WittRing) -> DieudonneModule:

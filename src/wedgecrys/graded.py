@@ -70,12 +70,12 @@ class GradedRing:
         """Each coefficient sums its products in the field's accumulator and
         is reduced once."""
         F = self.field
-        mac, reduce, is_zero, acc0 = F.mac, F.reduce, F.is_zero, F.acc0
+        mac, reduce, is_zero, zero = F.mac, F.reduce, F.is_zero, F.zero
         out: dict = {}
         for e1, c1 in f.items():
             for e2, c2 in g.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = mac(out.get(e, acc0), c1, c2)
+                out[e] = mac(out.get(e, zero), c1, c2)
         return {e: c for e, t in out.items() if not is_zero(c := reduce(t))}
 
     def monomial(self, exps, coeff=None):

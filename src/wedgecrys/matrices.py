@@ -176,20 +176,20 @@ class Matrix:
         x . row_l(other) over the stored nonzeros x = self[i, l], visiting
         only the stored nonzeros of row_l(other), and keeps the sums that
         do not vanish.  Each entry is a sum in the ring's accumulator from
-        `acc0`, reduced once."""
+        `zero`, reduced once."""
         if self.ring != other.ring:
             raise RingMismatch("matrices over different rings")
         if self.cols != other.rows:
             raise DimensionMismatch(f"{self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         R = self.ring
-        mac, reduce, is_zero, acc0 = R.mac, R.reduce, R.is_zero, R.acc0
+        mac, reduce, is_zero, zero = R.mac, R.reduce, R.is_zero, R.zero
         brows = other.nonzero_rows
         out = []
         for nz in self.nonzero_rows:
             acc = {}
             for l, x in nz:
                 for j, y in brows[l]:
-                    acc[j] = mac(acc.get(j, acc0), x, y)
+                    acc[j] = mac(acc.get(j, zero), x, y)
             out.append(sorted((j, v) for j, t in acc.items() if not is_zero(v := reduce(t))))
         return Matrix.from_nonzero_rows(R, other.cols, out)
 
@@ -200,7 +200,7 @@ class Matrix:
         mac, reduce = R.mac, R.reduce
         out = []
         for nz in self.nonzero_rows:
-            acc = R.acc0
+            acc = R.zero
             for k, x in nz:
                 acc = mac(acc, x, vec[k])
             out.append(reduce(acc))
@@ -250,10 +250,10 @@ def _pivot_rows(A: Matrix) -> list:
 
 def _least_pivot(R, M, rows, cols):
     """(v, i, j): the first entry M[i][j] of least `pivot_val` v over the
-    given rows and columns, stopping at a unit (v = 0); v = `val_cap` and
-    i = j = -1 when every entry is zero at the ring's precision."""
+    given rows and columns, stopping at a unit (v = 0); v = pivot_val(zero)
+    and i = j = -1 when every entry is zero at the ring's precision."""
     pivot_val = R.pivot_val
-    bv, bi, bj = R.val_cap, -1, -1
+    bv, bi, bj = pivot_val(R.zero), -1, -1
     for i in rows:
         row = M[i]
         for j in cols:
@@ -361,40 +361,38 @@ def _nonzero_minors(A: Matrix, d: int) -> dict:
     d-minor only by gaining d - k columns before its first, so c0 >= d - k:
     a dense A costs the products of a memoised expansion of every d-minor,
     and a monomial A, with one nonzero minor per row subset, costs
-    O(C(n, d) d).  Every term goes into the ring's accumulator, the sign
-    riding in `mac` or `msub`, and each level is reduced once.  Ring
-    elements are balanced residues, so a negative term of small factors
-    stays small.  Sums that vanish are dropped at each level, and a level
-    is freed once the next is built.
+    O(C(n, d) d).  Every term goes into the ring's accumulator by `mac`,
+    the sign riding in the entry: each column nonzero is stored with its
+    negative.  Each level is reduced once.  Ring elements are balanced
+    residues, so a negative term of small factors stays small.  Sums that
+    vanish are dropped at each level, and a level is freed once the next is
+    built.
     """
     R = A.ring
     if d == 0:
         return {0: R.one}
-    mac, msub, reduce, is_zero, acc0 = R.mac, R.msub, R.reduce, R.is_zero, R.acc0
+    mac, reduce, is_zero, neg, zero = R.mac, R.reduce, R.is_zero, R.neg, R.zero
     nr, nc = A.rows, A.cols
-    # the nonzeros of column c as (row bit, entry) pairs; a row bit b is
-    # below every column bit, so key & b tests r in S and the rows of S
-    # below r are key & (b - 1)
+    # the nonzeros of column c as (row bit, entry, -entry) triples; a row
+    # bit b is below every column bit, so key & b tests r in S and the rows
+    # of S below r are key & (b - 1)
     colnz = [[] for _ in range(nc)]
     for r, nz in enumerate(A.nonzero_rows):
         for c, x in nz:
-            colnz[c].append((1 << r, x))
-    level = {1 << (c + nr) | b: x for c in range(d - 1, nc) for b, x in colnz[c]}
+            colnz[c].append((1 << r, x, neg(x)))
+    level = {1 << (c + nr) | b: x for c in range(d - 1, nc) for b, x, _ in colnz[c]}
     for k in range(2, d + 1):
         nxt = {}
         for key, minor in level.items():
             T = key >> nr
             for c0 in range(d - k, (T & -T).bit_length() - 1):
                 kc = key | 1 << (c0 + nr)
-                for b, x in colnz[c0]:
+                for b, x, nx in colnz[c0]:
                     if key & b:
                         continue
                     new = kc | b
-                    acc = nxt.get(new, acc0)
-                    if (key & (b - 1)).bit_count() & 1:
-                        nxt[new] = msub(acc, x, minor)
-                    else:
-                        nxt[new] = mac(acc, x, minor)
+                    sx = nx if (key & (b - 1)).bit_count() & 1 else x
+                    nxt[new] = mac(nxt.get(new, zero), sx, minor)
         level = {key: v for key, t in nxt.items() if not is_zero(v := reduce(t))}
     return level
 
@@ -476,8 +474,8 @@ def smith_valuations(A: Matrix) -> list:
     """Valuations of a two-sided unimodular reduction to diag(pi^v_i).
 
     Available on local rings carrying the pivot protocol; the list has
-    min(rows, cols) entries, sorted ascending, with ring.val_cap meaning a
-    zero diagonal entry.  Pivots on a minimum-valuation entry; elimination
+    min(rows, cols) entries, sorted ascending, with pivot_val(zero) meaning
+    a zero diagonal entry.  Pivots on a minimum-valuation entry; elimination
     multipliers are exact because every remaining entry has valuation >=
     the pivot's.  Row/column operations are unimodular, so the
     determinantal ideals (hence statuses, rank, cokernel shape) of the
@@ -485,14 +483,13 @@ def smith_valuations(A: Matrix) -> list:
     """
     R = A.ring
     M = _pivot_rows(A)
-    cap = R.val_cap
     nr, nc = A.rows, A.cols
     size = min(nr, nc)
     vals = []
     for step in range(size):
         v, i, j = _least_pivot(R, M, range(step, nr), range(step, nc))
-        if i < 0:
-            vals.extend([cap] * (size - step))
+        if i < 0:  # every entry left is zero: v = pivot_val(zero)
+            vals.extend([v] * (size - step))
             break
         if i != step:
             M[i], M[step] = M[step], M[i]
@@ -510,10 +507,10 @@ def smith_valuations(A: Matrix) -> list:
 def _statuses(A: Matrix) -> tuple:
     """Statuses of U_0 .. U_{s+1}, s = min(A.rows, A.cols), read off the
     partial sums of the Smith valuations: U_i is the unit ideal while they
-    are 0, zero once they reach `val_cap` and proper nonzero between.
+    are 0, zero once they reach pivot_val(zero) and proper nonzero between.
     UnsupportedRing over a ring without the pivot protocol."""
     vals = smith_valuations(A)
-    cap = A.ring.val_cap
+    cap = A.ring.pivot_val(A.ring.zero)
     return (
         IdealStatus.UNIT,
         *(IdealStatus.ZERO if s >= cap else IdealStatus.PROPER_NONZERO if s else IdealStatus.UNIT

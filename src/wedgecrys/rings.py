@@ -10,27 +10,29 @@ A ring's identity is its descriptor: two rings are equal, and hash alike,
 when their `descriptor()`s are equal (`_Ring`).
 
 Every ring here is local and also carries the pivot protocol driving the
-valuation-pivot eliminations (`val_cap`, `pivot_val`, `shift_down`).
-`pivot_val` is the one element valuation: it is `val_cap` (m on Z/p^m and
-the Witt rings) for an element that is zero at the ring's precision, and
-x is a unit exactly when `pivot_val(x) == 0`.
+valuation-pivot eliminations (`pivot_val`, `shift_down`).  `pivot_val` is
+the one element valuation, and `pivot_val(zero)` is its cap (m on Z/p^m
+and the Witt rings, e on F_q[t]/(t^e), 1 on Q): the value of every element
+that is zero at the ring's precision.  x is a unit exactly when
+`pivot_val(x) == 0`.
 
 Every ring also carries an unreduced accumulator for sums of products:
-`acc0` (the empty sum), `mac(t, x, y) = t + x y`, `msub(t, x, y) = t - x y`
-and `reduce(t)`, the element a sum stands for.  Every element is also an
-accumulator and is its own reduction, so a sum may start from a plain
-product.  `mac` and `msub` may update t in place, so a caller keeps only
-what they return.  On Z/p^m the accumulator is an int reduced once, at the
-end; at a >= 2 it is the list of the 2a - 1 convolution coefficients,
-folded by f only in `reduce`.
+`mac(t, x, y) = t + x y` and `reduce(t)`, the element a sum stands for.  A
+sum starts at `zero`: every element is also an accumulator and is its own
+reduction.  A subtracted term is a `mac` of a negated factor.  `mac` may
+update t in place, so a caller keeps only what it returns.  `_Ring`
+defines `mac` as add(t, mul(x, y)) and `reduce` as the identity, which
+serve Q and F_q[t]/(t^e) as they are.  On Z/p^m the accumulator is an int
+reduced once, at the end; at a >= 2 it is the list of the 2a - 1
+convolution coefficients, folded by f only in `reduce`.
 
 Three row kernels run the accumulator along a row, for the eliminations of
 the matrix layer: `row_msub(row, u, pairs)` sets
-row[l] = reduce(msub(row[l], u, y)) for each pair (l, y), `dot(t, us, ys)`
+row[l] = reduce(row[l] - u y) for each pair (l, y), `dot(t, us, ys)`
 is reduce(t + sum of u y), and `acc_msub(ts, s, ys)` sets
-ts[l] = msub(ts[l], s, ys[l]), unreduced.  `_Ring` defines each once over
-`mac`, `msub` and `reduce`; an a = 1 ring replaces them by plain int loops
-that reduce inline.
+ts[l] = ts[l] - s ys[l], unreduced.  `_Ring` defines each once over `mac`
+and `reduce`, negating u or s once per call; an a = 1 ring replaces them
+by plain int loops that reduce inline.
 
 One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
 Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  Every integer it
@@ -272,10 +274,7 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
         "sub": lambda x, y: r - c if (r := (x - y) % c) > hi else r,
         "neg": neg,
         "mul": lambda x, y: r - c if (r := x * y % c) > hi else r,
-        "pow": lambda x, e: r - c if (r := pow(x, e, c)) > hi else r,
-        "acc0": 0,
         "mac": lambda t, x, y: t + x * y,
-        "msub": lambda t, x, y: t - x * y,
         "reduce": bal,
         "row_msub": row_msub,
         "dot": dot,
@@ -305,14 +304,22 @@ class _Ring:
     def __hash__(self):
         return hash(tuple(self.descriptor().values()))
 
+    # the accumulator of a ring whose own add and mul serve as they are
+
+    def mac(self, t, x, y):
+        return self.add(t, self.mul(x, y))
+
+    def reduce(self, t):
+        return t
+
     # the row kernels: the accumulator's loops over a row, which a ring may
     # replace by its own (an a = 1 ring runs them as int loops)
 
     def row_msub(self, row, u, pairs):
-        """row[l] = reduce(msub(row[l], u, y)) for each pair (l, y)."""
-        msub, reduce = self.msub, self.reduce
+        """row[l] = reduce(row[l] - u y) for each pair (l, y)."""
+        mac, reduce, nu = self.mac, self.reduce, self.neg(u)
         for l, y in pairs:
-            row[l] = reduce(msub(row[l], u, y))
+            row[l] = reduce(mac(row[l], nu, y))
 
     def dot(self, t, us, ys):
         """reduce(t + the sum of u y over the pairs of us and ys), t an
@@ -324,12 +331,12 @@ class _Ring:
         return self.reduce(t)
 
     def acc_msub(self, ts, s, ys):
-        """ts[l] = msub(ts[l], s, ys[l]) for each l, unreduced; ts is a list
-        of accumulators at least as long as ys."""
-        msub, is_zero = self.msub, self.is_zero
+        """ts[l] = ts[l] - s ys[l] for each l, unreduced; ts is a list of
+        accumulators at least as long as ys."""
+        mac, is_zero, ns = self.mac, self.is_zero, self.neg(s)
         for l, y in enumerate(ys):
             if not is_zero(y):
-                ts[l] = msub(ts[l], s, y)
+                ts[l] = mac(ts[l], ns, y)
 
 
 class _PolynomialQuotient(_Ring):
@@ -355,7 +362,6 @@ class _PolynomialQuotient(_Ring):
         self.fred = fred
         self._c = p**m
         self._lo, self._hi, self._bal, self._neg = _balanced(self._c)
-        self.val_cap = m
         if a == 1:
             self.zero, self.one = 0, 1
             vars(self).update(_int_elements(p, m, self._c, self._hi, self._bal, self._neg,
@@ -363,7 +369,7 @@ class _PolynomialQuotient(_Ring):
         else:
             self.zero = (0,) * a
             self.one = (1,) + (0,) * (a - 1)
-            self.acc0 = (0,) * (2 * a - 1)
+            self._pad = (0,) * (a - 1)  # widens an element to 2a - 1 coefficients
 
     def balance(self, x):
         """The element x stands for: x holds any integer representatives
@@ -390,28 +396,18 @@ class _PolynomialQuotient(_Ring):
         return tuple(map(self._neg, x))
 
     def mul(self, x, y):
-        return self.reduce(self.mac(self.acc0, x, y))
+        return self.reduce(self.mac(self.zero, x, y))
 
     def mac(self, t, x, y):
         """The 2a - 1 coefficients of t + x y, none reduced.  t is an
-        element, `acc0` or a list that an earlier `mac` or `msub` returned,
-        which is updated in place."""
+        element or a list that an earlier `mac` returned, which is updated
+        in place."""
         if type(t) is not list:
-            t = [*t, *self.acc0[len(t):]]
+            t = [*t, *self._pad]
         for i, u in enumerate(x):
             if u:
                 for j, v in enumerate(y, i):
                     t[j] += u * v
-        return t
-
-    def msub(self, t, x, y):
-        """t - x y, as `mac` builds t + x y."""
-        if type(t) is not list:
-            t = [*t, *self.acc0[len(t):]]
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y, i):
-                    t[j] -= u * v
         return t
 
     def reduce(self, t):
@@ -542,7 +538,8 @@ class WittRing(_PolynomialQuotient):
             return self.one  # phi = identity on Z/p^m
         r = self.pow(self.gen(), self.p)
         fr, dfr = self._eval_fhat(r)
-        s = self.balance(self.residue_field.inv(self.reduce_mod_p(dfr)))
+        F = self.residue_field
+        s = self.balance(F.inv(F.balance(dfr)))
         two = self.from_int(2)
         prec = 1
         while prec < self.m:
@@ -612,9 +609,6 @@ class WittRing(_PolynomialQuotient):
         """Columns of phi as a Z/p^m-linear map on coefficient vectors."""
         return self._phi_mats[1]
 
-    def reduce_mod_p(self, x):
-        return self.residue_field.balance(x)
-
     def teichmuller(self, u):
         """The (q-1)-st root of unity (or 0) lifting the residue element u."""
         w = self.balance(u)
@@ -627,28 +621,8 @@ class WittRing(_PolynomialQuotient):
         raise AssertionError("Teichmueller iteration did not stabilize")
 
 
-class ElementAccumulator(_Ring):
-    """The accumulator protocol of a ring whose own add, sub and mul serve
-    as they are: the accumulator is the element and `reduce` the identity."""
-
-    @property
-    def acc0(self):
-        return self.zero
-
-    def mac(self, t, x, y):
-        return self.add(t, self.mul(x, y))
-
-    def msub(self, t, x, y):
-        return self.sub(t, self.mul(x, y))
-
-    def reduce(self, t):
-        return t
-
-
-class RationalField(ElementAccumulator):
+class RationalField(_Ring):
     """Q with Fraction elements; the 'generic fibre' test ring."""
-
-    val_cap = 1
 
     def __init__(self):
         self.zero = Fraction(0)
@@ -699,7 +673,7 @@ class RationalField(ElementAccumulator):
         return {"kind": "Q"}
 
 
-class TruncatedPolynomialRing(ElementAccumulator):
+class TruncatedPolynomialRing(_Ring):
     """F_q[t]/(t^e): the polynomial-flavoured local test ring.
 
     An element is a length-e tuple of F_q elements (coefficients of t^i);
@@ -714,7 +688,6 @@ class TruncatedPolynomialRing(ElementAccumulator):
         self.e = e
         self.zero = (base.zero,) * e
         self.one = (base.one,) + (base.zero,) * (e - 1)
-        self.val_cap = e
 
     def __repr__(self):
         return f"{self.base!r}[t]/(t^{self.e})"

@@ -181,6 +181,12 @@ def test_check_rank_lemma_exhaustive(capsys):
     assert out["cases"] == 512 and out["failures"] == 0
 
 
+def test_check_without_seed_reports_seed_zero(capsys):
+    assert main(["check", "rank-lemma", "--trials", "1"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["seed"] == 0 and out["mode"] == "random"
+
+
 def test_check_wrong_shift_is_a_failing_negative_control(capsys):
     code = main(["check", "compat", "--seed", "1", "--trials", "5", "--wrong-shift"])
     captured = capsys.readouterr()
@@ -235,6 +241,7 @@ def _refused(capsys, argv, code=2):
         (["check", "rank-lemma", "--exhaustive-f2", "--trials", "3"], "--trials"),
         (["check", "cauchy-binet", "--wrong-shift"], "--wrong-shift"),
         (["check", "rank-lemma", "--wrong-shift"], "--wrong-shift"),
+        (["check", "rank-lemma", "--exhaustive-f2", "--seed", "3"], "--seed"),
     ],
 )
 def test_check_refuses_a_flag_its_campaign_ignores(capsys, argv, flag):

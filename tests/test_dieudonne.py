@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,36 @@ def test_standard_matrices():
     assert qz.MF == Matrix.from_int_rows(R, [[3]]) and qz.MV == Matrix.from_int_rows(R, [[1]])
     lt2 = make_standard(descriptor("LT_2"), R)
     assert lt2.MF == Matrix.from_int_rows(R, [[0, 3], [1, 0]])
+
+
+def _dense_standard(h, dim, R):
+    """MF and MV of the standard module as the dense rows of gcd(h - dim, h)
+    cyclic blocks of slope s/t: F e_i = p^eps_i e_(i+1 mod t), with eps_i = 1
+    on the last s steps, and V e_(i+1) = p^(1 - eps_i) e_i."""
+    g = math.gcd(h - dim, h)
+    t, s = h // g, (h - dim) // g
+    p = R.from_int(R.p)
+    MF = [[R.zero] * h for _ in range(h)]
+    MV = [[R.zero] * h for _ in range(h)]
+    for b in range(0, h, t):
+        for i in range(t):
+            eps = i >= t - s
+            MF[b + (i + 1) % t][b + i] = p if eps else R.one
+            MV[b + i][b + (i + 1) % t] = R.one if eps else p
+    return Matrix.from_rows(R, MF), Matrix.from_rows(R, MV)
+
+
+@pytest.mark.parametrize("a", (1, 2))
+@pytest.mark.parametrize("h", range(1, 9))
+def test_make_standard_matches_the_dense_blocks_and_stores_no_zero(h, a):
+    # at m = 1, p is zero in the ring and its entries must not be stored
+    for m in (1, h * a + 2):
+        R = make_witt_ring(3, a, m)
+        for dim in range(h + 1):
+            D = make_standard(descriptor(h, dim), R)
+            assert (D.MF, D.MV) == _dense_standard(h, dim, R), (h, dim, a, m)
+            for M in (D.MF, D.MV):
+                assert not any(R.is_zero(x) for nz in M.nonzero_rows for _, x in nz)
 
 
 def test_verify_axioms_on_standard_battery():

@@ -132,7 +132,7 @@ def test_make_witt_ring_f9_frobenius_is_hensel_root():
     fr, _ = R._eval_fhat(r)
     assert fr == R.zero
     F9 = R.residue_field
-    assert R.reduce_mod_p(r) == F9.pow(F9.gen(), 3)
+    assert F9.balance(r) == F9.pow(F9.gen(), 3)
 
 
 def test_make_witt_ring_precision_one_is_the_residue_field():
@@ -210,10 +210,11 @@ def test_frobenius_fixes_one_and_teichmuller_powers():
 
 def test_reduction_commutes_with_frobenius():
     R = make_witt_ring(3, 2, 3)
+    F = R.residue_field
     rng = random.Random(3)
     for _ in range(50):
         x = R.random_element(rng)
-        assert R.reduce_mod_p(R.frobenius_pow(x, 1)) == R.residue_field.pow(R.reduce_mod_p(x), 3)
+        assert F.balance(R.frobenius_pow(x, 1)) == F.pow(F.balance(x), 3)
 
 
 def test_valuation_examples():
@@ -277,7 +278,7 @@ def test_teichmuller_examples():
     u = F9.gen()  # a generator of F_9^* (the Conway polynomial is primitive)
     y = R.teichmuller(u)
     assert R.pow(y, 8) == R.one
-    assert R.reduce_mod_p(y) == u
+    assert F9.balance(y) == u
 
 
 def test_witt_unit_inverse():
@@ -558,7 +559,7 @@ def test_valuations_match_a_divide_by_p_loop(kind, p, a, m):
 
 
 # ---------------------------------------------------------------------------
-# the unreduced accumulator: acc0, mac, msub, reduce
+# the unreduced accumulator: a sum from zero by mac, ended by reduce
 
 
 ACCUMULATOR_RINGS = {
@@ -594,18 +595,18 @@ def test_accumulator_chains_match_the_fold_of_add_sub_and_mul(name):
     R = ACCUMULATOR_RINGS[name]
     rng = random.Random(f"accumulator/{name}")
     pool = _accumulator_inputs(R, rng)
-    assert R.reduce(R.acc0) == R.zero
+    assert R.reduce(R.zero) == R.zero
     for trial in range(30):
-        # a chain starts from the empty sum or from an element
-        start = None if trial % 3 else rng.choice(pool)
-        acc = R.acc0 if start is None else start
-        want = R.zero if start is None else start
+        # a chain starts from zero or from another element, and subtracts
+        # a product as the mac of a negated factor
+        start = R.zero if trial % 3 else rng.choice(pool)
+        acc = want = start
         for _ in range(rng.randrange(41)):
             x, y = rng.choice(pool), rng.choice(pool)
             if rng.random() < 0.5:
                 acc, want = R.mac(acc, x, y), R.add(want, R.mul(x, y))
             else:
-                acc, want = R.msub(acc, x, y), R.sub(want, R.mul(x, y))
+                acc, want = R.mac(acc, R.neg(x), y), R.sub(want, R.mul(x, y))
         assert R.reduce(acc) == want
     for x in pool:
         assert R.reduce(x) == x  # an element is its own reduction
@@ -637,10 +638,10 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
             got = R.mul(x, y)
             # the oracle's residues lie in [0, q), the ring's in -q < 2u <= q
             assert tuple(u % q for u in got) == want and all(-q < 2 * u <= q for u in got)
-            assert R.reduce(R.msub(R.mac(R.acc0, x, y), y, x)) == R.zero
+            assert R.reduce(R.mac(R.mac(R.zero, x, y), R.neg(y), x)) == R.zero
     for _ in range(20):
         terms = [(rng.choice(pool), rng.choice(pool)) for _ in range(rng.randrange(2, 9))]
-        acc, want = R.acc0, R.zero
+        acc = want = R.zero
         for x, y in terms:
             acc, want = R.mac(acc, x, y), R.add(want, _mul_by_shifts(R, x, y))
         assert R.reduce(acc) == want
@@ -691,7 +692,7 @@ def test_a1_row_kernels_and_inverse_match_the_generic_definitions(R, data):
     assert got == want
 
     assert R.dot(t, row[: len(ys)], ys) == _Ring.dot(R, t, row[: len(ys)], ys)
-    assert R.dot(R.acc0, [], []) == R.zero
+    assert R.dot(R.zero, [], []) == R.zero
 
     got, want = list(row), list(row)
     R.acc_msub(got, u, ys)
@@ -766,7 +767,7 @@ def test_every_element_producer_returns_balanced_residues(p, a, m):
             _assert_balanced(R, R.el_from_str(R.el_to_str(x)), cx)
             _assert_balanced(R, R.el_from_str(",".join(str(u - 3 * q) for u in cx)), cx)
             _assert_balanced(R, R.pow(x, 5))
-            _assert_balanced(R, R.reduce(R.msub(R.mac(R.acc0, x, x), x, R.one)))
+            _assert_balanced(R, R.reduce(R.mac(R.mac(R.zero, x, x), R.neg(x), R.one)))
             if R.pivot_val(x) == 0:
                 _assert_balanced(R, R.inv(x))
             for y in pool[::3]:
@@ -785,14 +786,14 @@ def test_every_element_producer_returns_balanced_residues(p, a, m):
         if isinstance(R, WittRing):
             F = R.residue_field
             for x in pool:
-                _assert_balanced(F, R.reduce_mod_p(x), _coefficients(R, x))
+                _assert_balanced(F, F.balance(x), _coefficients(R, x))
             for u in rng.sample(_field_elements(F), min(6, F.q)):
                 cu = _coefficients(F, u)
                 shifted = cu[0] + 5 * p if a == 1 else tuple(c + 5 * p for c in cu)
                 _assert_balanced(R, R.balance(shifted), _coefficients(R, shifted))
                 t = R.teichmuller(shifted)
                 _assert_balanced(R, t)
-                assert t == R.teichmuller(u) and R.reduce_mod_p(t) == u
+                assert t == R.teichmuller(u) and F.balance(t) == u
 
 
 @pytest.mark.parametrize("m", (1, 2, 64, 300))

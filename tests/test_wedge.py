@@ -260,7 +260,7 @@ def test_wedge_integral_structure_experiment():
 
     def structure(D, r):
         CF, CV = compound(D.MF, r), compound(D.MV, r)
-        content = min((R.pivot_val(x) for nz in CF.nonzero_rows for _, x in nz), default=R.val_cap)
+        content = min((R.pivot_val(x) for nz in CF.nonzero_rows for _, x in nz), default=R.pivot_val(R.zero))
         prI = Matrix.identity(R, CF.rows).scale(R.from_int(R.p**r))
         return content >= r - 1, CF @ matrix_phi(CV) == prI
 
