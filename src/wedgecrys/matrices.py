@@ -12,9 +12,13 @@ local test rings).  The Hessenberg reduction behind
 protocol and share one step on dense rows built on demand: the search for
 an entry of least `pivot_val` (`_least_pivot`) and the row update that
 clears its column (`_eliminate`).  Their inner loops are the ring's row
-kernels (`row_msub`, `dot`, `acc_msub`; see `rings`), which an a = 1 ring
-runs as plain int loops: the ring passed in selects the kernel, and each
-reduction keeps one route.
+kernels (`row_msub`, `settle`, `dot`, `acc_msub`, `least_val`; see
+`rings`), which an a = 1 ring runs as plain int loops: the ring passed in
+selects the kernel, and each reduction keeps one route.  Above one int
+digit of p^m the a = 1 row step leaves its entries unreduced, so a row
+holds any representative of its elements until it is settled: each
+pivot row is settled before the step reads it, and what a reduction
+returns is reduced (by `mul`, `reduce`, `dot` or `settle`).
 Every minor of every order, in `compound` and `stack_minors`, comes from
 one level-by-level Laplace build of the nonzero minors (`_nonzero_minors`),
 each keyed by one int that holds the bitmasks of its row and column
@@ -249,9 +253,15 @@ def _pivot_rows(A: Matrix) -> list:
 
 
 def _least_pivot(R, M, rows, cols):
-    """(v, i, j): the first entry M[i][j] of least `pivot_val` v over the
-    given rows and columns, stopping at a unit (v = 0); v = pivot_val(zero)
-    and i = j = -1 when every entry is zero at the ring's precision."""
+    """(v, i, j): the first entry M[i][j], row by row, of least `pivot_val`
+    v over the given rows and columns; v = pivot_val(zero) and i = j = -1
+    when every entry is zero at the ring's precision.  A single column is
+    searched by the ring's `least_val` (one gcd at a = 1), a rectangle by a
+    scan that stops at the first unit."""
+    if len(cols) == 1:
+        (j,) = cols
+        v, k = R.least_val([M[i][j] for i in rows])
+        return (v, rows[k], j) if k >= 0 else (v, -1, -1)
     pivot_val = R.pivot_val
     bv, bi, bj = pivot_val(R.zero), -1, -1
     for i in rows:
@@ -267,16 +277,21 @@ def _least_pivot(R, M, rows, cols):
 
 def _eliminate(R, M, k, c, v, rows) -> tuple:
     """Clear column c of the given rows by the pivot row k, which is zero
-    left of c and whose entry in c has the least `pivot_val` v: row i
-    loses u = shift_down(x, v) . w times row k, w = inv(shift_down(pivot,
-    v)), which clears x = M[i][c] exactly, so x is set to zero and only
-    the pivot row's nonzeros right of c are subtracted, by the ring's
-    `row_msub`.  The stored zero is read by the Howell back-reduction,
-    which subtracts whole rows.  Returns w, which scales the pivot to p^v,
-    and the pairs (i, u) of the changed rows."""
+    left of c (at the ring's precision) and whose entry in c has the least
+    `pivot_val` v.  The pivot row is settled first: the ring's row step
+    may leave unreduced representatives (an a = 1 ring with a multi-digit
+    modulus does), and with a balanced pivot row and a reduced u each step
+    adds at most c^2/4 to an entry, where an unsettled one would compound.
+    Row i then loses u = shift_down(x, v) . w times row k,
+    w = inv(shift_down(pivot, v)), which clears x = M[i][c] exactly, so x
+    is set to zero and only the pivot row's nonzeros right of c are
+    subtracted, by the ring's `row_msub`.  The stored zero is read by the
+    Howell back-reduction, which subtracts whole rows.  Returns w, which
+    scales the pivot to p^v, and the pairs (i, u) of the changed rows."""
     mul, is_zero, shift_down, row_msub = R.mul, R.is_zero, R.shift_down, R.row_msub
     zero = R.zero
     prow = M[k]
+    R.settle(prow)
     w = R.inv(shift_down(prow[c], v))
     pnz = [(l, y) for l, y in enumerate(prow[c + 1 :], c + 1) if not is_zero(y)]
     ops = []
@@ -304,7 +319,10 @@ def _hessenberg_charpoly(A: Matrix) -> list:
     smaller ones.  Every sum of products, an entry of a row or column
     operation or a coefficient of the recurrence, runs in the ring's
     accumulator through its row kernels (`row_msub`, `dot`, `acc_msub`)
-    and is reduced once.
+    and is reduced once, or, where the row step leaves its entries
+    unreduced, when its row is settled as a pivot row.  The recurrence
+    reads the form only through `mul` and `acc_msub`, whose sums `reduce`
+    ends, so the form needs no final settle.
     """
     R = A.ring
     M = _pivot_rows(A)

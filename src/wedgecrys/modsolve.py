@@ -26,7 +26,9 @@ def _echelon(Z, rows) -> list:
     p^(m - v) row to the unplaced rows if that is nonzero.  The pivot rows
     from column c on span every vector of the span that is zero before c
     (the Howell property); the entries above each pivot are left as the
-    elimination found them.
+    elimination found them.  `_eliminate` settles each pivot row when it
+    is placed, and no later step writes to it, so every row returned is
+    reduced.
     """
     mul, is_zero = Z.mul, Z.is_zero
     M = [list(r) for r in rows]
@@ -54,7 +56,9 @@ def howell_form(Z, rows) -> list:
     (row, c, v) of `_echelon` with each entry above a pivot p^v reduced by
     shift_down(x, v) times the pivot row, which leaves x mod p^v in
     [0, p^v) whatever representative x has; later pivot rows are zero in
-    every earlier pivot column, so reduced entries stay reduced.
+    every earlier pivot column, so reduced entries stay reduced.  The
+    row step may leave entries unreduced, so each row is settled before it
+    is returned.
     """
     is_zero, row_msub, shift_down = Z.is_zero, Z.row_msub, Z.shift_down
     H = _echelon(Z, rows)
@@ -64,6 +68,8 @@ def howell_form(Z, rows) -> list:
             lam = shift_down(row[c], v)
             if not is_zero(lam):
                 row_msub(row, lam, pnz)
+    for row, _, _ in H:
+        Z.settle(row)
     return H
 
 

@@ -26,13 +26,25 @@ serve Q and F_q[t]/(t^e) as they are.  On Z/p^m the accumulator is an int
 reduced once, at the end; at a >= 2 it is the list of the 2a - 1
 convolution coefficients, folded by f only in `reduce`.
 
-Three row kernels run the accumulator along a row, for the eliminations of
-the matrix layer: `row_msub(row, u, pairs)` sets
-row[l] = reduce(row[l] - u y) for each pair (l, y), `dot(t, us, ys)`
-is reduce(t + sum of u y), and `acc_msub(ts, s, ys)` sets
-ts[l] = ts[l] - s ys[l], unreduced.  `_Ring` defines each once over `mac`
-and `reduce`, negating u or s once per call; an a = 1 ring replaces them
-by plain int loops that reduce inline.
+Row kernels run the accumulator along a row, for the eliminations of the
+matrix layer: `row_msub(row, u, pairs)` sets row[l] to row[l] - u y for
+each pair (l, y), as some representative of that element; `settle(row)`
+replaces each entry of a row by the element it stands for; `dot(t, us,
+ys)` is reduce(t + sum of u y); `acc_msub(ts, s, ys)` sets
+ts[l] = ts[l] - s ys[l], unreduced; and `least_val(xs)` is the least
+`pivot_val` over a column and the first index that takes it.  `_Ring`
+defines each once over `mac`, `reduce` and `pivot_val`: its `row_msub`
+reduces, so its `settle` has nothing to do, and `least_val` scans until a
+unit.  An a = 1 ring replaces them by plain int loops.  Its `least_val`
+takes one gcd: gcd(p^m, *xs) = p^v for the least value v, and the entry
+is the first that p^(v+1) does not divide.  Its `row_msub` reduces inline
+while p^m fits one int digit; above that it leaves row[l] - u y
+unreduced (delayed reduction, as in FFLAS-FFPACK: Dumas, Giorgi and
+Pernet, ACM TOMS 2008), and `settle` balances a row.  Rows hold any
+representative between settles, which `pivot_val`, `shift_down`, `inv`,
+`dot`, `least_val` and the next row step all read correctly: `pivot_val`
+is min(v_p(x), m) for every representative x, and `shift_down(x, v)` is
+exact for v <= pivot_val(x).
 
 One element implementation, `_PolynomialQuotient` = (Z/p^m)[x]/(f), serves
 Z/p^m = W(F_p)/p^m, F_q = W(F_q)/p and the Witt rings.  Every integer it
@@ -49,8 +61,10 @@ safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 import operator
 import re
+import sys
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -234,7 +248,18 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
     saves on small moduli; `reduce` keeps it, since the sums it ends are
     often small and negative (a minor -p^k u).  `inv` lifts the inverse mod
     p by Newton steps y <- y (2 - x y), each modulo the next power of p,
-    which costs less than `pow(x, -1, c)`."""
+    which costs less than `pow(x, -1, c)`.
+
+    The row step is chosen here, once, from the modulus.  While c fits one
+    int digit, `row_msub` reduces each entry and `settle` is `_Ring`'s:
+    a one-digit % is cheap, and an unreduced entry would outgrow the digit.
+    Above that, `delayed_row_msub` leaves row[l] - u y unreduced, which
+    stays below c/2 + n c^2/4 in absolute value after n steps when u and
+    the ys are balanced, and `settle` balances a row in place.  There
+    `shift_down` balances x before it divides by p^v > 0, so the quotient,
+    and the row step's multiplier, are those of the balanced residue
+    whatever representative a row holds: every step then matches the
+    reduced one, and so does an echelon form that is not canonical."""
 
     def from_list(s: str):
         x, *rest = [bal(_int_entry(u)) for u in s.split(",")]
@@ -261,13 +286,29 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
         for l, y in pairs:
             row[l] = r - c if (r := (row[l] - u * y) % c) > hi else r
 
+    def delayed_row_msub(row, u, pairs):
+        for l, y in pairs:
+            row[l] -= u * y
+
+    def settle(row):
+        row[:] = [r - c if (r := x % c) > hi else r for x in row]
+
     def dot(t, us, ys):
         return r - c if (r := sum(map(operator.mul, us, ys), t) % c) > hi else r
 
     def acc_msub(ts, s, ys):
         ts[: len(ys)] = [t - s * y for t, y in zip(ts, ys)]
 
-    return {
+    def least_val(xs):
+        g = math.gcd(c, *xs)  # p^v for the least pivot_val v
+        if g == c:
+            return m, -1
+        pg = p * g
+        for i, x in enumerate(xs):
+            if x % pg:
+                return (_vp(g, p, m) if g > 1 else 0), i
+
+    kernels = {
         "from_int": bal,
         "balance": bal,
         "add": lambda x, y: r - c if (r := (x + y) % c) > hi else r,
@@ -279,14 +320,19 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
         "row_msub": row_msub,
         "dot": dot,
         "acc_msub": acc_msub,
+        "least_val": least_val,
         "is_zero": operator.not_,
         "inv": inv,
         "pivot_val": lambda x: 0 if x % p else _vp(x, p, m),
-        "shift_down": lambda x, v: x // p**v,
+        "shift_down": lambda x, v: x // p**v if v else x,
         "random_element": lambda rng: bal(rng.randrange(c)),
         "el_to_str": lambda x: str(x % c),
         "el_from_str": from_list if coefficient_lists else lambda s: bal(_int_entry(s)),
     }
+    if c >> sys.int_info.bits_per_digit:  # more than one int digit
+        kernels.update(row_msub=delayed_row_msub, settle=settle,
+                       shift_down=lambda x, v: bal(x) // p**v if v else x)
+    return kernels
 
 
 # ---------------------------------------------------------------------------
@@ -321,6 +367,10 @@ class _Ring:
         for l, y in pairs:
             row[l] = reduce(mac(row[l], nu, y))
 
+    def settle(self, row):
+        """Replace each entry of row, as `row_msub` left it, by the element
+        it stands for: nothing to do, since `row_msub` above reduces."""
+
     def dot(self, t, us, ys):
         """reduce(t + the sum of u y over the pairs of us and ys), t an
         element or accumulator."""
@@ -337,6 +387,20 @@ class _Ring:
         for l, y in enumerate(ys):
             if not is_zero(y):
                 ts[l] = mac(ts[l], ns, y)
+
+    def least_val(self, xs):
+        """(v, i): the least `pivot_val` v over the entries of xs and the
+        first index i where it is taken, by a scan that stops at a unit;
+        (pivot_val(zero), -1) when every entry is zero."""
+        pivot_val = self.pivot_val
+        bv, bi = pivot_val(self.zero), -1
+        for i, x in enumerate(xs):
+            v = pivot_val(x)
+            if v < bv:
+                bv, bi = v, i
+                if v == 0:
+                    break
+        return bv, bi
 
 
 class _PolynomialQuotient(_Ring):
@@ -458,6 +522,8 @@ class _PolynomialQuotient(_Ring):
         return best
 
     def shift_down(self, x, v: int):
+        if not v:
+            return x
         d = self.p**v
         return tuple([c // d for c in x])
 

@@ -585,6 +585,33 @@ def _status_by_smith(A, i):
     return IdealStatus.UNIT if sigma == 0 else IdealStatus.PROPER_NONZERO
 
 
+@pytest.mark.parametrize("p,a,m", [(3, 1, 12), (3, 1, 64), (5, 1, 64), (3, 2, 12), (5, 2, 64),
+                                   (3, 3, 12), (3, 3, 64)])
+def test_smith_valuations_of_a_compound_are_the_capped_subset_sums(p, a, m):
+    # U A V = diag(p^v_i) for unimodular U and V, and the compound is
+    # multiplicative, so the Smith form of compound(A, r) is the diagonal of
+    # the products p^(v_i1 + ... + v_ir), each zero from p^m on.  Entries are
+    # p^k u, u a unit, with k the sum of a row's and an entry's draw, so some
+    # sums reach the cap at m = 12; at m = 64 and a = 1 the modulus spans
+    # several int digits, so the row step runs unreduced
+    R = make_witt_ring(p, a, m)
+    rng = random.Random(f"smith-compound/{p}/{a}/{m}")
+
+    def unit():
+        while R.pivot_val(x := R.random_element(rng)):
+            pass
+        return x
+
+    for n in (5, 6):
+        for _ in range(3):
+            A = Matrix.from_rows(R, [[R.mul(R.from_int(p ** (k + rng.randrange(4))), unit()) for _ in range(n)]
+                                     for k in [rng.randrange(4) for _ in range(n)]])
+            vals = smith_valuations(A)
+            for r in range(2, min(n, 4) + 1):
+                want = sorted(min(sum(S), m) for S in itertools.combinations(vals, r))
+                assert smith_valuations(compound(A, r)) == want, (R, A, r)
+
+
 def test_witness_matches_brute_force_minor_enumeration():
     rings = [modulus_ring(3, 2), modulus_ring(3, 3), finite_field(3, 2),
              local_test_ring(3, 1, 2), QQ]

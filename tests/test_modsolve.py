@@ -72,7 +72,13 @@ def _unimodular_mix(Z, rows, rng):
             for i in range(k)]
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (3, 4), (5, 3)])
+def _balanced(Z, xs) -> bool:
+    q = Z.p**Z.m
+    return all(-q < 2 * x <= q for x in xs)
+
+
+# 3^40 and 5^64 span several int digits, where the row step runs unreduced
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 2), (3, 4), (5, 3), (3, 40), (5, 64)])
 def test_howell_form_is_canonical(p, m):
     # the Howell form depends on the span alone: a unimodular mix of the
     # rows, and p-multiples and zero rows appended, leave it as it is
@@ -90,6 +96,7 @@ def test_howell_form_is_canonical(p, m):
         for k, (row, c, v) in enumerate(H):
             assert all(Z.is_zero(x) for x in row[:c]) and row[c] == p**v
             assert all(0 <= r[c] < p**v for r, _, _ in H[:k])
+            assert _balanced(Z, row)
 
 
 def test_howell_form_inverts_once_per_pivot():
@@ -106,7 +113,7 @@ def test_howell_form_inverts_once_per_pivot():
         assert len(calls) == len(H)
 
 
-@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 2)])
+@pytest.mark.parametrize("p, m", [(2, 1), (3, 1), (3, 2), (3, 3), (5, 2), (3, 40), (5, 64)])
 def test_kernel_basis_spans_the_howell_kernel(p, m):
     # kernel_basis skips the back-reduction; its span, and so its Howell
     # form, is that of the I blocks of the Howell form of [A^T | I]
@@ -117,4 +124,6 @@ def test_kernel_basis_spans_the_howell_kernel(p, m):
         n = len(A)
         aug = [[row[j] for row in A] + [Z.from_int(int(i == j)) for i in range(n)] for j in range(n)]
         howell_kernel = [row[n:] for row, c, _ in howell_form(Z, aug) if c >= n]
-        assert howell_form(Z, kernel_basis(Z, A)) == howell_form(Z, howell_kernel)
+        gens = kernel_basis(Z, A)
+        assert howell_form(Z, gens) == howell_form(Z, howell_kernel)
+        assert all(_balanced(Z, g) for g in gens)

@@ -648,18 +648,24 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
 
 
 # ---------------------------------------------------------------------------
-# the row kernels: an a = 1 ring runs row_msub, dot and acc_msub as int loops
-# and inverts by a Newton lift, and each must agree with the generic loops
-# over the ring's own accumulator (`_Ring`)
+# the row kernels: an a = 1 ring runs row_msub, dot and acc_msub as int loops,
+# searches a column by one gcd (least_val) and inverts by a Newton lift, and
+# each must agree with the generic loops over the ring's own accumulator
+# (`_Ring`).  Above one int digit the row step leaves its entries unreduced
+# and `settle` balances them, so the rows those kernels read may hold any
+# representative of a class.
 
 
 ROW_KERNEL_RINGS = [
     modulus_ring(3, 5),
+    modulus_ring(3, 18),  # 3^18 < 2^30 <= 3^19: the two sides of one digit
+    modulus_ring(3, 19),
     make_witt_ring(3, 1, 64),
     make_witt_ring(5, 1, 64),
     finite_field(3),
     finite_field(2),  # even modulus: c = 2, hi = 1, lo = 0
 ]
+ROW_LENGTH = 9
 
 
 def _int_residues(R):
@@ -675,23 +681,60 @@ def _int_residues(R):
     return st.one_of(st.sampled_from((lo, hi, 0)), shifted, st.integers(lo, hi))
 
 
-@settings(max_examples=200, deadline=None)
+def _int_representatives(R):
+    """Any integer representative a row entry may hold between two settles:
+    a balanced residue, +-c, a multiple k c, or a residue moved by up to
+    n c^2 / 4, the most that n unreduced row steps add."""
+    q = R.p**R.m
+    far = ROW_LENGTH * q // 4
+    return st.one_of(
+        _int_residues(R),
+        st.sampled_from((q, -q)),
+        st.builds(lambda k: k * q, st.integers(-far * q, far * q)),
+        st.builds(lambda x, k: x + k * q, _int_residues(R), st.integers(-far, far)),
+        st.builds(lambda x, s: x + s * far * q, _int_residues(R), st.sampled_from((1, -1))),
+    )
+
+
+def _least_by_scan(R, xs):
+    """(v, i) off the pivot_val of each entry: the least value and its first
+    index, (m, -1) when every entry is zero mod p^m."""
+    vals = [R.pivot_val(x) for x in xs]
+    v = min(vals, default=R.m)
+    return (v, vals.index(v)) if v < R.m else (R.m, -1)
+
+
+@settings(max_examples=300, deadline=None)
 @given(R=st.sampled_from(ROW_KERNEL_RINGS), data=st.data())
 def test_a1_row_kernels_and_inverse_match_the_generic_definitions(R, data):
-    el = _int_residues(R)
-    row = data.draw(st.lists(el, max_size=9))
+    q = R.p**R.m
+    hi = q // 2
+    lo = hi - q + 1
+    el, rep = _int_residues(R), _int_representatives(R)
+    # the row may hold unreduced entries; u and the pivot row's ys are
+    # balanced, as `_eliminate` passes them
+    row = data.draw(st.lists(rep, max_size=ROW_LENGTH))
     n = len(row)
     cols = sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n))) if n else []
     ys = data.draw(st.lists(el, min_size=len(cols), max_size=len(cols)))
     pairs = list(zip(cols, ys))
     u, t = data.draw(el), data.draw(el)
 
+    # the row step, class by class, and the same elements once settled
     got, want = list(row), list(row)
     R.row_msub(got, u, pairs)
     _Ring.row_msub(R, want, u, pairs)
-    assert got == want
+    assert [x % q for x in got] == [x % q for x in want]
+    R.settle(got)
+    assert all(got[l] == want[l] for l in cols)  # the generic step reduces
+    # settle keeps every class and balances each entry it changes
+    settled = list(row)
+    R.settle(settled)
+    assert [x % q for x in settled] == [x % q for x in row]
+    assert all(y == x or lo <= y <= hi for x, y in zip(row, settled))
 
     assert R.dot(t, row[: len(ys)], ys) == _Ring.dot(R, t, row[: len(ys)], ys)
+    assert R.dot(t, ys, row[: len(ys)]) == _Ring.dot(R, t, ys, row[: len(ys)])
     assert R.dot(R.zero, [], []) == R.zero
 
     got, want = list(row), list(row)
@@ -699,15 +742,38 @@ def test_a1_row_kernels_and_inverse_match_the_generic_definitions(R, data):
     _Ring.acc_msub(R, want, u, ys)
     assert [R.reduce(x) for x in got] == [R.reduce(x) for x in want]
 
-    q = R.p**R.m
+    # the one-gcd column search picks the entry a pivot_val scan picks
+    assert R.least_val(row) == _Ring.least_val(R, row) == _least_by_scan(R, row)
+
     for x in row + [u, t]:
-        if R.pivot_val(x):
+        v = R.pivot_val(x)
+        assert R.shift_down(x, 0) is x
+        assert R.shift_down(R.balance(x), v) == R.balance(x) // R.p**v
+        assert (R.shift_down(x, v) * R.p**v - x) % q == 0
+        if v and q >= 1 << 30:
+            # where rows hold unreduced entries, the quotient is that of the
+            # balanced residue, so the row step's multiplier is too
+            assert R.shift_down(x, v) == R.balance(x) // R.p**v
+        if v:
             with pytest.raises(ZeroDivisionError):
                 R.inv(x)
         else:
             y = R.inv(x)
             assert y == R.balance(pow(x, -1, q))
             assert y == _newton_inverse(R, x, R.from_int(pow(x, -1, R.p)), R.m)
+
+
+def test_the_a1_row_step_delays_its_reduction_exactly_above_one_int_digit():
+    # a one-digit % is cheap, so below 2^30 the step reduces; above, it
+    # leaves row[l] - u y as it is
+    for R in ROW_KERNEL_RINGS:
+        q = R.p**R.m
+        hi = q // 2
+        row = [hi]
+        R.row_msub(row, -hi, [(0, hi)])
+        assert (row[0] == hi + hi * hi) == (q >= 1 << 30), R
+        R.settle(row)
+        assert row == [R.balance(hi + hi * hi)], R
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -14,7 +15,7 @@ from wedgecrys.dieudonne import (
     slopes,
 )
 from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted
-from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular
+from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular, smith_valuations
 from wedgecrys.rings import make_witt_ring
 from wedgecrys.wedge import (
     graded_vector,
@@ -250,6 +251,33 @@ def test_wedge_functoriality_under_conjugation():
         CU = compound(U, r)
         rhs = CU @ compound(D.MF, r) @ invert_unimodular(matrix_phi(CU))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("a,m", [(1, 64), (2, 80), (3, 100)])
+def test_newton_polygon_of_dense_wedges_lies_on_or_above_the_hodge_polygon(a, m):
+    # Mazur's inequality (Mazur, "Frobenius and the Hodge filtration", 1972;
+    # Katz 1979): for F = M o phi the Newton polygon lies on or above the
+    # Hodge polygon, whose slopes are the Smith valuations of M, with the
+    # same end point v_p(det M).  slopes() reports p^-shift M o phi, so the
+    # shift is added back.  The crystal is a dense conjugate of the sum of
+    # slopes 1/2, 2/3 and 0, so no polygon is a single segment; m exceeds
+    # the det valuation of the third wedge's twisted power, 30 a.
+    R = make_witt_ring(3, a, m)
+    rng = random.Random(f"mazur/{a}")
+    D = make_standard(descriptor(2, 1), R)
+    for b in (descriptor(3, 1), descriptor("mu")):
+        D = direct_sum(D, make_standard(b, R))
+    L, U = ([[R.one if i == j else R.random_element(rng) if (j < i) == lower else R.zero
+              for j in range(D.h)] for i in range(D.h)] for lower in (True, False))
+    C = semilinear_conjugate(D, Matrix.from_rows(R, L) @ Matrix.from_rows(R, U)).to_isocrystal()
+    assert all(len(nz) == C.rank for nz in C.matrix.nonzero_rows)
+    for r in (1, 2, 3):
+        W = wedge_isocrystal(C, r)
+        newton = list(itertools.accumulate((s + W.shift for s in slopes(W).expanded()), initial=0))
+        hodge = list(itertools.accumulate(smith_valuations(W.matrix), initial=0))
+        assert len(newton) == len(hodge) == W.rank + 1 and hodge[-1] < m
+        assert all(x >= y for x, y in zip(newton, hodge)) and newton[-1] == hodge[-1], (a, r)
+        assert newton != hodge
 
 
 def test_wedge_integral_structure_experiment():
