@@ -10,11 +10,12 @@ local test rings).  The Hessenberg reduction behind
 `charpoly` (and `det`, the sign-adjusted constant term), Smith reduction,
 `invert_unimodular` and the Howell form of `modsolve` need the pivot
 protocol and share one step on dense rows built on demand: the search for
-an entry of least `pivot_val` (`_least_pivot`) and the row update that
-clears its column (`_eliminate`).  Their inner loops are the ring's row
-kernels (`row_msub`, `settle`, `dot`, `acc_msub`, `least_val`; see
-`rings`), which an a = 1 ring runs as plain int loops: the ring passed in
-selects the kernel, and each reduction keeps one route.  Above one int
+an entry of least `pivot_val` (`_least_pivot`), one `least_val` over a
+column or a rectangle alike, and the row update that clears its column
+(`_eliminate`).  Their inner loops are the ring's row kernels
+(`row_msub`, `settle`, `dot`, `acc_msub`, `least_val`; see `rings`),
+which an a = 1 ring runs as plain int loops: the ring passed in selects
+the kernel, and each reduction keeps one route.  Above one int
 digit of p^m the a = 1 row step leaves its entries unreduced, so a row
 holds any representative of its elements until it is settled: each
 pivot row is settled before the step reads it, and what a reduction
@@ -255,24 +256,15 @@ def _pivot_rows(A: Matrix) -> list:
 def _least_pivot(R, M, rows, cols):
     """(v, i, j): the first entry M[i][j], row by row, of least `pivot_val`
     v over the given rows and columns; v = pivot_val(zero) and i = j = -1
-    when every entry is zero at the ring's precision.  A single column is
-    searched by the ring's `least_val` (one gcd at a = 1), a rectangle by a
-    scan that stops at the first unit."""
-    if len(cols) == 1:
-        (j,) = cols
-        v, k = R.least_val([M[i][j] for i in rows])
-        return (v, rows[k], j) if k >= 0 else (v, -1, -1)
-    pivot_val = R.pivot_val
-    bv, bi, bj = pivot_val(R.zero), -1, -1
-    for i in rows:
-        row = M[i]
-        for j in cols:
-            v = pivot_val(row[j])
-            if v < bv:
-                bv, bi, bj = v, i, j
-                if v == 0:
-                    return bv, bi, bj
-    return bv, bi, bj
+    when every entry is zero at the ring's precision.  The region's entries
+    go, row by row, to one call of the ring's `least_val` (one gcd at a = 1,
+    a scan to the first unit otherwise), and the index it returns is mapped
+    back to (i, j)."""
+    v, k = R.least_val([M[i][j] for i in rows for j in cols])
+    if k < 0:
+        return v, -1, -1
+    i, j = divmod(k, len(cols))
+    return v, rows[i], cols[j]
 
 
 def _eliminate(R, M, k, c, v, rows) -> tuple:
@@ -493,11 +485,13 @@ def smith_valuations(A: Matrix) -> list:
 
     Available on local rings carrying the pivot protocol; the list has
     min(rows, cols) entries, sorted ascending, with pivot_val(zero) meaning
-    a zero diagonal entry.  Pivots on a minimum-valuation entry; elimination
-    multipliers are exact because every remaining entry has valuation >=
-    the pivot's.  Row/column operations are unimodular, so the
-    determinantal ideals (hence statuses, rank, cokernel shape) of the
-    input are those of the diagonal.
+    a zero diagonal entry.  Each step pivots on the first entry, row by
+    row, of least valuation in the rectangle left, found by one
+    `_least_pivot` (one gcd at a = 1); elimination multipliers are exact
+    because every remaining entry has valuation >= the pivot's.
+    Row/column operations are unimodular, so the determinantal ideals
+    (hence statuses, rank, cokernel shape) of the input are those of the
+    diagonal.
     """
     R = A.ring
     M = _pivot_rows(A)

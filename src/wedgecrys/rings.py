@@ -32,10 +32,10 @@ each pair (l, y), as some representative of that element; `settle(row)`
 replaces each entry of a row by the element it stands for; `dot(t, us,
 ys)` is reduce(t + sum of u y); `acc_msub(ts, s, ys)` sets
 ts[l] = ts[l] - s ys[l], unreduced; and `least_val(xs)` is the least
-`pivot_val` over a column and the first index that takes it.  `_Ring`
-defines each once over `mac`, `reduce` and `pivot_val`: its `row_msub`
-reduces, so its `settle` has nothing to do, and `least_val` scans until a
-unit.  An a = 1 ring replaces them by plain int loops.  Its `least_val`
+`pivot_val` over a list of entries (a column, or a rectangle read row by
+row) and the first index that takes it.  `_Ring` defines each once over
+`mac`, `reduce` and `pivot_val`: its `row_msub` reduces, so its `settle`
+has nothing to do, and `least_val` scans until a unit.  An a = 1 ring replaces them by plain int loops.  Its `least_val`
 takes one gcd: gcd(p^m, *xs) = p^v for the least value v, and the entry
 is the first that p^(v+1) does not divide.  Its `row_msub` reduces inline
 while p^m fits one int digit; above that it leaves row[l] - u y

@@ -11,13 +11,13 @@ from wedgecrys.dieudonne import descriptor, isocrystal_to_json, make_standard
 from wedgecrys.rings import make_witt_ring
 
 
-def run_cli(args):
+def run_cli(args, stdin=None):
     cmd = [sys.executable, "-m", "wedgecrys.cli", *args]
     env = {"PATH": "/usr/bin:/bin"}
     for var in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
         if var in os.environ:
             env[var] = os.environ[var]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, input=stdin)
 
 
 IDENTITY4 = json.dumps(
@@ -367,3 +367,63 @@ def test_out_option_is_refused(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.count("\n") == 1 and "--out" in captured.err
     assert not target.exists()
+
+
+# -- --in: a file path, '-' for stdin, or inline JSON ----------------------------
+
+_LT2 = json.dumps(isocrystal_to_json(make_standard(descriptor("LT_2"), make_witt_ring(3, 1, 6)).to_isocrystal()))
+
+
+@pytest.mark.parametrize(
+    "verb, payload",
+    [(["compound", "--d", "2"], IDENTITY4), (["rank"], IDENTITY4), (["slopes"], _LT2)],
+    ids=["compound", "rank", "slopes"],
+)
+def test_in_reads_a_file_or_stdin_as_it_reads_inline_json(tmp_path, verb, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(payload, encoding="utf-8")
+    inline = run_cli([verb[0], "--in", payload, *verb[1:]])
+    assert inline.returncode == 0 and inline.stderr == "" and inline.stdout
+    for args, stdin in (([str(path)], None), (["-"], payload)):
+        got = run_cli([verb[0], "--in", *args, *verb[1:]], stdin=stdin)
+        assert (got.returncode, got.stdout, got.stderr) == (0, inline.stdout, ""), args
+
+
+def _refused_by_subprocess(args, stdin=None):
+    res = run_cli(args, stdin=stdin)
+    assert res.returncode == 2, res
+    assert res.stdout == ""
+    assert res.stderr.count("\n") == 1 and "Traceback" not in res.stderr, res.stderr
+    return res.stderr
+
+
+def test_in_refuses_an_unreadable_path(tmp_path):
+    for path in (tmp_path / "missing.json", tmp_path):  # absent, and a directory
+        assert f"cannot read {path}" in _refused_by_subprocess(["rank", "--in", str(path)])
+
+
+def test_in_refuses_invalid_json_from_each_source(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json", encoding="utf-8")
+    for args, stdin in (([str(path)], None), (["-"], "{not json"), (["{not json"], None)):
+        assert "invalid JSON" in _refused_by_subprocess(["rank", "--in", *args], stdin=stdin)
+
+
+_ISO = json.loads(_LT2)
+
+
+@pytest.mark.parametrize(
+    "payload, says",
+    [
+        ([1, 2], "must be an object"),
+        ({**_ISO, "schema": "v2"}, "schema version"),
+        ({k: v for k, v in _ISO.items() if k != "shift"}, "missing 'shift'"),
+        ({**_ISO, "m": 7}, "does not match the isocrystal's p, a, m"),
+        ({**_ISO, "p": 5}, "does not match the isocrystal's p, a, m"),
+        ({**_ISO, "rank": 3}, "does not match 'rank'"),
+    ],
+    ids=["non-object", "schema", "missing-field", "ring-m", "ring-p", "rank"],
+)
+def test_slopes_refuses_a_malformed_isocrystal_payload(payload, says):
+    # through stdin: a payload that is not an object is not inline JSON
+    assert says in _refused_by_subprocess(["slopes", "--in", "-"], stdin=json.dumps(payload))

@@ -183,6 +183,15 @@ def test_dimension_additivity_under_direct_sum():
     assert s.h == 2 and dimension(s) == 1
 
 
+def test_direct_sum_refuses_summands_over_different_rings():
+    D1 = make_standard(descriptor("mu"), make_witt_ring(3, 2, 4))
+    for R in (make_witt_ring(3, 2, 5), make_witt_ring(3, 1, 4), make_witt_ring(5, 2, 4)):
+        D2 = make_standard(descriptor("LT_2"), R)
+        for pair in ((D1, D2), (D2, D1)):
+            with pytest.raises(RingMismatch):
+                direct_sum(*pair)
+
+
 def test_slopes_examples():
     R = make_witt_ring(3, 1, 8)
     assert slopes(make_standard(descriptor("mu"), R)).segments == ((Fraction(0), 1),)

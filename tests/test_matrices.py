@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import tracemalloc
 
@@ -10,6 +11,7 @@ from wedgecrys.errors import DimensionMismatch, SchemaError, UnsupportedRing
 from wedgecrys.matrices import (
     IdealStatus,
     Matrix,
+    _least_pivot,
     _statuses,
     block_diag,
     charpoly,
@@ -33,6 +35,7 @@ from wedgecrys.rings import (
     make_witt_ring,
     modulus_ring,
 )
+from wedgecrys.wedge import slope_precision
 
 
 # -- independent oracles ------------------------------------------------------
@@ -914,3 +917,120 @@ def test_standard_wedge_minors_are_signed_powers_of_p():
     assert len(entries) == C.rows == 924
     assert all(abs(x) == 3 ** _int_val(x, 3, R.m) for x in entries)
     assert {x > 0 for x in entries} == {True, False}
+
+
+# -- the pivot search ----------------------------------------------------------
+
+
+def _first_least_entry(R, M, rows, cols):
+    """(v, i, j) off the pivot_val of each entry, row by row: the first entry
+    of least value, (pivot_val(zero), -1, -1) when every entry is zero."""
+    best = (R.pivot_val(R.zero), -1, -1)
+    for i in rows:
+        for j in cols:
+            if (v := R.pivot_val(M[i][j])) < best[0]:
+                best = (v, i, j)
+    return best
+
+
+PIVOT_SEARCH_RINGS = [
+    pytest.param(modulus_ring(3, 3), id="Z/27"),
+    pytest.param(finite_field(5), id="F5"),
+    pytest.param(make_witt_ring(3, 1, 64), id="W(F3)/3^64"),
+    pytest.param(make_witt_ring(3, 2, 12), id="W(F9)/3^12"),
+    pytest.param(make_witt_ring(5, 3, 6), id="W(F125)/5^6"),
+    pytest.param(QQ, id="Q"),
+    pytest.param(local_test_ring(3, 2, 4), id="F9[t]/(t^4)"),
+]
+
+
+@pytest.mark.parametrize("R", PIVOT_SEARCH_RINGS)
+def test_least_pivot_is_the_first_entry_of_least_value_row_by_row(R):
+    # entries u pi^k for a random u and a uniformiser pi (t on F_q[t]/(t^e);
+    # zero on Q, whose cap is 1), so values tie and zeros are common; at
+    # W(F3)/3^64 the modulus spans several int digits and rows hold any
+    # representative between settles, so each entry gets a multiple of p^m
+    rng = random.Random(f"least-pivot/{R!r}")
+    cap = R.pivot_val(R.zero)
+    if R is QQ:
+        pi = R.zero
+    elif hasattr(R, "e"):  # F_q[t]/(t^e)
+        pi = (R.base.zero, R.base.one) + (R.base.zero,) * (R.e - 2)
+    else:
+        pi = R.from_int(R.p)
+    unreduced = R == make_witt_ring(3, 1, 64)
+
+    def entry(least):
+        x = R.random_element(rng)
+        for _ in range(least + rng.randrange(cap + 1)):
+            x = R.mul(x, pi)
+        return x + rng.randrange(-3, 4) * R.p**R.m if unreduced else x
+
+    for _ in range(40):
+        n = rng.randrange(1, 7)
+        least = rng.choice((0, 1, cap))  # cap: every entry zero
+        M = [[entry(least) for _ in range(n)] for _ in range(n)]
+        r0, c0 = rng.randrange(n), rng.randrange(n)
+        for rows, cols in ((range(r0, n), range(c0, n)), (range(r0, n), (c0,)),
+                           (list(range(n))[::-1], range(n))):
+            got = _least_pivot(R, M, rows, cols)
+            assert got == _first_least_entry(R, M, rows, cols), (M, rows, cols)
+            assert (got[1] < 0) == (got[0] == cap)
+
+
+# -- monomial minors -------------------------------------------------------------
+
+
+def _monomial_compound(R, sigma, a, d):
+    """The nonzero rows of compound(A, d) for the monomial A with
+    A[i, sigma(i)] = a[i], off the closed form: the minor on rows S is
+    sign(sigma|S) prod_{i in S} a_i, at the columns sigma(S), the sign that
+    of the inversions of (sigma(s) for s in S), S ascending."""
+    pos = {T: k for k, T in enumerate(index_subsets(len(sigma), d))}
+    rows = []
+    for S in index_subsets(len(sigma), d):
+        image = [sigma[s] for s in S]
+        x = R.one
+        for s in S:
+            x = R.mul(x, a[s])
+        if sum(u > w for k, u in enumerate(image) for w in image[k + 1 :]) & 1:
+            x = R.neg(x)
+        rows.append(() if R.is_zero(x) else ((pos[tuple(sorted(image))], x),))
+    return rows
+
+
+def _monomial(R, sigma, a):
+    return Matrix.from_nonzero_rows(R, len(sigma), [[(s, x)] if not R.is_zero(x) else []
+                                                     for s, x in zip(sigma, a)])
+
+
+@pytest.mark.parametrize("h,r", [(14, 7), (18, 9)])
+def test_compound_of_a_standard_frobenius_is_the_monomial_closed_form(h, r):
+    # the scale rows of the wedge report: 3432 and 48620 minors, each the
+    # only nonzero of its row
+    R = make_witt_ring(3, 1, slope_precision(h, 1, r, 1))
+    MF = make_standard(descriptor(h, 1), R).MF
+    sigma, a = zip(*(nz[0] for nz in MF.nonzero_rows))
+    assert MF == _monomial(R, sigma, a)
+    got, want = compound(MF, r).nonzero_rows, _monomial_compound(R, sigma, a, r)
+    # name the first rows that differ: a diff of 48620 rows is unreadable
+    assert len(got) == len(want) == math.comb(h, r)
+    assert [k for k, (x, y) in enumerate(zip(got, want)) if x != y][:3] == []
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_compound_of_a_random_monomial_matrix_is_the_closed_form(a):
+    # entries p^k u, u a unit, some p^k beyond the cap, so some minors vanish
+    R = make_witt_ring(3, a, 6)
+    rng = random.Random(f"monomial-minors/{a}")
+    for n in range(1, 8):
+        for _ in range(3):
+            sigma = list(range(n))
+            rng.shuffle(sigma)
+            entries = []
+            while len(entries) < n:
+                if R.pivot_val(x := R.random_element(rng)) == 0:
+                    entries.append(R.mul(R.from_int(3 ** rng.randrange(8)), x))
+            A = _monomial(R, sigma, entries)
+            for d in range(1, n + 1):
+                assert list(compound(A, d).nonzero_rows) == _monomial_compound(R, sigma, entries, d), (A, d)
