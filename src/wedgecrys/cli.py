@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .campaigns import CAMPAIGNS, run_campaign
@@ -38,10 +39,19 @@ EXIT_CHECK_FAILED = 5
 # with that m directly.
 WEDGE_PRECISION_LIMIT = 1 << 19
 
+# The entries a compound payload may ask for: the wire format is dense, so
+# `compound --d d` of an n x n payload writes C(n, d)^2 entries however
+# sparse the input.  Measured in fresh processes on random entries over
+# Z/3^4: 10 x 10 at d = 5 (63,504 entries) took 0.5 s at 31 MiB peak RSS,
+# 12 x 12 at d = 6 (853,776) 7.4 s at 233 MiB, and 13 x 13 at d = 6
+# (2,944,656, from 1.3 KB of JSON) 25 s at 751 MiB, which is refused here.
+COMPOUND_ENTRY_LIMIT = 1 << 20
+
 
 def _read_payload(source: str):
-    """--in accepts a file path, '-' for stdin, or inline JSON."""
-    if source.lstrip().startswith("{"):
+    """--in accepts a file path, '-' for stdin, or inline JSON (an object
+    or an array, which the payload readers then refuse)."""
+    if source.lstrip().startswith(("{", "[")):
         text = source
     elif source == "-":
         text = sys.stdin.read()
@@ -113,6 +123,13 @@ def main(argv=None) -> int:
     try:
         if args.verb == "compound":
             A = matrix_from_json(_read_payload(args.src))
+            if A.is_square and 1 <= args.d <= A.rows:  # compound refuses any other
+                N = math.comb(A.rows, args.d) ** 2
+                if N > COMPOUND_ENTRY_LIMIT:
+                    raise WedgecrysError(
+                        f"compound --d {args.d} of a {A.rows} x {A.rows} matrix has {N} entries, "
+                        f"above the limit {COMPOUND_ENTRY_LIMIT}"
+                    )
             _emit(matrix_to_json(compound(A, args.d)))
             return EXIT_OK
 

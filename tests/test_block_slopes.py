@@ -481,13 +481,23 @@ def test_mixed_crystal_runs_charpoly_on_the_non_cycle_block_only(monkeypatch):
         assert {Fraction(1, 3) - 1, Fraction(2) - 1, Fraction(3, 2) - 1} <= set(dict(got.segments))
 
 
-def test_one_component_reaches_charpoly_with_its_own_matrix(monkeypatch):
+def _unit_entry(rng, a):
+    """A nonzero entry over W(F_{3^a})/3^30, as _element reads it."""
+    if a == 1:
+        return rng.randrange(1, 3**30)
+    return tuple(rng.randrange(1, 3**30) for _ in range(a))
+
+
+@pytest.mark.parametrize("a", [1, 2, 3])
+def test_one_component_reaches_charpoly_with_its_own_matrix(monkeypatch, a):
+    # a dense crystal over W(F_{3^a})/3^30 is one block, read as the
+    # principal submatrix on all of its indices
     rng = random.Random(5)
-    R = modulus_ring(3, 30)
+    R = make_witt_ring(3, a, 30)
     n = 6
-    C = _crystal(R, [[rng.randrange(1, 3**30) for _ in range(n)] for _ in range(n)])
+    C = _crystal(R, [[_unit_entry(rng, a) for _ in range(n)] for _ in range(n)])
     assert len(_strong_components(C.matrix)) == 1
     calls = _recording_charpoly(monkeypatch)
     got = slopes(C)
-    assert len(calls) == 1 and calls[0] is C.matrix
+    assert len(calls) == 1 and calls[0] == twisted_power_matrix(C)
     assert got == unsplit_slopes(C)

@@ -1,23 +1,25 @@
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 
 import pytest
 
-from wedgecrys import wedge
+from wedgecrys import cli, wedge
 from wedgecrys.cli import main
 from wedgecrys.dieudonne import descriptor, isocrystal_to_json, make_standard
 from wedgecrys.rings import make_witt_ring
 
 
-def run_cli(args, stdin=None):
+def run_cli(args, stdin=None, **kw):
     cmd = [sys.executable, "-m", "wedgecrys.cli", *args]
     env = {"PATH": "/usr/bin:/bin"}
     for var in ("PYTHONPATH", "PYTHONDONTWRITEBYTECODE"):
         if var in os.environ:
             env[var] = os.environ[var]
-    return subprocess.run(cmd, capture_output=True, text=True, env=env, input=stdin)
+    return subprocess.run(cmd, capture_output=True, text=True, env=env, input=stdin, **kw)
 
 
 IDENTITY4 = json.dumps(
@@ -425,5 +427,45 @@ _ISO = json.loads(_LT2)
     ids=["non-object", "schema", "missing-field", "ring-m", "ring-p", "rank"],
 )
 def test_slopes_refuses_a_malformed_isocrystal_payload(payload, says):
-    # through stdin: a payload that is not an object is not inline JSON
     assert says in _refused_by_subprocess(["slopes", "--in", "-"], stdin=json.dumps(payload))
+
+
+@pytest.mark.parametrize(
+    "verb, kind", [(["slopes"], "isocrystal"), (["compound", "--d", "2"], "matrix")], ids=["slopes", "compound"]
+)
+def test_inline_array_is_read_as_json_and_refused(verb, kind):
+    for inline in ("[1, 2]", "  [1, 2]"):
+        err = _refused_by_subprocess([verb[0], "--in", inline, *verb[1:]])
+        assert err == f"schema error: {kind} payload must be an object\n"
+
+
+# -- compound: the dense wire format is bounded ------------------------------
+
+
+@pytest.mark.parametrize("limit, code", [(35, 2), (36, 0)])
+def test_compound_entry_limit_is_inclusive(capsys, monkeypatch, limit, code):
+    # 4 x 4 at d = 2 writes C(4, 2)^2 = 36 entries
+    monkeypatch.setattr(cli, "COMPOUND_ENTRY_LIMIT", limit)
+    if code:
+        err = _refused(capsys, ["compound", "--in", IDENTITY4, "--d", "2"])
+        assert "36 entries" in err and f"limit {limit}" in err
+    else:
+        assert main(["compound", "--in", IDENTITY4, "--d", "2"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["entries"]) == 36
+
+
+def _address_space_512_mib():
+    resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+
+
+def test_compound_above_the_entry_limit_is_refused_before_any_minor():
+    # 16 x 16 at d = 8 asks for C(16, 8)^2 = 165,636,900 entries; a refusal
+    # that regressed hits the address-space bound or the timeout, not swap
+    rng = random.Random(3)
+    payload = json.dumps(
+        {"schema": "v1", "ring": {"kind": "Zpm", "p": 3, "m": 4}, "rows": 16, "cols": 16,
+         "entries": [str(rng.randrange(81)) for _ in range(256)]}
+    )
+    res = run_cli(["compound", "--in", payload, "--d", "8"], preexec_fn=_address_space_512_mib, timeout=60)
+    assert (res.returncode, res.stdout) == (2, ""), res.stderr
+    assert res.stderr == f"error: compound --d 8 of a 16 x 16 matrix has 165636900 entries, above the limit {1 << 20}\n"
