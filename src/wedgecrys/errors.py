@@ -28,8 +28,10 @@ class BadDescriptor(WedgecrysError):
 class PrecisionExhausted(WedgecrysError):
     """A value is indistinguishable from 0 at working precision.
 
-    ``required_m`` carries the smallest precision known to suffice, when
-    the caller can compute one.
+    ``required_m``, when the caller can compute one, is the least precision
+    that suffices where it is known (`wedge_report`'s floor) and otherwise
+    only a lower bound: `slopes`' determinant guard reports m + 1, and a
+    retry at that precision may be refused again.
     """
 
     def __init__(self, message: str, required_m: int | None = None):

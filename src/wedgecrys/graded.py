@@ -316,22 +316,26 @@ class StarHomElement:
         )
         return StarHomElement(self.source, self.target, self.grade, rows)
 
-    def scale(self, poly, extra_grade: int) -> "StarHomElement":
-        """Multiply by a homogeneous polynomial of degree extra_grade."""
+    def scale(self, poly) -> "StarHomElement":
+        """Multiply by a homogeneous polynomial, which raises the grade by its
+        degree; NotGraded if poly is 0 or mixes degrees."""
         ring = self.source.ring
+        d = ring.homogeneous_degree(poly)
+        if d is None:
+            raise NotGraded("the zero polynomial has no degree")
         rows = tuple(tuple(ring.mul(poly, e) for e in row) for row in self.matrix)
-        return StarHomElement(self.source, self.target, self.grade + extra_grade, rows)
+        return StarHomElement(self.source, self.target, self.grade + d, rows)
 
 
+@dataclass(frozen=True)
 class ThetaMap:
     """Image of an r-linear graded map under currying: an (r-1)-linear map
     whose values are grade-(sum of prefix generator degrees) *Hom elements."""
 
-    def __init__(self, sources_prefix, last_source, target, table):
-        self.sources_prefix = tuple(sources_prefix)
-        self.last_source = last_source
-        self.target = target
-        self.table = table  # prefix generator tuple -> StarHomElement
+    sources_prefix: tuple
+    last_source: FreeGradedModule
+    target: FreeGradedModule
+    table: dict  # prefix generator tuple -> StarHomElement
 
 
 def theta(tau: GradedMultilinearMap) -> ThetaMap:
@@ -407,66 +411,43 @@ def _laurent_scale_f(f_exp, coords, k: int):
                  for coord in coords)
 
 
-class ChartHom:
+def chart_hom(phi: StarHomElement, f, coords):
     """Degree-0 localization of a grade-(n d) morphism on the chart of a
-    degree-d monomial f: sends the class of m/f^i to phi(m)/f^{n+i}."""
-
-    def __init__(self, phi: StarHomElement, f):
-        ring = phi.source.ring
-        self.phi = phi
-        self.ring = ring
-        self.f_exp = _monomial_exp(ring, f)
-        d = ring.mono_degree(self.f_exp)
-        if phi.grade % d != 0:
-            raise GradeMismatch(f"grade {phi.grade} not a multiple of deg f = {d}")
-        self.n = phi.grade // d
-
-    def apply(self, coords):
-        k, polys = _clear_denominators(self.ring, self.f_exp, coords)
-        return _laurent_scale_f(self.f_exp, self.phi.apply(polys), -(self.n + k))
+    degree-d monomial f, applied to a section: the class of m/f^i goes to
+    phi(m)/f^{n+i}."""
+    ring = phi.source.ring
+    f_exp = _monomial_exp(ring, f)
+    d = ring.mono_degree(f_exp)
+    if phi.grade % d != 0:
+        raise GradeMismatch(f"grade {phi.grade} not a multiple of deg f = {d}")
+    k, polys = _clear_denominators(ring, f_exp, coords)
+    return _laurent_scale_f(f_exp, phi.apply(polys), -(phi.grade // d + k))
 
 
-class ChartMultilinear:
-    """Chart-level multilinear map computed along two routes.
+def chart_multilinear(tau: GradedMultilinearMap, f, args):
+    """The chart-level value of tau on the sections args, computed along two
+    routes and returned as (direct, via).
 
     Route one localizes tau directly (clear all denominators, apply, divide
     back).  Route two composes currying, *Hom localization and evaluation.
-    `evaluate_both` returns both so that a caller can compare them: their
-    agreement is the induction step being checked, not assumed.
+    A caller compares the two: their agreement is the induction step being
+    checked, not assumed.
     """
-
-    def __init__(self, tau: GradedMultilinearMap, f):
-        self.tau = tau
-        self.ring = tau.ring
-        self.f = f
-        self.f_exp = _monomial_exp(self.ring, f)
-        self._theta = theta(tau)
-
-    def _direct(self, args):
-        cleared = [_clear_denominators(self.ring, self.f_exp, coords) for coords in args]
-        val = self.tau.evaluate([polys for _, polys in cleared])
-        return _laurent_scale_f(self.f_exp, val, -sum(k for k, _ in cleared))
-
-    def _via_theta(self, args):
-        ring = self.ring
-        polys = [_clear_denominators(ring, self.f_exp, coords)[1] for coords in args[:-1]]
-        # assemble psi = sum over prefix generator tuples of c_t . Theta(tau)(t)
-        psi = None
-        for prefix, star_hom in self._theta.table.items():
-            coeff = _coefficient(ring, polys, prefix)
-            if not coeff:
-                continue
-            term = star_hom.scale(coeff, ring.homogeneous_degree(coeff))
+    ring = tau.ring
+    f_exp = _monomial_exp(ring, f)
+    table = theta(tau).table
+    cleared = [_clear_denominators(ring, f_exp, coords) for coords in args]
+    polys = [p for _, p in cleared]
+    direct = _laurent_scale_f(f_exp, tau.evaluate(polys), -sum(k for k, _ in cleared))
+    # assemble psi = sum over prefix generator tuples of c_t . Theta(tau)(t)
+    psi = None
+    for prefix, star_hom in table.items():
+        coeff = _coefficient(ring, polys[:-1], prefix)
+        if coeff:
+            term = star_hom.scale(coeff)
             psi = term if psi is None else psi.add(term)
-        if psi is None:
-            return tuple({} for _ in range(self.tau.target.rank))
-        # psi's grade is (sum k_i) * deg f, so the ChartHom's division by
-        # f^{n + k_r} already accounts for every cleared denominator
-        return ChartHom(psi, self.f).apply(args[-1])
-
-    def evaluate_both(self, args):
-        return self._direct(args), self._via_theta(args)
-
-
-def chart_multilinear(tau: GradedMultilinearMap, f) -> ChartMultilinear:
-    return ChartMultilinear(tau, f)
+    if psi is None:
+        return direct, tuple({} for _ in range(tau.target.rank))
+    # psi's grade is (sum k_i) * deg f, so chart_hom's division by
+    # f^{n + k_r} already accounts for every cleared denominator
+    return direct, chart_hom(psi, f, args[-1])

@@ -222,27 +222,27 @@ def slope_precision(h: int, dim: int, r: int, a: int) -> int:
 def min_wedge_precision(h: int, dim: int, r: int, a: int) -> int:
     """The least working precision at which `wedge_report` succeeds: the
     twisted-power determinant valuation a*C(h-1,r-1)*(h-dim) lies below m,
-    `slopes` needs m > rank*a = C(h,r)*a, and v_p(det MF) = h-dim lies
-    below m.  `slope_precision` is at least this."""
-    return max(a * math.comb(h - 1, r - 1) * (h - dim) + 1, math.comb(h, r) * a + 1, h - dim + 1)
+    which also puts v_p(det MF) = h-dim below m, and `slopes` needs
+    m > rank*a = C(h,r)*a.  `slope_precision` is at least this."""
+    return max(a * math.comb(h - 1, r - 1) * (h - dim) + 1, math.comb(h, r) * a + 1)
 
 
 def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = None) -> dict:
     """The CLI-facing wedge summary, read off one wedge W and its polygon:
     the height is W's rank, the dimension is the height less the slope sum
     (an integer, v_p(det M) - rank.shift), and at r = h the mu check asks
-    for the one slope 0.  A refusal names `min_wedge_precision` as its
-    required_m."""
+    for the one slope 0.  An m below `min_wedge_precision` is refused, with
+    that floor as required_m, before any ring is built."""
     h = desc.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")
     if m is None:
         m = slope_precision(h, desc.dim, r, a)
-    try:
-        W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
-        np = slopes(W)
-    except PrecisionExhausted as exc:
-        raise PrecisionExhausted(str(exc), required_m=min_wedge_precision(h, desc.dim, r, a)) from exc
+    need = min_wedge_precision(h, desc.dim, r, a)
+    if m < need:
+        raise PrecisionExhausted(f"m = {m} is below this wedge's floor", required_m=need)
+    W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
+    np = slopes(W)
     # each segment's slope is formatted once
     slope_strs = []
     for s, mult in np.segments:

@@ -351,6 +351,17 @@ def test_wedge_derived_precision_above_cap_is_refused_before_any_ring(capsys, mo
     assert "1755184" in err and "524288" in err
 
 
+def test_wedge_precision_below_the_floor_is_refused_before_any_ring(capsys, monkeypatch):
+    def nothing_built(*args):
+        raise AssertionError("a ring or module was built")
+
+    monkeypatch.setattr(wedge, "make_witt_ring", nothing_built)
+    monkeypatch.setattr(wedge, "make_standard", nothing_built)
+    # min_wedge_precision(24, 1, 12, 1) = 23 * C(23, 11) + 1
+    err = _refused(capsys, ["wedge", "--h", "24", "--dim", "1", "--r", "12", "--m", "5"], code=4)
+    assert "required minimum m: 31097795" in err
+
+
 def test_wedge_extension_degree_above_cap_is_refused(capsys):
     assert "--a" in _refused(capsys, WEDGE_H3 + ["--a", "17"])
 

@@ -8,9 +8,9 @@ from wedgecrys.errors import GradeMismatch, NotGraded
 from wedgecrys.graded import (
     FreeGradedModule,
     GradedMultilinearMap,
-    ChartHom,
     GradedRing,
     StarHomElement,
+    chart_hom,
     chart_multilinear,
     is_graded_multilinear,
     theta,
@@ -159,12 +159,12 @@ def test_localize_multiplication_by_f_power(S):
     # identity (x^2 / x^2 = 1)
     Sm = FreeGradedModule(S, (0,))
     phi = StarHomElement(Sm, Sm, 2, ((S.monomial((2, 0)),),))
-    ch = ChartHom(phi, S.monomial((1, 0)))
+    x = S.monomial((1, 0))
     one_sec = ({(0, 0): S.field.one},)
-    assert ch.apply(one_sec) == one_sec
+    assert chart_hom(phi, x, one_sec) == one_sec
     # a section with an honest denominator: 1/x^2 . x^2 = 1 again
     sec = ({(-2, 0): S.field.one},)
-    assert ch.apply(sec) == sec
+    assert chart_hom(phi, x, sec) == sec
 
 
 def test_localize_grade_mismatch(S):
@@ -172,18 +172,30 @@ def test_localize_grade_mismatch(S):
     W = GradedRing(finite_field(5), ("x", "y"), (1, 2))
     Wm = FreeGradedModule(W, (0,))
     phi = StarHomElement(Wm, Wm, 3, ((W.monomial((1, 1)),),))
-    with pytest.raises(GradeMismatch):
-        ChartHom(phi, W.monomial((0, 1)))  # deg f = 2 does not divide 3
+    with pytest.raises(GradeMismatch):  # deg f = 2 does not divide 3
+        chart_hom(phi, W.monomial((0, 1)), ({(0, 0): W.field.one},))
 
 
 def test_chart_at_a_monomial_of_degree_zero_is_refused(S):
     Sm = FreeGradedModule(S, (0,))
     phi = StarHomElement(Sm, Sm, 0, ((S.one,),))
+    one_sec = ({(0, 0): S.field.one},)
     with pytest.raises(ValueError, match="positive degree"):
-        ChartHom(phi, S.one)
+        chart_hom(phi, S.one, one_sec)
     tau = GradedMultilinearMap((Sm,), Sm, {(0,): (S.one,)})
     with pytest.raises(ValueError, match="positive degree"):
-        chart_multilinear(tau, S.one).evaluate_both([({(0, 0): S.field.one},)])
+        chart_multilinear(tau, S.one, [one_sec])
+
+
+def test_scale_reads_the_grade_off_the_polynomial(S):
+    Sm = FreeGradedModule(S, (0,))
+    phi = StarHomElement(Sm, Sm, 1, ((S.monomial((1, 0)),),))
+    x2_phi = phi.scale(S.monomial((2, 0)))
+    assert x2_phi.grade == phi.grade + 2
+    assert x2_phi.matrix == ((S.monomial((3, 0)),),)
+    for poly in (S.add(S.monomial((1, 0)), S.one), {}):  # x + 1 mixes degrees; 0 has none
+        with pytest.raises(NotGraded):
+            phi.scale(poly)
 
 
 def test_chart_restrictions_agree_on_overlap(S):
@@ -193,16 +205,14 @@ def test_chart_restrictions_agree_on_overlap(S):
     Sm = FreeGradedModule(S, (0,))
     phi = StarHomElement(Sm, Sm, 2, ((S.add(S.monomial((2, 0)), S.monomial((1, 1))),),))
     x, y, xy = S.monomial((1, 0)), S.monomial((0, 1)), S.monomial((1, 1))
-    ch_x = ChartHom(phi, x)  # the fraction phi / x^2
-    ch_y = ChartHom(phi, y)  # the fraction phi / y^2
-    restricted_x = ChartHom(phi.scale(S.monomial((0, 2)), 2), xy)  # y^2 phi / (xy)^2
-    restricted_y = ChartHom(phi.scale(S.monomial((2, 0)), 2), xy)  # x^2 phi / (xy)^2
+    y2_phi = phi.scale(S.monomial((0, 2)))  # y^2 phi / (xy)^2 restricts phi / x^2
+    x2_phi = phi.scale(S.monomial((2, 0)))  # x^2 phi / (xy)^2 restricts phi / y^2
     rng = random.Random(4)
     for _ in range(10):
         sx = random_chart_section(S, Sm, (1, 0), rng)
-        assert restricted_x.apply(sx) == ch_x.apply(sx)
+        assert chart_hom(y2_phi, xy, sx) == chart_hom(phi, x, sx)
         sy = random_chart_section(S, Sm, (0, 1), rng)
-        assert restricted_y.apply(sy) == ch_y.apply(sy)
+        assert chart_hom(x2_phi, xy, sy) == chart_hom(phi, y, sy)
 
 
 def test_chart_multilinear_r1_equals_localize(S):
@@ -211,11 +221,10 @@ def test_chart_multilinear_r1_equals_localize(S):
     # value degrees must match the generator degrees: 0 and 2
     two = S.monomial((0, 0), S.field.from_int(2))
     tau = GradedMultilinearMap((M,), N, {(0,): (two,), (1,): (S.monomial((2, 0)),)})
-    cm = chart_multilinear(tau, S.monomial((1, 0)))
     rng = random.Random(6)
     for _ in range(10):
         sec = random_chart_section(S, M, (1, 0), rng)
-        direct, via = cm.evaluate_both([sec])
+        direct, via = chart_multilinear(tau, S.monomial((1, 0)), [sec])
         assert direct == via
 
 
@@ -225,15 +234,14 @@ def test_chart_multilinear_double_path(S):
         r = 2 if t % 3 else 3
         tau = random_graded_map(S, r, rng)
         f_exp = (1, 0) if t % 2 == 0 else (0, 1)
-        cm = chart_multilinear(tau, S.monomial(f_exp))
         args = [random_chart_section(S, M, f_exp, rng) for M in tau.sources]
-        direct, via = cm.evaluate_both(args)
+        direct, via = chart_multilinear(tau, S.monomial(f_exp), args)
         assert direct == via
 
 
-def _chart_value(cm, args):
+def _chart_value(tau, f, args):
     """The chart value of args, once its two routes agree on it."""
-    direct, via = cm.evaluate_both(args)
+    direct, via = chart_multilinear(tau, f, args)
     assert direct == via
     return direct
 
@@ -243,11 +251,10 @@ def test_alternating_map_stays_alternating_on_charts(S):
     N = FreeGradedModule(S, (2,))
     neg_one = S.monomial((0, 0), S.field.neg(S.field.one))
     alt = GradedMultilinearMap((M, M), N, {(0, 1): (S.one,), (1, 0): (neg_one,)})
-    cm = chart_multilinear(alt, S.monomial((1, 0)))
     rng = random.Random(8)
     for _ in range(10):
         sec = random_chart_section(S, M, (1, 0), rng)
-        out = _chart_value(cm, [sec, sec])
+        out = _chart_value(alt, S.monomial((1, 0)), [sec, sec])
         assert all(not c for c in out)
 
 
@@ -256,12 +263,12 @@ def test_symmetric_map_stays_symmetric_on_charts(S):
     N = FreeGradedModule(S, (2,))
     two = S.monomial((0, 0), S.field.from_int(2))
     sym = GradedMultilinearMap((M, M), N, {(0, 1): (S.one,), (1, 0): (S.one,), (0, 0): (two,)})
-    cm = chart_multilinear(sym, S.monomial((0, 1)))
+    y = S.monomial((0, 1))
     rng = random.Random(9)
     for _ in range(10):
         s1 = random_chart_section(S, M, (0, 1), rng)
         s2 = random_chart_section(S, M, (0, 1), rng)
-        assert _chart_value(cm, [s1, s2]) == _chart_value(cm, [s2, s1])
+        assert _chart_value(sym, y, [s1, s2]) == _chart_value(sym, y, [s2, s1])
 
 
 def test_theta_preserves_alternation_through_evaluation(S):

@@ -213,7 +213,7 @@ def test_slope_commutation_small_battery():
 @pytest.mark.parametrize("p", [3, 5])
 def test_min_wedge_precision_is_the_least_that_succeeds(p):
     for h in range(1, 7):
-        for dim in (0, 1):
+        for dim in range(h + 1):
             for r in range(1, h + 1):
                 for a in (1, 2, 3):
                     m = min_wedge_precision(h, dim, r, a)
