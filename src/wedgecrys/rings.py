@@ -24,7 +24,8 @@ update t in place, so a caller keeps only what it returns.  `_Ring`
 defines `mac` as add(t, mul(x, y)) and `reduce` as the identity, which
 serve Q and F_q[t]/(t^e) as they are.  On Z/p^m the accumulator is an int
 reduced once, at the end; at a >= 2 it is the list of the 2a - 1
-convolution coefficients, folded by f only in `reduce`.
+convolution coefficients, which `mac` returns anew on each call and only
+`reduce` folds by f.
 
 Row kernels run the accumulator along a row, for the eliminations of the
 matrix layer: `row_msub(row, u, pairs)` sets row[l] to row[l] - u y for
@@ -53,11 +54,17 @@ balanced residue in [lo, hi], hi = p^m // 2 and lo = hi - p^m + 1
 (`_balanced`): -x is as small as x, so a negated product or minor of small
 entries stays small, and `el_to_str` prints the residue in [0, p^m).  At
 a = 1 elements are ints, with int arithmetic chosen at construction
-(`_int_elements`); at a >= 2 they are tuples of a ints (ascending
-coefficients).  Units are inverted mod p and lifted by Newton-Hensel
-steps, inline at a = 1 and by `_newton_inverse` at a >= 2.  Q has
-Fraction elements.  Elements are plain immutable data, and every ring is
-safe to share across threads.
+(`_int_elements`).  At a >= 2 they are tuples of a ints (ascending
+coefficients), and `add`, `sub`, `mul`, `mac`, `reduce` and the Frobenius
+matrix-vector product are straight-line code over the a coefficients:
+source that depends on a alone (`_quotient_kernel_source`), compiled for
+the first ring of each degree in a process and kept in a module dict
+keyed by a, then bound to each ring's p^m, balanced range and f.  Units
+are inverted mod p and lifted by Newton-Hensel steps, inline at a = 1 and
+by `_newton_inverse` at a >= 2.  Q has Fraction elements.  Elements are
+plain immutable data, and every ring is safe to share across threads: the
+module dict holds only compiled code, and two threads that race on a
+degree's first compile build the same code twice, which is harmless.
 """
 from __future__ import annotations
 
@@ -335,6 +342,92 @@ def _int_elements(p: int, m: int, c: int, hi: int, bal, neg, coefficient_lists: 
     return kernels
 
 
+def _quotient_kernel_source(a: int) -> str:
+    """The source of `kernels(c, lo, hi, f0, ..., f{a-1})`, which returns the
+    element kernels of an a >= 2 quotient ring modulo c = p^m, with lo and
+    hi `_balanced(c)`'s and f0, ... its `fred`, as straight-line code: every
+    coefficient is one expression over unpacked locals, with no loop, index
+    or temporary list.
+
+    The 2a - 1 coefficients t_k of a product are its convolution.  The fold
+    runs from k = 2a - 2 down to a: u_k is t_k, less the fold terms of the
+    u_j above it, mod c, and x^k = -(f0 x^(k-a) + ...) moves -u_k f_i into
+    the coefficient of x^(k-a+i); each coefficient below x^a then gains its
+    terms and is balanced.  `mac` returns a new list of the 2a - 1
+    coefficients of t + x y, t an element or a list `mac` returned, and
+    `reduce` folds such a list, keeping the range test of the a = 1
+    `reduce`.  `apply_mat(cols, x)` is the sum of x_j cols[j], balanced."""
+    top, lows = 2 * a - 1, range(a)
+
+    def names(prefix, n):
+        return ", ".join(f"{prefix}{i}" for i in range(n))
+
+    def conv(k):
+        return " + ".join(f"x{i} * y{k - i}" for i in range(max(0, k - a + 1), min(k, a - 1) + 1))
+
+    def folded(k, t):
+        # t less the fold terms of every u_j, j >= a, that reach x^k
+        return t + "".join(f" - u{j} * f{k - j + a}" for j in range(max(a, k + 1), min(top, k + a + 1)))
+
+    def fold_tops(term):
+        return [f"u{k} = ({folded(k, term(k))}) % c" for k in range(top - 1, a - 1, -1)]
+
+    def bal(e, k):
+        return f"(r{k} - c if (r{k} := ({e}) % c) > hi else r{k})"
+
+    def kept_or_bal(k):
+        return f"t{k} if lo <= t{k} <= hi else {bal(f't{k}', k)}"
+
+    def define(head, *lines):
+        return f"    def {head}:\n" + "".join(f"        {line}\n" for line in lines)
+
+    unpack_xy = (f"{names('x', a)} = x", f"{names('y', a)} = y")
+    src = [f"def kernels(c, lo, hi, {names('f', a)}):\n"]
+    for name, op in (("add", "+"), ("sub", "-")):
+        src.append(define(f"{name}(x, y)", *unpack_xy,
+                          f"return ({', '.join(bal(f'x{i} {op} y{i}', i) for i in lows)})"))
+    src.append(define("mul(x, y)", *unpack_xy, *fold_tops(conv),
+                      f"return ({', '.join(bal(folded(k, conv(k)), k) for k in lows)})"))
+    src.append(define(
+        "mac(t, x, y)", *unpack_xy,
+        f"if len(t) == {a}:",
+        f"    {names('t', a)} = t",
+        f"    return [{', '.join([f't{k} + {conv(k)}' for k in lows] + [conv(k) for k in range(a, top)])}]",
+        f"{names('t', top)} = t",
+        f"return [{', '.join(f't{k} + {conv(k)}' for k in range(top))}]"))
+    src.append(define(
+        "reduce(t)",
+        f"if len(t) == {a}:",
+        "    return t",
+        f"{names('t', top)} = t", *fold_tops(lambda k: f"t{k}"),
+        *[f"t{k} = {folded(k, f't{k}')}" for k in lows],
+        f"return ({', '.join(map(kept_or_bal, lows))})"))
+    src.append(define(
+        "apply_mat(cols, x)", f"{names('x', a)} = x",
+        f"{', '.join('(' + names(f'm{j}_', a) + ')' for j in lows)} = cols",
+        f"return ({', '.join(bal(' + '.join(f'x{j} * m{j}_{i}' for j in lows), i) for i in lows)})"))
+    src.append("    return {'add': add, 'sub': sub, 'mul': mul, 'mac': mac,"
+               " 'reduce': reduce, '_apply_mat': apply_mat}\n")
+    return "\n".join(src)
+
+
+# the compiled `kernels` factory of each degree a >= 2, keyed by a: code that
+# depends on the degree alone, as the module's own bytecode does, compiled for
+# the first ring of that degree and kept for the life of the process
+_QUOTIENT_KERNELS: dict = {}
+
+
+def _quotient_kernels(a: int, c: int, lo: int, hi: int, fred: tuple) -> dict:
+    """The element kernels of an a >= 2 quotient ring, bound to its modulus
+    c, its balanced range [lo, hi] and its fred."""
+    factory = _QUOTIENT_KERNELS.get(a)
+    if factory is None:
+        namespace: dict = {}
+        exec(compile(_quotient_kernel_source(a), f"<wedgecrys.rings degree {a}>", "exec"), namespace)
+        factory = _QUOTIENT_KERNELS[a] = namespace["kernels"]
+    return factory(c, lo, hi, *fred)
+
+
 # ---------------------------------------------------------------------------
 
 
@@ -412,7 +505,11 @@ class _PolynomialQuotient(_Ring):
     At a >= 2 elements are length-a tuples of balanced coefficients,
     ascending; `fred` holds the non-leading coefficients of the monic f, so
     x^a = -(fred[0] + fred[1] x + ...).  The table coefficients lie in
-    [0, p), so they serve mod p^m as they are.
+    [0, p), so they serve mod p^m as they are.  There `add`, `sub`, `mul`,
+    `mac`, `reduce` and `_apply_mat` (the Frobenius matrix times a
+    coefficient vector) are the straight-line functions of
+    `_quotient_kernels`, stored on the instance, so the class defines none
+    of them at any degree.
     """
 
     coefficient_lists = True  # entry strings are ','-separated coefficients
@@ -433,7 +530,7 @@ class _PolynomialQuotient(_Ring):
         else:
             self.zero = (0,) * a
             self.one = (1,) + (0,) * (a - 1)
-            self._pad = (0,) * (a - 1)  # widens an element to 2a - 1 coefficients
+            vars(self).update(_quotient_kernels(a, self._c, self._lo, self._hi, fred))
 
     def balance(self, x):
         """The element x stands for: x holds any integer representatives
@@ -448,46 +545,8 @@ class _PolynomialQuotient(_Ring):
             raise ValueError(f"{self!r} has no extension generator")
         return (0, 1) + (0,) * (self.a - 2)
 
-    def add(self, x, y):
-        hi, c = self._hi, self._c
-        return tuple([r - c if (r := (u + v) % c) > hi else r for u, v in zip(x, y)])
-
-    def sub(self, x, y):
-        hi, c = self._hi, self._c
-        return tuple([r - c if (r := (u - v) % c) > hi else r for u, v in zip(x, y)])
-
     def neg(self, x):
         return tuple(map(self._neg, x))
-
-    def mul(self, x, y):
-        return self.reduce(self.mac(self.zero, x, y))
-
-    def mac(self, t, x, y):
-        """The 2a - 1 coefficients of t + x y, none reduced.  t is an
-        element or a list that an earlier `mac` returned, which is updated
-        in place."""
-        if type(t) is not list:
-            t = [*t, *self._pad]
-        for i, u in enumerate(x):
-            if u:
-                for j, v in enumerate(y, i):
-                    t[j] += u * v
-        return t
-
-    def reduce(self, t):
-        """The element the accumulator t stands for: each coefficient of
-        x^k, k = 2a - 2 down to a, is folded by x^a = -(fred) into the
-        coefficients below it, then every coefficient is balanced mod p^m.
-        A list t is overwritten; an element is its own reduction."""
-        a, lo, hi, c = self.a, self._lo, self._hi, self._c
-        if len(t) == a:
-            return t
-        for k in range(len(t) - 1, a - 1, -1):
-            top = t[k] % c
-            if top:
-                for i, f in enumerate(self.fred, k - a):
-                    t[i] -= top * f
-        return tuple([u if lo <= u <= hi else (r - c if (r := u % c) > hi else r) for u in t[:a]])
 
     def pow(self, x, e: int):
         res = self.one
@@ -658,17 +717,11 @@ class WittRing(_PolynomialQuotient):
 
     # -- semilinear structure ---------------------------------------------
 
-    def _apply_mat(self, cols, x):
-        # only reached at a >= 2: at a = 1 phi is the identity
-        hi, c, acc = self._hi, self._c, [0] * self.a
-        for cj, col in zip(x, cols):
-            acc = [s + cj * v for s, v in zip(acc, col)]
-        return tuple([r - c if (r := u % c) > hi else r for u in acc])
-
     def frobenius_pow(self, x, k: int):
         k %= self.a
         if k == 0:
             return x
+        # only reached at a >= 2, whose kernels include `_apply_mat`
         return self._apply_mat(self._phi_mats[k], x)
 
     def frobenius_matrix(self):

@@ -72,6 +72,8 @@ RINGS = {
     "W(F_27)/3^5": (make_witt_ring(3, 3, 5), 3),
     "W(F_9)/3^200": (make_witt_ring(3, 2, 200), 3),
     "W(F_5)/5^40": (make_witt_ring(5, 1, 40), 5),
+    "W(F_81)/3^6": (make_witt_ring(3, 4, 6), 3),
+    "F_32": (finite_field(2, 5), None),
     "Q": (QQ, 3),
     "F_3[t]/(t^2)": (local_test_ring(3, 1, 2), "t"),
 }

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wedgecrys import rings
 from wedgecrys.errors import NonPrime
 from wedgecrys.rings import (
     QQ,
     _vp,
     CONWAY,
+    DEGREE_LIMIT,
     FiniteField,
     ModulusRing,
     RationalField,
@@ -172,7 +174,7 @@ def test_finite_field_allows_p_equal_two():
     assert F2.add(F2.one, F2.one) == F2.zero
 
 
-@pytest.mark.parametrize("p,a,m", [(3, 2, 4), (3, 1, 5), (5, 2, 3), (7, 3, 2)])
+@pytest.mark.parametrize("p,a,m", [(3, 2, 4), (3, 1, 5), (5, 2, 3), (7, 3, 2), (3, 4, 3), (5, 6, 2)])
 def test_frobenius_is_ring_endomorphism(p, a, m):
     R = make_witt_ring(p, a, m)
     rng = random.Random(p * 100 + a * 10 + m)
@@ -183,7 +185,7 @@ def test_frobenius_is_ring_endomorphism(p, a, m):
         assert R.frobenius_pow(R.mul(x, y), 1) == R.mul(fx, fy)
 
 
-@pytest.mark.parametrize("p,a,m", [(3, 2, 4), (5, 2, 2), (3, 3, 3), (7, 2, 2), (3, 1, 6)])
+@pytest.mark.parametrize("p,a,m", [(3, 2, 4), (5, 2, 2), (3, 3, 3), (7, 2, 2), (3, 1, 6), (3, 4, 5), (3, 6, 3)])
 def test_frobenius_order_divides_a(p, a, m):
     R = make_witt_ring(p, a, m)
     rng = random.Random(42)
@@ -624,12 +626,27 @@ def _mul_by_shifts(R, x, y):
     return tuple(acc)
 
 
-@pytest.mark.parametrize("a, m", [(2, 1), (2, 64), (3, 1), (3, 5), (3, 300), (4, 40)])
+# every degree runs its own generated kernels: each a >= 2 at m = 1 and at
+# a modulus of more than one int digit (3^40 > 2^60)
+SHIFT_CASES = sorted({(a, m) for a in range(2, DEGREE_LIMIT + 1) for m in (1, 40)}
+                     | {(2, 64), (3, 5), (3, 300)})
+
+
+@pytest.mark.parametrize("a, m", SHIFT_CASES)
 def test_coefficient_tuple_products_match_products_by_shifts(a, m):
     # the fold in `reduce` against an independent product: at a = 3 the
     # coefficients of X^4 and X^3 are both folded, the second after the first
     R = make_witt_ring(3, a, m) if m > 1 else finite_field(3, a)
-    rng = random.Random(f"shifts/{a}/{m}")
+    _assert_products_match_products_by_shifts(R, random.Random(f"shifts/{a}/{m}"))
+
+
+@pytest.mark.parametrize("a", range(2, DEGREE_LIMIT + 1))
+def test_characteristic_two_products_match_products_by_shifts(a):
+    # F_{2^a}: the one even modulus, c = 2 with hi = 1 its own negative
+    _assert_products_match_products_by_shifts(finite_field(2, a), random.Random(f"shifts/2/{a}"))
+
+
+def _assert_products_match_products_by_shifts(R, rng):
     pool = _accumulator_inputs(R, rng)
     q = R.p**R.m
     for x in pool:
@@ -645,6 +662,29 @@ def test_coefficient_tuple_products_match_products_by_shifts(a, m):
         for x, y in terms:
             acc, want = R.mac(acc, x, y), R.add(want, _mul_by_shifts(R, x, y))
         assert R.reduce(acc) == want
+
+
+def test_kernels_are_compiled_once_per_degree_and_bound_per_ring(monkeypatch):
+    # rings of one degree with different p and m share one compiled factory,
+    # and, built in interleaved order, each still multiplies by its own
+    # modulus and f: no ring's constants leak into another's kernels
+    compiled, source = [], rings._quotient_kernel_source
+    monkeypatch.setattr(rings, "_QUOTIENT_KERNELS", {})
+    monkeypatch.setattr(rings, "_quotient_kernel_source", lambda a: compiled.append(a) or source(a))
+    rng = random.Random("compiled once")
+    built = []
+    for make in (lambda: WittRing(3, 2, 5), lambda: FiniteField(3, 2),
+                 lambda: WittRing(5, 2, 3), lambda: WittRing(3, 2, 40)):
+        built.append(make())
+        for R in built:
+            for _ in range(20):
+                x, y = R.random_element(rng), R.random_element(rng)
+                assert R.mul(x, y) == R.balance(_mul_by_shifts(R, x, y))
+                assert R.reduce(R.mac(R.mac(R.zero, x, y), R.neg(y), x)) == R.zero
+    assert compiled == [2]
+    assert len({R.mul.__code__ for R in built}) == 1
+    WittRing(3, 3, 5)
+    assert compiled == [2, 3]
 
 
 # ---------------------------------------------------------------------------
