@@ -67,7 +67,6 @@ from .wedge import (
     min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
-    slope_precision,
     slope_transform,
     wedge_dim_height,
     wedge_isocrystal,

@@ -23,21 +23,13 @@ from .errors import (
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
 from .rings import DEGREE_LIMIT
-from .wedge import slope_precision, wedge_report
+from .wedge import wedge_report
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
 EXIT_DIMENSION = 3
 EXIT_PRECISION = 4
 EXIT_CHECK_FAILED = 5
-
-# The precision a wedge report runs at, given by --m or derived by
-# slope_precision.  Measured as fresh processes on a 2-vCPU x86-64 (Python
-# 3.11): `wedge --h 18 --dim 1 --r 9` derives 413,272 and takes 0.6-0.85 s
-# at 39 MiB peak RSS; h=20 r=10 derives 1,755,184, which is refused here,
-# and its report took 3.4-3.5 s at 108 MiB when wedge_report was called
-# with that m directly.
-WEDGE_PRECISION_LIMIT = 1 << 19
 
 # The entries a compound payload may ask for: the wire format is dense, so
 # `compound --d d` of an n x n payload writes C(n, d)^2 entries however
@@ -162,13 +154,7 @@ def main(argv=None) -> int:
             except BadDescriptor as exc:
                 sys.stderr.write(f"bad descriptor: {exc}\n")
                 return EXIT_SCHEMA
-            m = args.m
-            if m is None and 1 <= args.r <= desc.h:  # wedge_report refuses any other r
-                m = slope_precision(desc.h, desc.dim, args.r, args.a)
-            if m is not None and m > WEDGE_PRECISION_LIMIT:
-                given = "--m" if args.m is not None else "the derived working precision"
-                raise WedgecrysError(f"{given} must be <= {WEDGE_PRECISION_LIMIT}, got m = {m}")
-            _emit(wedge_report(desc, args.r, args.p, args.a, m=m))
+            _emit(wedge_report(desc, args.r, args.p, args.a, m=args.m))
             return EXIT_OK
 
         if args.verb == "check":

@@ -444,19 +444,17 @@ def slopes(X) -> NewtonPolygon:
     twisted power, charpoly and hull.  Each hull segment adds its slope
     with its multiplicity: one Fraction per segment, not one per slope.
 
-    Raises PrecisionExhausted when m <= rank * a, or when det L vanishes
-    at the ring's precision p^m (then the polygon's left vertex is
-    unknowable): valuations add below p^m, so that is when the block
-    determinant valuations sum to m or more, or some block's determinant
-    is 0.
+    Raises PrecisionExhausted when det L vanishes at the ring's precision
+    p^m (then the polygon's left vertex is unknowable): valuations add
+    below p^m, so that is when the block determinant valuations sum to m
+    or more, or some block's determinant is 0.  No other bound on m is
+    needed: the twisted power and the charpoly are exact mod p^m, and a
+    hull whose c_0 has valuation below m is exact (Caruso, Roe and
+    Vaccon, "Tracking p-adic precision", 2014).
     """
     C = _as_crystal(X)
     R = C.ring
-    n, a, m = C.rank, R.a, R.m
-    if m <= n * a:
-        raise PrecisionExhausted(
-            f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
-        )
+    a, m = R.a, R.m
     comps = _strong_components(C.matrix)
     rows = C.matrix.nonzero_rows
     e = C.shift

@@ -32,6 +32,7 @@ from .errors import (
     DimensionMismatch,
     PrecisionExhausted,
     RingMismatch,
+    WedgecrysError,
 )
 from .matrices import Matrix, compound, det, index_subsets, stack_minors
 from .rings import make_witt_ring
@@ -174,8 +175,9 @@ def wedge_dim_height(D: DieudonneModule, r: int) -> WedgeDimHeight:
     det(compound(MF, r)) = det(MF)^C(h-1, r-1) exactly (Sylvester-Franke),
     so the wedge's Frobenius determinant valuation is assembled from the
     honestly computed v_p(det MF) = h - dimension(D) and the shift
-    normalization; this stays computable at the h*a+2 working precision
-    where the raw compound determinant would already be 0.
+    normalization; this stays computable at every working precision that
+    certifies dimension(D), including those where the raw compound
+    determinant, of valuation C(h-1, r-1)(h - dimension(D)), is already 0.
     """
     h = D.h
     if not 1 <= r <= h:
@@ -213,34 +215,39 @@ def mu_identification(D: DieudonneModule) -> MuIdentification:
     )
 
 
-def slope_precision(h: int, dim: int, r: int, a: int) -> int:
-    """Working precision sufficient to compute the wedge's slopes honestly:
-    the twisted-power determinant has valuation a*C(h-1,r-1)*(h-dim)."""
-    return max(a * math.comb(h - 1, r - 1) * (h - dim) + 2, math.comb(h, r) * a + 1, h * a + 2)
+# The most working precision a wedge report runs at, given or derived.
+# Measured on a 2-vCPU x86-64 (Python 3.11): `wedge --h 18 --dim 1 --r 9`
+# derives 413,271 and takes about 0.5 s at 40 MiB peak RSS as a fresh
+# process; h=20 r=10 derives 1,755,183, which is refused here, and its
+# report took 1.7-1.9 s at 107 MiB in process with this limit raised.
+WEDGE_PRECISION_LIMIT = 1 << 19
 
 
 def min_wedge_precision(h: int, dim: int, r: int, a: int) -> int:
-    """The least working precision at which `wedge_report` succeeds: the
-    twisted-power determinant valuation a*C(h-1,r-1)*(h-dim) lies below m,
-    which also puts v_p(det MF) = h-dim below m, and `slopes` needs
-    m > rank*a = C(h,r)*a.  `slope_precision` is at least this."""
-    return max(a * math.comb(h - 1, r - 1) * (h - dim) + 1, math.comb(h, r) * a + 1)
+    """The least working precision at which `wedge_report` succeeds, and
+    the one it runs at by default: the wedge's twisted-power determinant,
+    of valuation a*C(h-1,r-1)*(h-dim), must not vanish mod p^m.  That also
+    puts v_p(det MF) = h-dim below m."""
+    return a * math.comb(h - 1, r - 1) * (h - dim) + 1
 
 
 def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = None) -> dict:
     """The CLI-facing wedge summary, read off one wedge W and its polygon:
     the height is W's rank, the dimension is the height less the slope sum
     (an integer, v_p(det M) - rank.shift), and at r = h the mu check asks
-    for the one slope 0.  An m below `min_wedge_precision` is refused, with
-    that floor as required_m, before any ring is built."""
+    for the one slope 0.  m defaults to `min_wedge_precision`.  An m below
+    that floor is refused, with the floor as required_m, and an m above
+    WEDGE_PRECISION_LIMIT is refused too, both before any ring is built."""
     h = desc.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")
-    if m is None:
-        m = slope_precision(h, desc.dim, r, a)
     need = min_wedge_precision(h, desc.dim, r, a)
+    if m is None:
+        m = need
     if m < need:
         raise PrecisionExhausted(f"m = {m} is below this wedge's floor", required_m=need)
+    if m > WEDGE_PRECISION_LIMIT:
+        raise WedgecrysError(f"working precision m = {m} is above the limit {WEDGE_PRECISION_LIMIT}")
     W = wedge_isocrystal(make_standard(desc, make_witt_ring(p, a, m)), r)
     np = slopes(W)
     # each segment's slope is formatted once

@@ -27,9 +27,9 @@ from wedgecrys.rings import make_witt_ring
 from wedgecrys.wedge import (
     graded_vector,
     graded_wedge,
+    min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
-    slope_precision,
     slope_transform,
     wedge_dim_height,
     wedge_isocrystal,
@@ -113,7 +113,7 @@ def test_criterion_06_slope_commutation():
             for h in range(1, 7):
                 for dim in (0, 1):
                     for r in range(1, h + 1):
-                        m = slope_precision(h, dim, r, a)
+                        m = min_wedge_precision(h, dim, r, a)
                         ring = make_witt_ring(p, a, m)
                         C = make_standard(descriptor(h, dim), ring).to_isocrystal()
                         lhs = slopes(wedge_isocrystal(C, r))

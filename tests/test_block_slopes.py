@@ -27,9 +27,9 @@ from wedgecrys.dieudonne import (
     twisted_power_matrix,
 )
 from wedgecrys.errors import PrecisionExhausted
-from wedgecrys.matrices import Matrix, charpoly
+from wedgecrys.matrices import Matrix, charpoly, det
 from wedgecrys.rings import make_witt_ring, modulus_ring
-from wedgecrys.wedge import slope_precision, wedge_isocrystal
+from wedgecrys.wedge import min_wedge_precision, wedge_isocrystal
 
 # the valuation of a coefficient that is zero at the working precision
 BOTTOM = object()
@@ -39,11 +39,7 @@ def unsplit_slopes(X) -> NewtonPolygon:
     """Newton slopes from the charpoly of the whole a-fold twisted power."""
     C = _as_crystal(X)
     R = C.ring
-    n, a, m = C.rank, R.a, R.m
-    if m <= n * a:
-        raise PrecisionExhausted(
-            f"slopes need eff_precision > rank*a = {n * a}", required_m=n * a + 1
-        )
+    a, m = R.a, R.m
     L = twisted_power_matrix(C)
     coeffs = charpoly(L)
     vals = []
@@ -274,7 +270,7 @@ def test_block_route_matches_the_oracle_on_standard_wedges(a):
     for h in range(2, 7):
         for dim in range(h + 1):
             for r in range(1, h + 1):
-                R = make_witt_ring(3, a, slope_precision(h, dim, r, a))
+                R = make_witt_ring(3, a, min_wedge_precision(h, dim, r, a))
                 W = wedge_isocrystal(make_standard(descriptor(h, dim), R), r)
                 got = slopes(W)
                 assert got == unsplit_slopes(W)
@@ -296,7 +292,10 @@ def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_na
             rows = _permuted(rng, _block_triangular(rng, p, a, n))
             if isinstance(_outcome(unsplit_slopes, _crystal(_ring(ring_name, 40), rows)), NewtonPolygon):
                 break
-        # every precision up to the certifying one, and one past it
+        # every precision up to the certifying one, and one past it; the
+        # first that certifies is one above the twisted power's det valuation
+        R40 = _ring(ring_name, 40)
+        v = R40.pivot_val(det(twisted_power_matrix(_crystal(R40, rows))))
         certifying = None
         for m in range(1, 42):
             C = _crystal(_ring(ring_name, m), rows)
@@ -306,13 +305,13 @@ def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_na
                 if certifying is not None:
                     break
                 certifying = m
-        assert n * a < certifying <= 40
+        assert certifying == v + 1 <= 40
 
 
 @pytest.mark.parametrize("ring_name", list(RINGS))
 def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
-    # a product of cycles with entry valuations summing to v has det of
-    # valuation v, so the oracle certifies exactly at max(n*a, a*v) + 1
+    # a product of cycles with entry valuations summing to v has a twisted
+    # power of det valuation a*v, so the oracle certifies exactly at a*v + 1
     # unless a 1x1 zero block makes the det 0
     p, a = RINGS[ring_name]
     rng = random.Random(f"cycle-slopes:{ring_name}")
@@ -321,10 +320,9 @@ def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
         rows, v, singular, ks = _cycles(rng, p, a)
         lengths.update(ks)
         rows = _permuted(rng, rows)
-        n = len(rows)
-        certifying = max(n * a, a * v) + 1
+        certifying = a * v + 1
         shift = rng.randint(-1, 1)
-        for m in range(n * a, certifying + 1):
+        for m in range(1, certifying + 1):
             C = _crystal(_ring(ring_name, m), rows, shift=shift)
             want = _outcome(unsplit_slopes, C)
             assert _outcome(slopes, C) == want, m
@@ -337,10 +335,42 @@ def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
 @pytest.mark.parametrize("a", [1, 2])
 def test_standard_wedge_refusals_match_the_oracle(a):
     h, dim, r = 4, 1, 2
-    need = slope_precision(h, dim, r, a)
-    for m in range(1, need + 1):
+    need = min_wedge_precision(h, dim, r, a)
+    for m in range(1, need + 2):
         W = wedge_isocrystal(make_standard(descriptor(h, dim), make_witt_ring(3, a, m)), r)
         assert _outcome(slopes, W) == _outcome(unsplit_slopes, W), m
+
+
+@pytest.mark.parametrize("ring_name", list(RINGS))
+def test_polygon_is_the_same_at_every_certifying_precision(ring_name):
+    # the polygon at any m above the twisted power's det valuation is the
+    # polygon at m = 40, even at m no larger than rank times a
+    p, a = RINGS[ring_name]
+    rng = random.Random(f"certified-slopes:{ring_name}")
+    R40 = _ring(ring_name, 40)
+    inputs = [_permuted(rng, _block_triangular(rng, p, a, rng.randint(2, 7))) for _ in range(30)]
+    inputs += [_permuted(rng, rows) for rows, _, singular, _ in (_cycles(rng, p, a) for _ in range(30))
+               if not singular]
+    checked, low = 0, 0
+    for rows in inputs:
+        want = _outcome(slopes, _crystal(R40, rows))
+        if not isinstance(want, NewtonPolygon):
+            continue
+        v = R40.pivot_val(det(twisted_power_matrix(_crystal(R40, rows))))
+        for m in range(v + 1, 41):
+            assert slopes(_crystal(_ring(ring_name, m), rows)) == want, m
+            checked += 1
+            low += m <= len(rows) * a
+    assert checked >= 1000 and low >= 20
+
+
+@pytest.mark.parametrize("R", [modulus_ring(3, 5), make_witt_ring(3, 1, 5)], ids=["Z/3^5", "W(F_3)/3^5"])
+def test_identity_slopes_below_rank_precision(R):
+    # the 6 x 6 identity over Z/3^5 is slope 0 with multiplicity 6, though
+    # 5 < 6: its twisted power's det is a unit
+    C = Isocrystal(Matrix.from_rows(R, [[R.one if i == j else R.zero for j in range(6)] for i in range(6)]), 0)
+    assert slopes(C).segments == ((Fraction(0), 6),)
+    assert unsplit_slopes(C).segments == ((Fraction(0), 6),)
 
 
 def _multiset_polygon(np):
@@ -359,7 +389,7 @@ def test_segments_are_the_multiset_polygon_of_the_oracle(ring_name):
     for _ in range(12):
         rows, v, singular, _ = _cycles(rng, p, a)
         if not singular:
-            m = max(len(rows) * a, a * v) + 1
+            m = a * v + 1
             kinds["cyclic"].append(_crystal(_ring(ring_name, m), _permuted(rng, rows), rng.randint(-1, 1)))
         n = rng.randint(2, 5)
         dense = [[_random_entry(rng, p, a, 0.0) for _ in range(n)] for _ in range(n)]
@@ -445,7 +475,7 @@ def test_standard_wedge_runs_no_charpoly(monkeypatch, a):
     # the wedge of a standard module has a monomial Frobenius, so every
     # block is one cycle
     h, r = 10, 5
-    R = make_witt_ring(3, a, slope_precision(h, 1, r, a))
+    R = make_witt_ring(3, a, min_wedge_precision(h, 1, r, a))
     W = wedge_isocrystal(make_standard(descriptor(h, 1), R), r)
     calls = _recording_charpoly(monkeypatch)
     powers = _recording_twisted_power(monkeypatch)

@@ -331,12 +331,14 @@ def test_precision_cap_is_inclusive(capsys):
 
 
 def test_wedge_precision_above_cap_is_refused(capsys):
-    assert "--m" in _refused(capsys, WEDGE_H3 + ["--m", str(2**19 + 1)])
+    err = _refused(capsys, WEDGE_H3 + ["--m", str(2**19 + 1)])
+    assert "m = 524289" in err and "limit 524288" in err
 
 
 @pytest.mark.parametrize("m", [96527, 2**19])
 def test_wedge_precision_cap_is_inclusive_and_above_the_payload_cap(capsys, m):
-    # 96,527 is the precision --h 16 --r 8 derives
+    # 96,527 is above the payload cap 2^16, one above the 96,526 that
+    # --h 16 --r 8 derives
     assert main(WEDGE_H3 + ["--m", str(m)]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["source"]["m"] == m and out["slopes"] == ["1/3"] * 3
@@ -348,7 +350,8 @@ def test_wedge_derived_precision_above_cap_is_refused_before_any_ring(capsys, mo
 
     monkeypatch.setattr(wedge, "make_witt_ring", no_ring)
     err = _refused(capsys, ["wedge", "--h", "20", "--dim", "1", "--r", "10", "--p", "3"])
-    assert "1755184" in err and "524288" in err
+    # the derived floor 19 * C(19, 9) + 1
+    assert "m = 1755183" in err and "limit 524288" in err
 
 
 def test_wedge_precision_below_the_floor_is_refused_before_any_ring(capsys, monkeypatch):

@@ -14,7 +14,7 @@ from wedgecrys.campaigns import CAMPAIGNS
 from wedgecrys.cli import main
 
 # sha256 of the grid's joined stdout
-GOLDEN_SHA256 = "2d2052505b918cc9f245adee4e29969434018bcc79952da1202b906496858d06"
+GOLDEN_SHA256 = "aa04ee1c007acc2b3fe7aa501f4ebe1c324b36371becd21d778d682558fc3853"
 
 
 def _grid():
@@ -43,7 +43,7 @@ def test_cli_stdout_matches_golden_digest():
 
 
 # sha256 of the payload runs' joined exit codes, stdout and stderr
-PAYLOAD_SHA256 = "c4c02a60e2ffcddc1199e79cbb5f65be8f3593fde065749c90f12cb5a2dfcbbf"
+PAYLOAD_SHA256 = "968a7b532dad96dd68e615831854a6e3d94c4d21d188b8a59c5b19bb5c66381b"
 
 
 def _entries(rng, ring, n):

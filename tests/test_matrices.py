@@ -35,7 +35,7 @@ from wedgecrys.rings import (
     make_witt_ring,
     modulus_ring,
 )
-from wedgecrys.wedge import slope_precision
+from wedgecrys.wedge import min_wedge_precision
 
 
 # -- independent oracles ------------------------------------------------------
@@ -1008,7 +1008,7 @@ def _monomial(R, sigma, a):
 def test_compound_of_a_standard_frobenius_is_the_monomial_closed_form(h, r):
     # the scale rows of the wedge report: 3432 and 48620 minors, each the
     # only nonzero of its row
-    R = make_witt_ring(3, 1, slope_precision(h, 1, r, 1))
+    R = make_witt_ring(3, 1, min_wedge_precision(h, 1, r, 1))
     MF = make_standard(descriptor(h, 1), R).MF
     sigma, a = zip(*(nz[0] for nz in MF.nonzero_rows))
     assert MF == _monomial(R, sigma, a)

@@ -14,16 +14,16 @@ from wedgecrys.dieudonne import (
     semilinear_conjugate,
     slopes,
 )
-from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted
+from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted, WedgecrysError
 from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular, smith_valuations
 from wedgecrys.rings import make_witt_ring
 from wedgecrys.wedge import (
+    WEDGE_PRECISION_LIMIT,
     graded_vector,
     graded_wedge,
     min_wedge_precision,
     mu_identification,
     multilinear_compat_check,
-    slope_precision,
     slope_transform,
     wedge_dim_height,
     wedge_isocrystal,
@@ -48,7 +48,7 @@ def test_wedge_lt2_top_power_is_unit_root():
 
 
 def test_wedge_lt4_r2_slopes():
-    m = slope_precision(4, 1, 2, 1)
+    m = min_wedge_precision(4, 1, 2, 1)
     R = make_witt_ring(3, 1, m)
     C = make_standard(descriptor("LT_4"), R).to_isocrystal()
     W = wedge_isocrystal(C, 2)
@@ -201,7 +201,7 @@ def test_slope_commutation_small_battery():
         for h in (2, 3, 4):
             for dim in (0, 1):
                 for r in range(1, h + 1):
-                    m = slope_precision(h, dim, r, a)
+                    m = min_wedge_precision(h, dim, r, a)
                     R = make_witt_ring(p, a, m)
                     C = make_standard(descriptor(h, dim), R).to_isocrystal()
                     assert (
@@ -217,14 +217,19 @@ def test_min_wedge_precision_is_the_least_that_succeeds(p):
             for r in range(1, h + 1):
                 for a in (1, 2, 3):
                     m = min_wedge_precision(h, dim, r, a)
-                    assert m <= slope_precision(h, dim, r, a)
-                    rep = wedge_report(descriptor(h, dim), r, p, a, m=m)
+                    rep = wedge_report(descriptor(h, dim), r, p, a)
                     assert rep["source"]["m"] == m
                     # every refusal names the least m, not a bound of the step that failed
-                    for below in {1, m // 2, m - 1}:
+                    for below in {1, m // 2, m - 1} - {0, m}:
                         with pytest.raises(PrecisionExhausted) as exc:
                             wedge_report(descriptor(h, dim), r, p, a, m=below)
                         assert exc.value.required_m == m
+                    if m > 1:
+                        # the wedge's own slopes fail one below the floor
+                        R = make_witt_ring(p, a, m - 1)
+                        W = wedge_isocrystal(make_standard(descriptor(h, dim), R), r)
+                        with pytest.raises(PrecisionExhausted):
+                            slopes(W)
 
 
 def test_mu_identification_battery():
@@ -317,6 +322,20 @@ def test_wedge_report_shape():
     assert rep["height"] == 3 and rep["dim"] == 1
 
 
+def test_wedge_report_refuses_a_precision_above_the_limit_before_any_ring(monkeypatch):
+    def no_ring(*args):
+        raise AssertionError("a ring was built")
+
+    monkeypatch.setattr(wedge, "make_witt_ring", no_ring)
+    # the floor of h=20, r=10 is 19 * C(19, 9) + 1, derived and refused
+    assert min_wedge_precision(20, 1, 10, 1) == 1755183 > WEDGE_PRECISION_LIMIT
+    for h, r, m in ((20, 10, None), (3, 1, WEDGE_PRECISION_LIMIT + 1)):
+        with pytest.raises(WedgecrysError) as exc:
+            wedge_report(descriptor(h, 1), r, 3, 1, m=m)
+        assert type(exc.value) is WedgecrysError
+        assert str(exc.value) == f"working precision m = {m or 1755183} is above the limit 524288"
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_wedge_report_matches_the_determinant_oracles(p):
     # the report reads height, dim and mu_check off one polygon; the oracles
@@ -325,7 +344,8 @@ def test_wedge_report_matches_the_determinant_oracles(p):
         for dim in (0, 1):
             for r in range(1, h + 1):
                 for a in (1, 2, 3):
-                    for m in range(min_wedge_precision(h, dim, r, a), slope_precision(h, dim, r, a) + 1):
+                    floor = min_wedge_precision(h, dim, r, a)
+                    for m in range(floor, floor + 3):
                         rep = wedge_report(descriptor(h, dim), r, p, a, m=m)
                         D = make_standard(descriptor(h, dim), make_witt_ring(p, a, m))
                         want = wedge_dim_height(D, r)
