@@ -329,11 +329,11 @@ def test_wedge_report_refuses_a_precision_above_the_limit_before_any_ring(monkey
     monkeypatch.setattr(wedge, "make_witt_ring", no_ring)
     # the floor of h=20, r=10 is 19 * C(19, 9) + 1, derived and refused
     assert min_wedge_precision(20, 1, 10, 1) == 1755183 > WEDGE_PRECISION_LIMIT
-    for h, r, m in ((20, 10, None), (3, 1, WEDGE_PRECISION_LIMIT + 1)):
+    for h, r, m, shown in ((20, 10, None, 1755183), (3, 1, WEDGE_PRECISION_LIMIT + 1, 524289)):
         with pytest.raises(WedgecrysError) as exc:
             wedge_report(descriptor(h, 1), r, 3, 1, m=m)
         assert type(exc.value) is WedgecrysError
-        assert str(exc.value) == f"working precision m = {m or 1755183} is above the limit 524288"
+        assert str(exc.value) == f"working precision m = {shown} is above the limit 524288"
 
 
 @pytest.mark.parametrize("p", [3, 5])
