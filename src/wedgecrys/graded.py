@@ -12,6 +12,7 @@ two sections agree iff their Laurent dicts are equal.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .errors import DimensionMismatch, GradeMismatch, NotGraded
@@ -71,11 +72,13 @@ class GradedRing:
         is reduced once."""
         F = self.field
         mac, reduce, is_zero, zero = F.mac, F.reduce, F.is_zero, F.zero
+        add = operator.add
         out: dict = {}
+        get = out.get
         for e1, c1 in f.items():
             for e2, c2 in g.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = mac(out.get(e, zero), c1, c2)
+                e = tuple(map(add, e1, e2))
+                out[e] = mac(get(e, zero), c1, c2)
         return {e: c for e, t in out.items() if not is_zero(c := reduce(t))}
 
     def monomial(self, exps, coeff=None):
@@ -211,15 +214,11 @@ class GradedMultilinearMap:
 
     def evaluate(self, args):
         """Multilinear extension: expand each argument over the generators
-        and combine coefficient products with the stored values."""
+        and contract the stored values against them, one slot at a time."""
         if len(args) != self.r:
             raise DimensionMismatch(f"expected {self.r} arguments")
-        out = self.target.zero_element()
-        for key, val in self.values.items():
-            coeff = _coefficient(self.ring, args, key)
-            if coeff:
-                out = self.target.add(out, self.target.scale(coeff, val))
-        return out
+        out = _contract(self.values, args, self.target.scale, self.target.add)
+        return self.target.zero_element() if out is None else out
 
 
 def _tuple_grade(sources, key) -> int:
@@ -227,15 +226,22 @@ def _tuple_grade(sources, key) -> int:
     return sum(M.gen_degrees[l] for M, l in zip(sources, key))
 
 
-def _coefficient(ring: GradedRing, args, key):
-    """The product of args[i]'s coordinate at generator key[i] over i: the
-    coefficient of the generator tuple key in the expansion of args."""
-    coeff = ring.one
-    for arg, l in zip(args, key):
-        coeff = ring.mul(coeff, arg[l])
-        if not coeff:
-            break
-    return coeff
+def _contract(values, args, scale, add):
+    """Sum over the keys of values of (prod_i args[i][key[i]]) . values[key],
+    or None if no term survives, by contracting the last slot first: each
+    prefix gets the sum over l of args[i][l] . level[prefix + (l,)], so every
+    coefficient product is formed once per prefix, not once per key."""
+    level = values
+    for arg in reversed(args):
+        out = {}
+        for key, val in level.items():
+            c = arg[key[-1]]
+            if c:
+                prefix = key[:-1]
+                term = scale(c, val)
+                out[prefix] = add(out[prefix], term) if prefix in out else term
+        level = out
+    return level.get(())
 
 
 def is_graded_multilinear(tau: GradedMultilinearMap, trials: int = 6, rng=None) -> bool:
@@ -439,13 +445,9 @@ def chart_multilinear(tau: GradedMultilinearMap, f, args):
     cleared = [_clear_denominators(ring, f_exp, coords) for coords in args]
     polys = [p for _, p in cleared]
     direct = _laurent_scale_f(f_exp, tau.evaluate(polys), -sum(k for k, _ in cleared))
-    # assemble psi = sum over prefix generator tuples of c_t . Theta(tau)(t)
-    psi = None
-    for prefix, star_hom in table.items():
-        coeff = _coefficient(ring, polys[:-1], prefix)
-        if coeff:
-            term = star_hom.scale(coeff)
-            psi = term if psi is None else psi.add(term)
+    # psi = sum over prefix generator tuples t of c_t . Theta(tau)(t); the
+    # grades agree within every partial sum of the contraction
+    psi = _contract(table, polys[:-1], lambda c, sh: sh.scale(c), StarHomElement.add)
     if psi is None:
         return direct, tuple({} for _ in range(tau.target.rank))
     # psi's grade is (sum k_i) * deg f, so chart_hom's division by

@@ -75,7 +75,8 @@ def multilinear_compat_check(
     Both sides are compared in integral form through the shift bookkeeping:
     with F_w = p^{-(r-1)} wedge^r F the left side is (wedge of F-images)
     and the right side picks up the factor p^{r-1}.  `wrong_shift` drops
-    that factor, which must break the identity for every r >= 2.
+    that factor, which must break the identity for every r >= 2.  Each
+    trial forms F x_j and F V x_j once, and every slot reuses them.
     """
     R = D.ring
     h = D.h
@@ -84,11 +85,11 @@ def multilinear_compat_check(
     factor = R.from_int(R.p ** (r - 1)) if not wrong_shift else R.one
     for _ in range(trials):
         xs = [tuple(R.random_element(rng) for _ in range(h)) for _ in range(r)]
+        Fx = [apply_F(D, x) for x in xs]
+        FVx = [apply_F(D, apply_V(D, x)) for x in xs]
         for i in range(r):
-            ws = [xs[j] if j == i else apply_V(D, xs[j]) for j in range(r)]
-            lhs = wedge_coordinates(R, [apply_F(D, w) for w in ws])
-            rhs_cols = [apply_F(D, xs[j]) if j == i else xs[j] for j in range(r)]
-            rhs = wedge_coordinates(R, rhs_cols)
+            lhs = wedge_coordinates(R, [Fx[j] if j == i else FVx[j] for j in range(r)])
+            rhs = wedge_coordinates(R, [Fx[j] if j == i else xs[j] for j in range(r)])
             if lhs != tuple(R.mul(factor, x) for x in rhs):
                 return False
     return True

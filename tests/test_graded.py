@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -10,6 +11,7 @@ from wedgecrys.graded import (
     GradedMultilinearMap,
     GradedRing,
     StarHomElement,
+    _tuple_grade,
     chart_hom,
     chart_multilinear,
     is_graded_multilinear,
@@ -102,6 +104,84 @@ def test_coordinate_pairing_is_graded(S):
         (M, M), N, {(0, 1): (S.one,), (1, 0): (S.one,), (1, 1): (S.add(x, y),)}
     )
     assert is_graded_multilinear(tau, trials=8, rng=random.Random(1))
+
+
+def _evaluate_per_tuple(tau, args):
+    """Slow oracle for evaluate: for every generator tuple, the full product
+    of the arguments' coordinates there, times the stored value."""
+    ring, target = tau.ring, tau.target
+    out = target.zero_element()
+    for key, val in tau.values.items():
+        coeff = ring.one
+        for arg, l in zip(args, key):
+            coeff = ring.mul(coeff, arg[l])
+        out = target.add(out, target.scale(coeff, val))
+    return out
+
+
+def _sparse_module(S, rng):
+    return FreeGradedModule(S, tuple(rng.randint(0, 2) for _ in range(rng.randint(1, 3))))
+
+
+def _sparse_map(S, r, rng):
+    """A random graded r-linear map with sources of rank 1-3, leaving about
+    one generator tuple in three without a value."""
+    sources = [_sparse_module(S, rng) for _ in range(r)]
+    target = _sparse_module(S, rng)
+    values = {}
+    for key in itertools.product(*[range(M.rank) for M in sources]):
+        if rng.random() < 2 / 3:
+            values[key] = target.random_homogeneous(_tuple_grade(sources, key), rng)
+    return GradedMultilinearMap(sources, target, values)
+
+
+def _sparse_argument(M, rng):
+    """A random homogeneous element with some coordinates zeroed, and now
+    and then the zero element."""
+    if rng.random() < 0.1:
+        return M.zero_element()
+    el = M.random_homogeneous(rng.randint(2, 4), rng)
+    return tuple({} if rng.random() < 0.3 else coord for coord in el)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_evaluate_matches_the_per_tuple_expansion(S, r):
+    rng = random.Random(f"evaluate/{r}")
+    for _ in range(40 if r < 4 else 15):
+        tau = _sparse_map(S, r, rng)
+        args = [_sparse_argument(M, rng) for M in tau.sources]
+        assert tau.evaluate(args) == _evaluate_per_tuple(tau, args)
+        zeros = [M.zero_element() for M in tau.sources]
+        assert tau.evaluate(zeros) == tau.target.zero_element()
+
+
+def test_evaluate_of_a_map_with_no_values_is_zero(S):
+    M, N = FreeGradedModule(S, (0, 1, 2)), FreeGradedModule(S, (1, 2))
+    for r in (1, 2, 3):
+        tau = GradedMultilinearMap((M,) * r, N, {})
+        args = [M.random_homogeneous(3, random.Random(r)) for _ in range(r)]
+        assert tau.evaluate(args) == N.zero_element() == _evaluate_per_tuple(tau, args)
+
+
+def test_evaluate_when_the_sums_cancel(S):
+    M, N = FreeGradedModule(S, (1, 1)), FreeGradedModule(S, (2, 2))
+    x, y = S.monomial((1, 0)), S.monomial((0, 1))
+    v = (S.one, S.add(x, y))
+    minus_v = tuple(S.mul(S.monomial((0, 0), S.field.neg(S.field.one)), c) for c in v)
+    # the prefix (0,) contracts to x v - x v = 0 in the last slot, and the
+    # whole sum, with the prefix (1,), cancels as well
+    tau = GradedMultilinearMap((M, M), N, {(0, 0): v, (0, 1): minus_v, (1, 0): v, (1, 1): minus_v})
+    rng = random.Random(11)
+    for _ in range(10):
+        first = M.random_homogeneous(rng.randint(1, 3), rng)
+        c = S.random_homogeneous(rng.randint(0, 2), rng)
+        args = [first, (c, c)]
+        assert tau.evaluate(args) == N.zero_element() == _evaluate_per_tuple(tau, args)
+    # an alternating map on equal arguments: the (0, 1) and (1, 0) terms cancel
+    alt = GradedMultilinearMap((M, M), N, {(0, 1): v, (1, 0): minus_v})
+    for _ in range(10):
+        m = M.random_homogeneous(rng.randint(1, 3), rng)
+        assert alt.evaluate([m, m]) == N.zero_element() == _evaluate_per_tuple(alt, [m, m])
 
 
 def _degrees_match(sh) -> bool:
@@ -235,6 +315,19 @@ def test_chart_multilinear_double_path(S):
         tau = random_graded_map(S, r, rng)
         f_exp = (1, 0) if t % 2 == 0 else (0, 1)
         args = [random_chart_section(S, M, f_exp, rng) for M in tau.sources]
+        direct, via = chart_multilinear(tau, S.monomial(f_exp), args)
+        assert direct == via
+
+
+@pytest.mark.parametrize("r", [2, 3])
+def test_chart_multilinear_routes_agree_on_sparse_maps(S, r):
+    rng = random.Random(f"chart/{r}")
+    for t in range(20):
+        tau = _sparse_map(S, r, rng)
+        f_exp = (1, 0) if t % 2 == 0 else (0, 1)
+        args = [tuple({} if rng.random() < 0.3 else coord
+                      for coord in random_chart_section(S, M, f_exp, rng))
+                for M in tau.sources]
         direct, via = chart_multilinear(tau, S.monomial(f_exp), args)
         assert direct == via
 

@@ -68,6 +68,39 @@ def test_multilinear_compat_lt2_100_trials():
     assert multilinear_compat_check(D, 2, 100, random.Random(1))
 
 
+def _compat_per_slot(D, r, trials, rng, wrong_shift=False):
+    """Slow oracle for multilinear_compat_check: F and V applied afresh to
+    every argument in every slot."""
+    R = D.ring
+    factor = R.from_int(R.p ** (r - 1)) if not wrong_shift else R.one
+    for _ in range(trials):
+        xs = [tuple(R.random_element(rng) for _ in range(D.h)) for _ in range(r)]
+        for i in range(r):
+            ws = [xs[j] if j == i else dieudonne.apply_V(D, xs[j]) for j in range(r)]
+            lhs = wedge.wedge_coordinates(R, [dieudonne.apply_F(D, w) for w in ws])
+            rhs_cols = [dieudonne.apply_F(D, xs[j]) if j == i else xs[j] for j in range(r)]
+            rhs = wedge.wedge_coordinates(R, rhs_cols)
+            if lhs != tuple(R.mul(factor, x) for x in rhs):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2)])
+def test_compat_check_matches_the_per_slot_oracle(p, a):
+    # the compat campaign's grid; both sides draw from equal generators and
+    # must leave them in equal states
+    for h in range(1, 5):
+        D = make_standard(descriptor(h, 1), make_witt_ring(p, a, h * a + 2))
+        for r in range(1, h + 1):
+            for wrong_shift in (False, True):
+                seed = f"compat/{p}/{a}/{h}/{r}/{wrong_shift}"
+                lib_rng, oracle_rng = random.Random(seed), random.Random(seed)
+                got = multilinear_compat_check(D, r, 20, lib_rng, wrong_shift=wrong_shift)
+                assert got == _compat_per_slot(D, r, 20, oracle_rng, wrong_shift=wrong_shift)
+                assert lib_rng.getstate() == oracle_rng.getstate()
+                assert got is (not wrong_shift or r == 1), (p, a, h, r, wrong_shift)
+
+
 @pytest.mark.parametrize("h,r", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
 def test_wrong_shift_negative_control(h, r):
     R = make_witt_ring(3, 1, h + 2)
