@@ -168,8 +168,8 @@ def test_evaluate_when_the_sums_cancel(S):
     x, y = S.monomial((1, 0)), S.monomial((0, 1))
     v = (S.one, S.add(x, y))
     minus_v = tuple(S.mul(S.monomial((0, 0), S.field.neg(S.field.one)), c) for c in v)
-    # the prefix (0,) contracts to x v - x v = 0 in the last slot, and the
-    # whole sum, with the prefix (1,), cancels as well
+    # with c at both last-slot generators, each prefix contracts to
+    # c v - c v = 0 in the last slot
     tau = GradedMultilinearMap((M, M), N, {(0, 0): v, (0, 1): minus_v, (1, 0): v, (1, 1): minus_v})
     rng = random.Random(11)
     for _ in range(10):
