@@ -1,29 +1,34 @@
 """Write a BENCH_<pr>.json: the benchmark and the scale rows for a parent
 checkout and a change checkout.
 
-    python tools/bench_pair.py --parent DIR --change DIR --pr N --claim TEXT \
-        [--seed 1] [--seconds 30]
+    python tools/bench_pair.py --parent DIR --change DIR --pr N --claim TEXT
 
 It writes BENCH_N.json in the current directory.
 
 Each DIR must be a clean git checkout of the commit it measures, such as
 a `git clone` at that commit: the benchmark labels its output with HEAD,
-so a tree with uncommitted edits would be recorded under the wrong
-commit, and is refused.
+so a tree with uncommitted edits or untracked files would be recorded
+under the wrong commit, and is refused.
 
-For each side the file holds:
-- `trace0`, `trace1`: `perfbench/run.py --workload all` at that trace
-  setting, its per-workload lines reduced to their metadata (the last line
-  repeats their metrics) and its last line whole;
-- `scale_rows`: `wedgecrys wedge --h H --dim 1 --r H/2 --p 3` for
-  H = 12, 14, ..., one fresh process per row, with wall time from spawn to
-  exit and the child's own peak RSS, up to the first row that is refused
-  or takes over 10 s.  The child reads its peak RSS (VmHWM, so Linux
-  only) as it exits: the ru_maxrss that wait4 returns also counts the RSS
-  of the process that forked the child, here this script's own.
-
-The benchmark runs alternate between the sides, so drift of the machine
-falls on both.
+The benchmark (BENCHMARK_ARGV) runs PAIRS times per side at --trace 0 and
+once per side at --trace 1.  The runs go in pairs, one per side, and the
+side that runs first alternates from pair to pair (the trace 1 pair is the
+last), so a drift of the machine falls on both sides alike.  The file holds:
+- `trace0_pairs`: every trace 0 pair, the side that ran first and each
+  side's last line, with its end-to-end metrics reduced to their values;
+- `trace0_summary`: for each end-to-end metric, each side's median and
+  quartiles over the pairs and the number of pairs in which the change
+  is better, in the direction the change's BENCHMARK.json gives;
+- per side `trace0` (the first pair's run) and `trace1`: the per-workload
+  lines reduced to their metadata (the last line repeats their metrics)
+  and the last line whole;
+- per side `scale_rows`: SCALE_ARGV for H = 12, 14, ..., one fresh process
+  per row, with wall time from spawn to exit and the child's own peak RSS,
+  up to the first row that is refused or takes over 10 s.  The child
+  reads its peak RSS (VmHWM, so Linux only) as it exits: the ru_maxrss
+  that wait4 returns also counts the RSS of the process that forked the
+  child, here this script's own.  A child that dies before it writes its
+  peak RSS gets a row with `peak_rss_mib` null and its exit status.
 Standard library only.
 """
 from __future__ import annotations
@@ -33,6 +38,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -40,19 +46,11 @@ import time
 from collections import Counter
 from pathlib import Path
 
+PAIRS = 10
+BENCHMARK_ARGV = "perfbench/run.py --workload all --seed 1 --seconds 30 --trace {trace}"
+SCALE_ARGV = "wedge --h {h} --dim 1 --r {r} --p 3"
 SCALE_START_H = 12
 SCALE_BUDGET_S = 10.0
-
-BENCHMARK_COMMAND = (
-    "python perfbench/run.py --workload all --seed {seed} --seconds {seconds} --trace {{0,1}} "
-    "(PYTHONDONTWRITEBYTECODE=1, from each checkout's root; stdout lines kept, per-workload "
-    "lines reduced to their metadata since the last line repeats their metrics)"
-)
-SCALE_COMMAND = (
-    "python -m wedgecrys.cli wedge --h H --dim 1 --r H/2 --p 3 for H = 12, 14, ..., one fresh "
-    "process per row (PYTHONPATH=src), wall time from spawn to exit and the child's own "
-    "VmHWM read as it exits, stopping at the first refused row or the first over 10 s"
-)
 
 # runs the CLI with the arguments after its first, then writes its own peak
 # RSS in KiB to the path given as its first argument
@@ -68,13 +66,14 @@ finally:
 
 
 def clean_head(checkout: Path) -> str:
-    """The checkout's HEAD commit; SystemExit if its tree has uncommitted edits."""
+    """The checkout's HEAD commit; SystemExit if its tree differs from it."""
     def git(*args):
         return subprocess.run(["git", "-C", str(checkout), *args], check=True,
                               stdout=subprocess.PIPE, text=True).stdout.strip()
 
-    if git("status", "--porcelain", "--untracked-files=no"):
-        sys.exit(f"error: {checkout} has uncommitted edits; measure a clean checkout")
+    if git("status", "--porcelain"):
+        sys.exit(f"error: {checkout} has uncommitted edits or untracked files; "
+                 "measure a clean checkout")
     return git("rev-parse", "HEAD")
 
 
@@ -85,9 +84,8 @@ def child_env(**extra) -> dict:
     return env
 
 
-def benchmark(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def benchmark(checkout: Path, trace: int) -> dict:
+    cmd = [sys.executable, *BENCHMARK_ARGV.format(trace=trace).split()]
     proc = subprocess.run(cmd, cwd=checkout, env=child_env(), stdout=subprocess.PIPE,
                           text=True, check=True)
     *per_workload, last = (json.loads(line) for line in proc.stdout.splitlines())
@@ -96,21 +94,45 @@ def benchmark(checkout: Path, seed: int, seconds: float, trace: int) -> dict:
     return {"last_line": last, "workloads": per_workload}
 
 
+def metric_values(run: dict) -> dict:
+    """A run's last line with each end-to-end metric reduced to its value."""
+    last = run["last_line"]
+    return {"correct": last["correct"], "failed": last["failed"],
+            "metrics": {name: m["value"] for name, m in last["metrics"].items()}}
+
+
+def summary(pairs: list, better: dict) -> dict:
+    """Per metric: each side's median and quartiles, and the change's wins."""
+    out = {}
+    for name in pairs[0]["parent"]["metrics"]:
+        sign = 1 if better[name.rsplit(".", 1)[1]] == "higher" else -1
+        row = {}
+        for side in ("parent", "change"):
+            q1, median, q3 = statistics.quantiles(
+                [p[side]["metrics"][name] for p in pairs], n=4, method="inclusive")
+            row[side] = {"median": median, "q1": q1, "q3": q3}
+        row["change_better_pairs"] = sum(
+            sign * (p["change"]["metrics"][name] - p["parent"]["metrics"][name]) > 0
+            for p in pairs)
+        out[name] = row
+    return out
+
+
 def slope_summary(slopes) -> str:
     """Run-length form of a slope list: '1/2 x924'."""
     return ", ".join(f"{s} x{n}" for s, n in Counter(slopes).items())
 
 
 def scale_row(checkout: Path, h: int) -> dict:
-    argv = ["wedge", "--h", str(h), "--dim", "1", "--r", str(h // 2), "--p", "3"]
+    argv = SCALE_ARGV.format(h=h, r=h // 2).split()
     with tempfile.NamedTemporaryFile("r") as hwm:
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-c", SCALE_CHILD, hwm.name, *argv], cwd=checkout,
                               env=child_env(PYTHONPATH="src"), capture_output=True)
         wall = time.perf_counter() - start
-        peak_kib = int(hwm.read())
+        peak_kib = hwm.read()
     row = {"argv": " ".join(argv), "exit": proc.returncode,
-           "peak_rss_mib": round(peak_kib / 1024, 1),
+           "peak_rss_mib": round(int(peak_kib) / 1024, 1) if peak_kib else None,
            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(), "wall_s": round(wall, 3)}
     if proc.returncode == 0:
         rep = json.loads(proc.stdout)
@@ -138,15 +160,29 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--pr", type=int, required=True)
     ap.add_argument("--claim", required=True, help="the gain claimed, or why the pair shows parity")
-    ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float, default=30.0)
     args = ap.parse_args(argv)
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     sides = {side: {"git_sha": clean_head(path)} for side, path in checkouts.items()}
-    for trace in (0, 1):
-        for side, path in checkouts.items():
-            print(f"benchmark {side} --trace {trace}", file=sys.stderr)
-            sides[side][f"trace{trace}"] = benchmark(path, args.seed, args.seconds, trace)
+    spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    better = {m["name"]: m["better"] for m in spec["end_to_end"]}
+
+    def run_pair(k: int, trace: int) -> tuple:
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        runs = {}
+        for side in order:
+            print(f"pair {k + 1} {side} --trace {trace}", file=sys.stderr)
+            runs[side] = benchmark(checkouts[side], trace)
+        return order[0], runs
+
+    pairs = []
+    for k in range(PAIRS):
+        first, runs = run_pair(k, 0)
+        pairs.append({"first": first, **{side: metric_values(run) for side, run in runs.items()}})
+        if k == 0:
+            for side, run in runs.items():
+                sides[side]["trace0"] = run
+    for side, run in run_pair(PAIRS, 1)[1].items():
+        sides[side]["trace1"] = run
     for side, path in checkouts.items():
         print(f"scale rows {side}", file=sys.stderr)
         sides[side]["scale_rows"] = scale_rows(path)
@@ -156,9 +192,13 @@ def main(argv=None) -> int:
         "machine": f"{os.cpu_count()} vCPU {platform.machine()}, {platform.system()}, "
                    f"Python {platform.python_version()}",
         "commands": {
-            "benchmark": BENCHMARK_COMMAND.format(seed=args.seed, seconds=args.seconds),
-            "scale_rows": SCALE_COMMAND,
+            "benchmark": f"python {BENCHMARK_ARGV.format(trace='{0,1}')} "
+                         "(PYTHONDONTWRITEBYTECODE=1, from each checkout's root)",
+            "scale_rows": f"python -m wedgecrys.cli {SCALE_ARGV.format(h='H', r='H/2')} "
+                          "(PYTHONPATH=src)",
         },
+        "trace0_pairs": pairs,
+        "trace0_summary": summary(pairs, better),
         **sides,
     }
     Path(f"BENCH_{args.pr}.json").write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
