@@ -38,6 +38,7 @@ class GradedRing:
         self.nvars = len(var_names)
         self.zero = {}
         self.one = {(0,) * self.nvars: coeff_field.one}
+        self._monomials = {}
 
     def __repr__(self):
         vars_ = ",".join(self.var_names)
@@ -100,8 +101,11 @@ class GradedRing:
             raise NotGraded(f"mixed degrees {sorted(degs)}")
         return degs.pop()
 
-    def monomials_of_degree(self, d: int):
-        """All exponent tuples of weighted degree exactly d."""
+    def monomials_of_degree(self, d: int) -> tuple:
+        """All exponent tuples of weighted degree exactly d, the first
+        exponent varying slowest; built once per degree and kept on the ring."""
+        if d in self._monomials:
+            return self._monomials[d]
         out = []
 
         def rec(i, remaining, prefix):
@@ -116,6 +120,7 @@ class GradedRing:
 
         if d >= 0:
             rec(0, d, ())
+        self._monomials[d] = out = tuple(out)
         return out
 
     def random_homogeneous(self, d: int, rng):

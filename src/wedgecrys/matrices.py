@@ -23,7 +23,9 @@ returns is reduced (by `mul`, `reduce`, `dot` or `settle`).
 Every minor of every order, in `compound` and `stack_minors`, comes from
 one level-by-level Laplace build of the nonzero minors (`_nonzero_minors`),
 each keyed by one int that holds the bitmasks of its row and column
-subsets, `compound` stores only those, and products run row by row over
+subsets; `wedge.multilinear_compat_check` reads (r-1)-minors off the same
+build and takes its r-minors by one further Laplace step.  `compound`
+stores only the nonzero minors, and products run row by row over
 the stored nonzeros of both factors, so the monomial Frobenius matrices of
 the standard modules and their compounds cost time and memory in
 proportion to their nonzeros, while a dense input takes the products it

@@ -36,6 +36,18 @@ def test_monomials_of_degree_weighted():
         assert sorted(W.monomials_of_degree(d)) == expect
 
 
+@pytest.mark.parametrize("weights", [(1, 1), (1, 2), (2, 3), (1, 1, 1)])
+def test_monomials_of_degree_against_the_product_enumeration(weights):
+    # every exponent tuple in increasing lexicographic order, kept per degree
+    W = GradedRing(finite_field(5), tuple("xyz"[: len(weights)]), weights)
+    for d in range(-1, 9):
+        want = tuple(e for e in itertools.product(range(d + 1), repeat=len(weights))
+                     if sum(k * w for k, w in zip(e, weights)) == d)
+        got = W.monomials_of_degree(d)
+        assert got == want
+        assert W.monomials_of_degree(d) is got
+
+
 def test_homogeneous_degree(S):
     x = S.monomial((1, 0))
     y = S.monomial((0, 1))

@@ -16,7 +16,7 @@ from wedgecrys.dieudonne import (
 )
 from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted, WedgecrysError
 from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular, smith_valuations
-from wedgecrys.rings import make_witt_ring
+from wedgecrys.rings import finite_field, make_witt_ring, modulus_ring
 from wedgecrys.wedge import (
     WEDGE_PRECISION_LIMIT,
     graded_vector,
@@ -85,11 +85,11 @@ def _compat_per_slot(D, r, trials, rng, wrong_shift=False):
     return True
 
 
-@pytest.mark.parametrize("p,a", [(3, 1), (3, 2)])
+@pytest.mark.parametrize("p,a", [(3, 1), (3, 2), (3, 3)])
 def test_compat_check_matches_the_per_slot_oracle(p, a):
-    # the compat campaign's grid; both sides draw from equal generators and
-    # must leave them in equal states
-    for h in range(1, 5):
+    # the compat campaign's grid and h = 5; both sides draw from equal
+    # generators and must leave them in equal states
+    for h in range(1, 6):
         D = make_standard(descriptor(h, 1), make_witt_ring(p, a, h * a + 2))
         for r in range(1, h + 1):
             for wrong_shift in (False, True):
@@ -99,6 +99,63 @@ def test_compat_check_matches_the_per_slot_oracle(p, a):
                 assert got == _compat_per_slot(D, r, 20, oracle_rng, wrong_shift=wrong_shift)
                 assert lib_rng.getstate() == oracle_rng.getstate()
                 assert got is (not wrong_shift or r == 1), (p, a, h, r, wrong_shift)
+
+
+def test_compat_trial_builds_two_minor_tables(monkeypatch):
+    # one trial at h = r = 4 builds the 3-minors of the stacks F V x and x,
+    # and no wedge per side and slot
+    build = matrices._nonzero_minors
+    orders = []
+
+    def counted(A, d):
+        orders.append(d)
+        return build(A, d)
+
+    monkeypatch.setattr(matrices, "_nonzero_minors", counted)
+    monkeypatch.setattr(wedge, "_nonzero_minors", counted, raising=False)
+    D = make_standard(descriptor(4, 1), make_witt_ring(3, 1, 6))
+    assert multilinear_compat_check(D, 4, 1, random.Random(0))
+    assert orders == [3, 3]
+
+
+def _stack(R, rng, h, r, kind):
+    """r columns of height h, random, sparse, with a zero column or with a
+    repeated column."""
+    density = 0.3 if kind == "sparse" else 1.0
+    cols = [tuple(R.random_element(rng) if rng.random() < density else R.zero for _ in range(h))
+            for _ in range(r)]
+    if kind == "zero column":
+        cols[rng.randrange(r)] = (R.zero,) * h
+    if kind == "repeated column" and r > 1:
+        j, k = rng.sample(range(r), 2)
+        cols[j] = cols[k]
+    return cols
+
+
+@pytest.mark.parametrize("R", [finite_field(2), modulus_ring(3, 3), make_witt_ring(3, 2, 3)],
+                         ids=["F2", "Z-27", "W-9-3"])
+def test_slot_step_is_the_signed_wedge_with_one_column_replaced(R):
+    # the compat check's slot i: one Laplace step along vec over the
+    # (r-1)-minors that leave out column i is (-1)^i times the wedge of the
+    # stack with column i replaced by vec, and stores no zero
+    rng = random.Random(34)
+    kinds = ("random", "sparse", "zero column", "repeated column")
+    for r in range(1, 6):
+        for h in range(r, r + 3):
+            subsets = [sum(1 << k for k in S) for S in index_subsets(h, r)]
+            for kind in kinds:
+                cols = _stack(R, rng, h, r, kind)
+                slots = wedge._slot_minors(R, cols)
+                vecs = _stack(R, rng, h, 1, kind if kind == "sparse" else "random") + [cols[-1]]
+                for i in range(r):
+                    for vec in vecs:
+                        got = wedge._slot_wedge(R, slots[i], vec)
+                        assert not any(map(R.is_zero, got.values()))
+                        cols_i = ((1 << r) - 1 ^ 1 << i) << h
+                        want = wedge.wedge_coordinates(R, cols[:i] + [vec] + cols[i + 1:])
+                        if i % 2:
+                            want = tuple(map(R.neg, want))
+                        assert tuple(got.get(cols_i | S, R.zero) for S in subsets) == want
 
 
 @pytest.mark.parametrize("h,r", [(2, 2), (3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
