@@ -29,8 +29,6 @@ from .wedge import multilinear_compat_check
 
 MAX_COUNTEREXAMPLES = 3
 
-CAMPAIGNS = ("rank-lemma", "cauchy-binet", "axioms", "compat", "adjunction")
-
 
 def _rng(seed, *labels) -> random.Random:
     return random.Random(":".join(str(x) for x in (seed, *labels)))
@@ -232,6 +230,17 @@ def adjunction(seed: int, trials: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
+# name -> (campaign, default trials), in the order `check` lists them
+_RUNS = {
+    "rank-lemma": (rank_lemma_random, 100),
+    "cauchy-binet": (cauchy_binet, 200),
+    "axioms": (axioms, 5),
+    "compat": (compat, 25),
+    "adjunction": (adjunction, 50),
+}
+CAMPAIGNS = tuple(_RUNS)
+
+
 def run_campaign(
     name: str,
     seed: int | None = None,
@@ -239,23 +248,21 @@ def run_campaign(
     exhaustive_f2: bool = False,
     wrong_shift: bool = False,
 ) -> dict:
-    if name not in CAMPAIGNS:
-        raise ValueError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
+    """One campaign's report, at seed 0 and its default trials unless given.
+    An unknown name, trials below 1 or a flag the campaign does not take is
+    refused as a WedgecrysError that names the `check` verb's flag."""
+    if name not in _RUNS:
+        raise WedgecrysError(f"unknown campaign {name!r}; choose from {', '.join(CAMPAIGNS)}")
+    if trials is not None and trials < 1:
+        raise WedgecrysError(f"--trials must be >= 1, got {trials}")
     if exhaustive_f2 and (name != "rank-lemma" or trials is not None or seed is not None):
         raise WedgecrysError(
             "--exhaustive-f2 applies only to rank-lemma, and takes no --trials or --seed"
         )
-    seed = 0 if seed is None else seed
     if wrong_shift and name != "compat":
         raise WedgecrysError(f"--wrong-shift applies only to compat, not {name}")
-    if name == "rank-lemma":
-        if exhaustive_f2:
-            return rank_lemma_exhaustive_f2()
-        return rank_lemma_random(seed, trials if trials is not None else 100)
-    if name == "cauchy-binet":
-        return cauchy_binet(seed, trials if trials is not None else 200)
-    if name == "axioms":
-        return axioms(seed, trials if trials is not None else 5)
-    if name == "compat":
-        return compat(seed, trials if trials is not None else 25, wrong_shift=wrong_shift)
-    return adjunction(seed, trials if trials is not None else 50)
+    if exhaustive_f2:
+        return rank_lemma_exhaustive_f2()
+    run, default = _RUNS[name]
+    args = (0 if seed is None else seed, default if trials is None else trials)
+    return compat(*args, wrong_shift=True) if wrong_shift else run(*args)

@@ -4,6 +4,10 @@ stdout carries exactly one canonical JSON document (sorted keys, no
 floats, rationals as "s/t" strings); diagnostics go to stderr.  Exit
 codes: 0 success, 2 malformed payload or bad argument, 3 dimension error,
 4 precision exhausted, 5 campaign failure.
+
+Past argparse, the library calls check every parameter and `main` maps
+their exceptions to exit codes and stderr lines; only the `compound` entry
+limit, a bound of the dense wire format, is checked here.
 """
 from __future__ import annotations
 
@@ -22,7 +26,6 @@ from .errors import (
     WedgecrysError,
 )
 from .matrices import compound, matrix_from_json, matrix_to_json, rank
-from .rings import DEGREE_LIMIT
 from .wedge import wedge_report
 
 EXIT_OK = 0
@@ -61,11 +64,6 @@ def _read_payload(source: str):
 
 def _emit(obj) -> None:
     sys.stdout.write(json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n")
-
-
-def _at_least_one(flag: str, value) -> None:
-    if value is not None and value < 1:
-        raise WedgecrysError(f"{flag} must be >= 1, got {value}")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -143,22 +141,10 @@ def main(argv=None) -> int:
             return EXIT_OK
 
         if args.verb == "wedge":
-            _at_least_one("--a", args.a)
-            _at_least_one("--m", args.m)
-            if args.a > DEGREE_LIMIT:
-                raise WedgecrysError(f"--a must be <= {DEGREE_LIMIT}, got {args.a}")
-            try:
-                desc = GroupDescriptor(args.h, args.dim)
-                if desc.dim > 1:
-                    raise BadDescriptor("wedge reports require dim <= 1")
-            except BadDescriptor as exc:
-                sys.stderr.write(f"bad descriptor: {exc}\n")
-                return EXIT_SCHEMA
-            _emit(wedge_report(desc, args.r, args.p, args.a, m=args.m))
+            _emit(wedge_report(GroupDescriptor(args.h, args.dim), args.r, args.p, args.a, m=args.m))
             return EXIT_OK
 
         if args.verb == "check":
-            _at_least_one("--trials", args.trials)
             report = run_campaign(
                 args.campaign,
                 seed=args.seed,
@@ -186,6 +172,9 @@ def main(argv=None) -> int:
         need = exc.required_m if exc.required_m is not None else "unknown"
         sys.stderr.write(f"precision exhausted ({exc}); required minimum m: {need}\n")
         return EXIT_PRECISION
+    except BadDescriptor as exc:
+        sys.stderr.write(f"bad descriptor: {exc}\n")
+        return EXIT_SCHEMA
     except WedgecrysError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_SCHEMA

@@ -39,14 +39,7 @@ from .matrices import (
     smith_valuations,
 )
 from .modsolve import howell_form, kernel_basis
-from .rings import (
-    DEGREE_LIMIT,
-    PRECISION_LIMIT,
-    WittRing,
-    make_witt_ring,
-    schema_capped,
-    schema_int,
-)
+from .rings import WittRing, make_witt_ring, ring_from_descriptor, schema_int
 
 
 # ---------------------------------------------------------------------------
@@ -450,7 +443,10 @@ def slopes(X) -> NewtonPolygon:
     or more, or some block's determinant is 0.  No other bound on m is
     needed: the twisted power and the charpoly are exact mod p^m, and a
     hull whose c_0 has valuation below m is exact (Caruso, Roe and
-    Vaccon, "Tracking p-adic precision", 2014).
+    Vaccon, "Tracking p-adic precision", 2014).  The refusal's required_m
+    is 1 + the sum over every block, a block of det 0 counting m: for the
+    same entries, the least m that certifies unless some block's det is 0,
+    and otherwise a lower bound.
     """
     C = _as_crystal(X)
     R = C.ring
@@ -476,16 +472,16 @@ def slopes(X) -> NewtonPolygon:
         # block det is 0 (pivot_val m); below that, a coefficient 0 at
         # precision (valuation m) lies above the hull, which is below m
         det_val += hull[0][1]
-        if det_val >= m:
-            raise PrecisionExhausted(
-                "det of the twisted power vanishes at working precision",
-                required_m=m + 1,
-            )
         # a segment of width w and drop y: slope y/(a w) - e, w times
         for (x1, y1), (x2, y2) in pairwise(hull):
             w = x2 - x1
             slope = Fraction(y1 - y2 - a * e * w, a * w)
             mults[slope] = mults.get(slope, 0) + w
+    if det_val >= m:
+        raise PrecisionExhausted(
+            "det of the twisted power vanishes at working precision",
+            required_m=det_val + 1,
+        )
     return NewtonPolygon(tuple(sorted(mults.items())))
 
 
@@ -604,13 +600,10 @@ def isocrystal_from_json(obj) -> Isocrystal:
     for field in ("p", "a", "m", "rank", "shift", "matrix"):
         if field not in obj:
             raise SchemaError(f"isocrystal payload missing '{field}'")
-    p = schema_int(obj["p"], "p", 3)
-    a = schema_capped(obj["a"], "a", DEGREE_LIMIT)
-    m = schema_capped(obj["m"], "m", PRECISION_LIMIT)
+    ring = ring_from_descriptor({"kind": "witt", "p": obj["p"], "a": obj["a"], "m": obj["m"]})
     rank = schema_int(obj["rank"], "rank", 1)
     shift = schema_int(obj["shift"], "shift")
     M = matrix_from_json(obj["matrix"])
-    ring = make_witt_ring(p, a, m)
     if M.ring != ring:
         raise SchemaError("matrix ring does not match the isocrystal's p, a, m")
     if M.rows != rank:

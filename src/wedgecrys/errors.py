@@ -29,9 +29,9 @@ class PrecisionExhausted(WedgecrysError):
     """A value is indistinguishable from 0 at working precision.
 
     ``required_m``, when the caller can compute one, is the least precision
-    that suffices where it is known (`wedge_report`'s floor) and otherwise
-    only a lower bound: `slopes`' determinant guard reports m + 1, and a
-    retry at that precision may be refused again.
+    that suffices where it is known and otherwise a lower bound above m:
+    `wedge_report` names its floor, and `slopes` (see there) is exact for
+    the same entries unless a block's determinant is 0 at precision.
     """
 
     def __init__(self, message: str, required_m: int | None = None):

@@ -301,8 +301,9 @@ def _eliminate(R, M, k, c, v, rows) -> tuple:
     return w, ops
 
 
-def _hessenberg_charpoly(A: Matrix) -> list:
-    """Ascending charpoly coefficients c_0..c_n (c_n = 1) of the square A.
+def charpoly(A: Matrix) -> list:
+    """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1, over
+    every ring with the pivot protocol; a non-square A is refused.
 
     A is first reduced to upper Hessenberg form by similarity: column j
     pivots on the entry below the diagonal of least `pivot_val`, which
@@ -318,6 +319,8 @@ def _hessenberg_charpoly(A: Matrix) -> list:
     reads the form only through `mul` and `acc_msub`, whose sums `reduce`
     ends, so the form needs no final settle.
     """
+    if not A.is_square:
+        raise DimensionMismatch(f"charpoly or det of a non-square {A.rows} x {A.cols} matrix")
     R = A.ring
     M = _pivot_rows(A)
     mul, is_zero, reduce, dot, acc_msub = R.mul, R.is_zero, R.reduce, R.dot, R.acc_msub
@@ -417,21 +420,9 @@ def _subset_positions(n: int, d: int) -> dict:
 
 
 def det(A: Matrix):
-    """Determinant: (-1)^n times the constant term of the Hessenberg
-    characteristic polynomial, over every ring with the pivot protocol."""
-    if not A.is_square:
-        raise DimensionMismatch("determinant of a non-square matrix")
-    n = A.rows
-    c0 = _hessenberg_charpoly(A)[0]
-    return c0 if n % 2 == 0 else A.ring.neg(c0)
-
-
-def charpoly(A: Matrix) -> list:
-    """Coefficients c_0..c_n (ascending) of det(T*I - A), c_n = 1, by
-    Hessenberg reduction over rings with the pivot protocol."""
-    if not A.is_square:
-        raise DimensionMismatch("charpoly of a non-square matrix")
-    return _hessenberg_charpoly(A)
+    """Determinant: (-1)^n times the constant term of `charpoly`."""
+    c0 = charpoly(A)[0]
+    return c0 if A.rows % 2 == 0 else A.ring.neg(c0)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from .dieudonne import (
     vector_phi,
 )
 from .errors import (
+    BadDescriptor,
     DegreeViolation,
     DimensionMismatch,
     PrecisionExhausted,
@@ -35,7 +36,7 @@ from .errors import (
     WedgecrysError,
 )
 from .matrices import Matrix, _nonzero_minors, compound, det, index_subsets, stack_minors
-from .rings import make_witt_ring
+from .rings import DEGREE_LIMIT, make_witt_ring
 
 
 def wedge_isocrystal(X, r: int) -> Isocrystal:
@@ -276,9 +277,20 @@ def wedge_report(desc: GroupDescriptor, r: int, p: int, a: int, m: int | None = 
     """The CLI-facing wedge summary, read off one wedge W and its polygon:
     the height is W's rank, the dimension is the height less the slope sum
     (an integer, v_p(det M) - rank.shift), and at r = h the mu check asks
-    for the one slope 0.  m defaults to `min_wedge_precision`.  An m below
-    that floor is refused, with the floor as required_m, and an m above
-    WEDGE_PRECISION_LIMIT is refused too, both before any ring is built."""
+    for the one slope 0.  m defaults to `min_wedge_precision`.  Refused
+    before any ring is built, in this order: a < 1, m < 1, a > DEGREE_LIMIT,
+    dim > 1 (BadDescriptor: the exterior power of a p-divisible group needs
+    dim <= 1), r outside 1..h, an m below the floor (PrecisionExhausted, the
+    floor as required_m) and an m above WEDGE_PRECISION_LIMIT; the messages
+    name the `wedge` verb's flags, which the CLI prints as they are."""
+    if a < 1:
+        raise WedgecrysError(f"--a must be >= 1, got {a}")
+    if m is not None and m < 1:
+        raise WedgecrysError(f"--m must be >= 1, got {m}")
+    if a > DEGREE_LIMIT:
+        raise WedgecrysError(f"--a must be <= {DEGREE_LIMIT}, got {a}")
+    if desc.dim > 1:
+        raise BadDescriptor("wedge reports require dim <= 1")
     h = desc.h
     if not 1 <= r <= h:
         raise DimensionMismatch(f"need 1 <= r <= {h}")

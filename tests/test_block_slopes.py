@@ -6,7 +6,9 @@ and runs the twisted power, charpoly and lower hull on every other block.
 `unsplit_slopes` below is the route it replaced: one charpoly of the whole
 twisted power.  It shares the charpoly and hull with `slopes` but no
 splitting and no cycle rule, so it pins the partition, the block
-extraction, the cycle rule and the summed precision guard.
+extraction, the cycle rule and the summed precision guard.  The oracle
+has no blocks to sum, so the required_m of a refusal is checked against
+the twisted power's det valuation instead (`_required_m`).
 """
 import math
 import random
@@ -47,10 +49,7 @@ def unsplit_slopes(X) -> NewtonPolygon:
         v = R.pivot_val(c)
         vals.append(BOTTOM if v >= m else v)
     if vals[0] is BOTTOM:
-        raise PrecisionExhausted(
-            "det of the twisted power vanishes at working precision",
-            required_m=m + 1,
-        )
+        raise PrecisionExhausted("det of the twisted power vanishes at working precision")
     points = [(i, v) for i, v in enumerate(vals) if v is not BOTTOM]
     hull = _lower_hull(points)
     out = []
@@ -61,11 +60,23 @@ def unsplit_slopes(X) -> NewtonPolygon:
 
 
 def _outcome(fn, C):
-    """The polygon, or the refusal with its message and required_m."""
+    """The polygon, or the refusal with its message."""
     try:
         return fn(C)
     except PrecisionExhausted as exc:
-        return ("PrecisionExhausted", str(exc), exc.required_m)
+        return ("PrecisionExhausted", str(exc))
+
+
+def _pattern(C):
+    """The positions of C's nonzero entries, row by row."""
+    return [[j for j, _ in nz] for nz in C.matrix.nonzero_rows]
+
+
+def _required_m(C):
+    """The required_m of `slopes`' refusal of C."""
+    with pytest.raises(PrecisionExhausted) as exc:
+        slopes(C)
+    return exc.value.required_m
 
 
 # ring name -> (p, a); Z/p^m is the ModulusRing, the others Witt rings
@@ -286,6 +297,7 @@ def test_block_route_matches_the_oracle_on_standard_wedges(a):
 def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_name):
     p, a = RINGS[ring_name]
     rng = random.Random(f"block-precision:{ring_name}")
+    bounded = 0
     for _ in range(6):
         n = rng.randint(2, 4)
         while True:  # an input that certifies at m = 40
@@ -295,17 +307,27 @@ def test_refusals_match_the_oracle_at_and_below_the_certifying_precision(ring_na
         # every precision up to the certifying one, and one past it; the
         # first that certifies is one above the twisted power's det valuation
         R40 = _ring(ring_name, 40)
-        v = R40.pivot_val(det(twisted_power_matrix(_crystal(R40, rows))))
+        C40 = _crystal(R40, rows)
+        v = R40.pivot_val(det(twisted_power_matrix(C40)))
         certifying = None
         for m in range(1, 42):
             C = _crystal(_ring(ring_name, m), rows)
             want = _outcome(unsplit_slopes, C)
             assert _outcome(slopes, C) == want, m
-            if isinstance(want, NewtonPolygon):
+            if not isinstance(want, NewtonPolygon):
+                need = _required_m(C)
+                assert need > m
+                if _pattern(C) == _pattern(C40):
+                    # no entry vanished, so the blocks are those at m = 40
+                    # and the bound does not pass the certifying precision
+                    assert need <= v + 1, m
+                    bounded += 1
+            else:
                 if certifying is not None:
                     break
                 certifying = m
         assert certifying == v + 1 <= 40
+    assert bounded >= 5
 
 
 @pytest.mark.parametrize("ring_name", list(RINGS))
@@ -321,6 +343,7 @@ def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
         lengths.update(ks)
         rows = _permuted(rng, rows)
         certifying = a * v + 1
+        zero_blocks = len(rows) - sum(ks)
         shift = rng.randint(-1, 1)
         for m in range(1, certifying + 1):
             C = _crystal(_ring(ring_name, m), rows, shift=shift)
@@ -328,6 +351,13 @@ def test_cycle_rule_matches_the_oracle_at_every_precision(ring_name):
             assert _outcome(slopes, C) == want, m
             assert isinstance(want, NewtonPolygon) == (not singular and m == certifying), m
             solved += isinstance(want, NewtonPolygon)
+            if not isinstance(want, NewtonPolygon):
+                need = _required_m(C)
+                assert need > m
+                if m > 3:
+                    # every cycle entry, of valuation at most 3, is nonzero:
+                    # the cycles count a*v exactly and each zero block m
+                    assert need == a * v + zero_blocks * m + 1, m
     assert lengths == set(range(1, 7)) and solved >= 10
     assert a == 1 or any(math.gcd(k, a) > 1 for k in lengths)
 
@@ -339,6 +369,10 @@ def test_standard_wedge_refusals_match_the_oracle(a):
     for m in range(1, need + 2):
         W = wedge_isocrystal(make_standard(descriptor(h, dim), make_witt_ring(3, a, m)), r)
         assert _outcome(slopes, W) == _outcome(unsplit_slopes, W), m
+        if r < m < need:
+            # every entry, of valuation at most r, is nonzero: the
+            # refusal names the floor itself
+            assert _required_m(W) == need, m
 
 
 @pytest.mark.parametrize("ring_name", list(RINGS))
@@ -428,20 +462,31 @@ def test_segments_are_the_multiset_polygon_of_the_oracle(ring_name):
 
 def test_guard_sums_the_block_det_valuations():
     # diag(9, 9): each block's det has valuation 2 < 4, but det L = 3^4
-    # vanishes mod 3^4
-    for C in (
-        _crystal(modulus_ring(3, 4), [[9, 0], [0, 9]]),
-        _crystal(make_witt_ring(3, 1, 4), [[9, 0], [0, 9]]),
-        _crystal(make_witt_ring(3, 2, 7), [[(9, 0), (1, 2)], [(0, 0), (0, 27)]]),
+    # vanishes mod 3^4, and required_m is one more than the summed
+    # valuation: 2 + 2, and a * (2 + 3) at a = 2
+    for C, required in (
+        (_crystal(modulus_ring(3, 4), [[9, 0], [0, 9]]), 5),
+        (_crystal(make_witt_ring(3, 1, 4), [[9, 0], [0, 9]]), 5),
+        (_crystal(make_witt_ring(3, 2, 7), [[(9, 0), (1, 2)], [(0, 0), (0, 27)]]), 11),
     ):
         for B in _strong_components(C.matrix):
             block = Matrix(C.ring, 1, 1, [C.matrix[B[0], B[0]]])
             assert slopes(Isocrystal(block, 0))
-        want = ("PrecisionExhausted",
-                "det of the twisted power vanishes at working precision",
-                C.ring.m + 1)
+        want = ("PrecisionExhausted", "det of the twisted power vanishes at working precision")
         assert _outcome(unsplit_slopes, C) == want
         assert _outcome(slopes, C) == want
+        assert _required_m(C) == required
+
+
+@pytest.mark.parametrize("m", [5, 6, 7])
+def test_required_m_sums_every_block(m):
+    # diag(27, 27): each block's det has valuation 3, so det L = 3^6 needs
+    # m = 7; the refusals at 5 and 6 both name 7, not m + 1
+    C = _crystal(make_witt_ring(3, 1, m), [[27, 0], [0, 27]])
+    if m < 7:
+        assert _required_m(C) == 7
+    else:
+        assert slopes(C).segments == ((Fraction(3), 2),)
 
 
 # ---------------------------------------------------------------------------

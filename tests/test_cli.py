@@ -305,6 +305,13 @@ def test_payload_fields_must_be_schema_integers(capsys, verb, payload, field):
     assert f"'{field}'" in _refused(capsys, [verb, "--in", json.dumps(payload)])
 
 
+def test_slopes_refuses_a_composite_p_as_a_schema_error(capsys):
+    # the isocrystal's own p, a and m are read as a witt ring descriptor;
+    # the matrix names p = 3, so only the outer p is refused
+    err = _refused(capsys, ["slopes", "--in", json.dumps({**_ISOCRYSTAL, "p": 9})])
+    assert err == "schema error: bad ring descriptor: p must be an odd prime below 2^64, got 9\n"
+
+
 @pytest.mark.parametrize("verb", [["rank"], ["compound", "--d", "1"]])
 @pytest.mark.parametrize("rows, cols", [(10**9, 0), (0, 10**9)])
 def test_empty_matrix_of_nonzero_shape_is_refused_before_it_is_built(capsys, verb, rows, cols):

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from wedgecrys.campaigns import CAMPAIGNS, run_campaign
 from wedgecrys.dieudonne import (
     Isocrystal,
     NewtonPolygon,
@@ -16,7 +17,13 @@ from wedgecrys.dieudonne import (
     make_standard,
     vector_phi,
 )
-from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted, RingMismatch
+from wedgecrys.errors import (
+    DegreeViolation,
+    DimensionMismatch,
+    PrecisionExhausted,
+    RingMismatch,
+    WedgecrysError,
+)
 from wedgecrys.matrices import Matrix, block_diag, charpoly, det, rank_lemma_check, stack_minors
 from wedgecrys.rings import local_test_ring, make_witt_ring, modulus_ring
 from wedgecrys.wedge import (
@@ -77,6 +84,19 @@ REFUSALS = [
      RingMismatch),
     ("degree below the integral range", lambda: _zero_vector(LT2, -2), DegreeViolation),
 ]
+
+
+@pytest.mark.parametrize("name", CAMPAIGNS)
+@pytest.mark.parametrize("trials", [0, -1])
+def test_run_campaign_refuses_trials_below_one(name, trials):
+    # a campaign of no trials would report its fixed cases, having checked none
+    with pytest.raises(WedgecrysError, match=f"^--trials must be >= 1, got {trials}$"):
+        run_campaign(name, seed=1, trials=trials)
+
+
+def test_run_campaign_refuses_an_unknown_name():
+    with pytest.raises(WedgecrysError, match="^unknown campaign 'nosuch'; choose from rank-lemma, "):
+        run_campaign("nosuch")
 
 
 @pytest.mark.parametrize("call, exc", [pytest.param(call, exc, id=name) for name, call, exc in REFUSALS])

@@ -14,7 +14,13 @@ from wedgecrys.dieudonne import (
     semilinear_conjugate,
     slopes,
 )
-from wedgecrys.errors import DegreeViolation, DimensionMismatch, PrecisionExhausted, WedgecrysError
+from wedgecrys.errors import (
+    BadDescriptor,
+    DegreeViolation,
+    DimensionMismatch,
+    PrecisionExhausted,
+    WedgecrysError,
+)
 from wedgecrys.matrices import Matrix, compound, det, index_subsets, invert_unimodular, smith_valuations
 from wedgecrys.rings import finite_field, make_witt_ring, modulus_ring
 from wedgecrys.wedge import (
@@ -307,13 +313,20 @@ def test_min_wedge_precision_is_the_least_that_succeeds(p):
             for r in range(1, h + 1):
                 for a in (1, 2, 3):
                     m = min_wedge_precision(h, dim, r, a)
-                    rep = wedge_report(descriptor(h, dim), r, p, a)
-                    assert rep["source"]["m"] == m
-                    # every refusal names the least m, not a bound of the step that failed
-                    for below in {1, m // 2, m - 1} - {0, m}:
-                        with pytest.raises(PrecisionExhausted) as exc:
-                            wedge_report(descriptor(h, dim), r, p, a, m=below)
-                        assert exc.value.required_m == m
+                    if dim > 1:
+                        # no report, but the wedge's slopes certify at the floor
+                        with pytest.raises(BadDescriptor):
+                            wedge_report(descriptor(h, dim), r, p, a)
+                        R = make_witt_ring(p, a, m)
+                        assert slopes(wedge_isocrystal(make_standard(descriptor(h, dim), R), r)).segments
+                    else:
+                        rep = wedge_report(descriptor(h, dim), r, p, a)
+                        assert rep["source"]["m"] == m
+                        # every refusal names the least m, not a bound of the step that failed
+                        for below in {1, m // 2, m - 1} - {0, m}:
+                            with pytest.raises(PrecisionExhausted) as exc:
+                                wedge_report(descriptor(h, dim), r, p, a, m=below)
+                            assert exc.value.required_m == m
                     if m > 1:
                         # the wedge's own slopes fail one below the floor
                         R = make_witt_ring(p, a, m - 1)
@@ -410,6 +423,27 @@ def test_wedge_report_shape():
     assert rep["slopes"] == ["3/5"] * 10 and rep["mu_check"] is None
     rep = wedge_report(descriptor(3, 1), 1, 3, 1)
     assert rep["height"] == 3 and rep["dim"] == 1
+
+
+@pytest.mark.parametrize(
+    "dim, a, m, exc, message",
+    [
+        (1, 0, None, WedgecrysError, "--a must be >= 1, got 0"),
+        (1, 17, None, WedgecrysError, "--a must be <= 16, got 17"),
+        (1, 1, 0, WedgecrysError, "--m must be >= 1, got 0"),
+        (2, 1, None, BadDescriptor, "wedge reports require dim <= 1"),
+    ],
+    ids=["a=0", "a=17", "m=0", "dim=2"],
+)
+def test_wedge_report_refuses_its_own_bad_parameters_before_any_ring(monkeypatch, dim, a, m, exc, message):
+    def nothing_built(*args):
+        raise AssertionError("a ring or module was built")
+
+    monkeypatch.setattr(wedge, "make_witt_ring", nothing_built)
+    monkeypatch.setattr(wedge, "make_standard", nothing_built)
+    with pytest.raises(exc) as got:
+        wedge_report(descriptor(4, dim), 2, 3, a, m=m)
+    assert type(got.value) is exc and str(got.value) == message
 
 
 def test_wedge_report_refuses_a_precision_above_the_limit_before_any_ring(monkeypatch):
